@@ -92,13 +92,7 @@ class Sieve:
 
 
 _sieve: Sieve | None = None
-_sieve_cap = DEFAULT_SIEVE_CAP
 _cache_dir: str | None = None
-
-
-def set_sieve_cap(cap: int) -> None:
-    global _sieve_cap
-    _sieve_cap = cap
 
 
 def set_cache_dir(path: str | None) -> None:
@@ -111,13 +105,13 @@ def ensure_sieve(limit: int) -> Sieve:
     """Return the shared sieve, growing it (and caching to disk if enabled) as needed."""
     global _sieve
     limit = max(limit, 2)
-    if limit > _sieve_cap:
+    if limit > DEFAULT_SIEVE_CAP:
         raise ResourceError(
-            f"sieve limit {limit} exceeds cap {_sieve_cap}; raise the cap or lower the horizon")
+            f"sieve limit {limit} exceeds cap {DEFAULT_SIEVE_CAP}; lower the horizon")
     if _sieve is None or _sieve.limit < limit:
         # grow geometrically so ascending requests amortize to one build
         have = _sieve.limit if _sieve is not None else 0
-        target = min(_sieve_cap, max(limit, 2 * have, 1 << 16))
+        target = min(DEFAULT_SIEVE_CAP, max(limit, 2 * have, 1 << 16))
         loaded = None
         cache_path = None
         if _cache_dir is not None:

@@ -71,12 +71,6 @@ def _exgamma_stream() -> Iterator[int]:
         n += 1
 
 
-def gen_exgamma(count: int) -> list[int]:
-    """Minimal sequence with n | a_n and a_n strictly above the sum of all earlier terms."""
-    _check_count(count)
-    return _IncreasingStream(_exgamma_stream()).take(count)
-
-
 def _fastgrowth_stream() -> Iterator[int]:
     total, n = 0, 1
     while True:
@@ -84,12 +78,6 @@ def _fastgrowth_stream() -> Iterator[int]:
         yield a
         total += a
         n += 1
-
-
-def gen_fastgrowth(count: int) -> list[int]:
-    """Minimal sequence with a_1 = 1 and a_n = n + (sum of earlier terms) + 1."""
-    _check_count(count)
-    return _IncreasingStream(_fastgrowth_stream()).take(count)
 
 
 def _sidon_stream() -> Iterator[int]:
@@ -109,11 +97,6 @@ def sidon_sequence(length: int) -> list[int]:
     """Greedy minimal increasing sequence whose pairwise differences are all distinct."""
     _check_count(length)
     return _IncreasingStream(_sidon_stream()).take(length)
-
-
-def gen_sidon_levels(count: int) -> list[int]:
-    """Distinct-difference level indices for the interleaved level-union pair."""
-    return sidon_sequence(count)
 
 
 _SEQ_STREAMS = {
@@ -454,15 +437,7 @@ def _seq_fixture(stream_fn, params: tuple, name: str, config: EvalConfig, expr,
             return LazySet(expr, members, config.horizon, pred=stream.range_pred())
         return LazySet(expr, members, config.horizon)
     _check_count(count)
-    members = stream.take(count)
-    mset = frozenset(members)
-    return LazySet(expr, members, members[-1], pred=mset.__contains__, finite=True)
-
-
-def _finite_exact(expr, members) -> LazySet:
-    mset = frozenset(members)
-    top = max(members) if mset else 0
-    return LazySet(expr, members, top, pred=mset.__contains__, finite=True)
+    return LazySet.of_finite(expr, stream.take(count))
 
 
 def _fx_exgamma(params, config, expr):
@@ -482,7 +457,7 @@ def _fx_thick(params, config, expr):
     if n_max is None:
         n_max = thick_auto_nmax(config.horizon)
     fx = gen_thick_nonmaxstar(n_max)
-    return _finite_exact(expr, fx.members)
+    return LazySet.of_finite(expr, fx.members)
 
 
 def _fx_equal_exponent(params, config, expr):
@@ -499,7 +474,7 @@ def _fx_fp_primes(params, config, expr):
         fx = gen_fp_prime_subset(params[0], params[1], config)
     else:
         raise InputError(f"bad parameters for fp_primes; usage: {CATALOG['fp_primes']}")
-    return _finite_exact(expr, fx.members)
+    return LazySet.of_finite(expr, fx.members)
 
 
 def _fx_prophier(params, config, expr):
@@ -514,7 +489,7 @@ def _fx_prophier(params, config, expr):
         exps.append(k)
         counts.append(n)
     members = gen_prophier(prime_sets, exps, counts, config.horizon)
-    return _finite_exact(expr, members)
+    return LazySet.of_finite(expr, members)
 
 
 def _fx_levelfix(params, config, expr):
@@ -522,7 +497,7 @@ def _fx_levelfix(params, config, expr):
             or not isinstance(params[1], tuple) or not isinstance(params[2], int)):
         raise InputError(f"bad parameters for levelfix; usage: {CATALOG['levelfix']}")
     members = gen_levelfix(params[0], params[1], params[2], config.horizon)
-    return _finite_exact(expr, members)
+    return LazySet.of_finite(expr, members)
 
 
 _BUILDERS = {

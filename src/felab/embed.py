@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import arith
-from .constructions import sidon_sequence
 from .errors import InapplicableError, InputError, PrecisionError, ResourceError
 from .setlang import analysis, nodes
 from .setlang.lazyset import DEFAULT_CONFIG, EvalConfig, LazySet
@@ -31,7 +30,6 @@ __all__ = [
     "fe_refute_level",
     "fe_refute_residue",
     "decreasing_chain",
-    "sidon_sequence",
     "mthick_check",
 ]
 
@@ -75,18 +73,41 @@ def _check_family(F) -> tuple[int, ...]:
     return fam
 
 
-def _statuses(B: LazySet, k: int, fam: tuple[int, ...]):
-    """Aggregate membership of k*fam: True, False, or the unknown points."""
-    unknown = []
-    for f in fam:
-        r = B.contains(k * f)
-        if r is False:
-            return False, ()
-        if r is None:
-            unknown.append(k * f)
-    if unknown:
-        return None, tuple(unknown)
-    return True, ()
+def _least_dilation(fam, contains, blocks, undecided=None) -> int | None:
+    """Least k, block by block, with contains(k*a) True for every a in fam.
+
+    Within a block each member a strikes out the k it refutes (contains False)
+    and the first k left with every answer True wins. A block of one k tests
+    that k's images in family order; one block of every k intersects the
+    quotient sets B/a. The k of a block left alive only by unknown answers go
+    to `undecided` as (k, unknown points), ascending in k.
+    """
+    unknown: dict[int, list[int]] = {}
+    for block in blocks:
+        live = block
+        for a in fam:
+            kept = []
+            for k in live:
+                r = contains(k * a)
+                if r is not False:
+                    kept.append(k)
+                    if r is None:
+                        unknown.setdefault(k, []).append(k * a)
+            live = kept
+            if not live:
+                break
+        else:
+            for k in live:
+                if k not in unknown:
+                    return k
+            if undecided is not None:
+                undecided.extend((k, tuple(unknown[k])) for k in live)
+    return None
+
+
+def _one_by_one(ks):
+    """Blocks of one k each: the k-major scan that stops at the first witness."""
+    return ((k,) for k in ks)
 
 
 def _precision(undecided: list[tuple[int, tuple[int, ...]]]) -> PrecisionError:
@@ -99,72 +120,40 @@ def _precision(undecided: list[tuple[int, tuple[int, ...]]]) -> PrecisionError:
     )
 
 
-def _finite_k_candidates(B: LazySet, fam: tuple[int, ...]) -> tuple[int, list[int]]:
-    """Exact k-range and its only possible witnesses for a finite target."""
-    elems = B.elements()
-    bound = (elems[-1] // fam[0]) if elems else 0
+def _finite_k_candidates(elems: list[int], fam: tuple[int, ...]) -> tuple[int, list[int]]:
+    """Exact k-range and its only possible witnesses, given a finite target's sorted members."""
     fmin = fam[0]
-    cands = sorted(b // fmin for b in elems if b % fmin == 0)
-    return bound, [k for k in cands if k <= bound]
+    bound = (elems[-1] // fmin) if elems else 0
+    return bound, [b // fmin for b in elems if b % fmin == 0]
+
+
+def _fe_search(F, B: LazySet, k_max: int, blocks) -> FeWitness | FeRefutation:
+    fam = _check_family(F)
+    if k_max < 1:
+        raise InputError(f"k_max must be >= 1, got {k_max}")
+    if B.finite:
+        bound, ks = _finite_k_candidates(B.elements(), fam)
+    else:
+        ks = range(1, k_max + 1)
+    undecided: list[tuple[int, tuple[int, ...]]] = []
+    k = _least_dilation(fam, B.contains, blocks(ks), undecided)
+    if k is not None:
+        return FeWitness(k, fam, tuple(k * f for f in fam))
+    if B.finite:
+        return FeRefutation("finite-target", fam, {"bound": bound})
+    if undecided:
+        raise _precision(undecided)
+    return FeRefutation("exhausted", fam, {"k_max": k_max})
 
 
 def fe_witness(F, B: LazySet, k_max: int) -> FeWitness | FeRefutation:
-    """Least verified k <= k_max with k*F inside B, else a refutation."""
-    fam = _check_family(F)
-    if k_max < 1:
-        raise InputError(f"k_max must be >= 1, got {k_max}")
-    if B.finite:
-        bound, cands = _finite_k_candidates(B, fam)
-        for k in cands:
-            ok, _ = _statuses(B, k, fam)
-            if ok is True:
-                return FeWitness(k, fam, tuple(k * f for f in fam))
-        return FeRefutation("finite-target", fam, {"bound": bound})
-    undecided: list[tuple[int, tuple[int, ...]]] = []
-    for k in range(1, k_max + 1):
-        ok, unknown = _statuses(B, k, fam)
-        if ok is True:
-            return FeWitness(k, fam, tuple(k * f for f in fam))
-        if ok is None:
-            undecided.append((k, unknown))
-    if undecided:
-        raise _precision(undecided)
-    return FeRefutation("exhausted", fam, {"k_max": k_max})
+    """Least verified k <= k_max with k*F inside B, else a refutation (scans k by k)."""
+    return _fe_search(F, B, k_max, _one_by_one)
 
 
 def fe_fip_oracle(F, B: LazySet, k_max: int) -> FeWitness | FeRefutation:
-    """Same decision as fe_witness via intersecting the quotient sets B/a."""
-    fam = _check_family(F)
-    if k_max < 1:
-        raise InputError(f"k_max must be >= 1, got {k_max}")
-    if B.finite:
-        bound, cands = _finite_k_candidates(B, fam)
-        elems = set(B.elements())
-        live = [k for k in cands if all(k * a in elems for a in fam)]
-        if live:
-            k = live[0]
-            return FeWitness(k, fam, tuple(k * f for f in fam))
-        return FeRefutation("finite-target", fam, {"bound": bound})
-    verdicts = {k: True for k in range(1, k_max + 1)}
-    unknown_pts: dict[int, list[int]] = {}
-    for a in fam:
-        for k in range(1, k_max + 1):
-            if verdicts[k] is False:
-                continue
-            r = B.contains(k * a)
-            if r is False:
-                verdicts[k] = False
-                unknown_pts.pop(k, None)
-            elif r is None:
-                verdicts[k] = None
-                unknown_pts.setdefault(k, []).append(k * a)
-    for k in range(1, k_max + 1):
-        if verdicts[k] is True:
-            return FeWitness(k, fam, tuple(k * f for f in fam))
-    undecided = [(k, tuple(unknown_pts[k])) for k in sorted(unknown_pts)]
-    if undecided:
-        raise _precision(undecided)
-    return FeRefutation("exhausted", fam, {"k_max": k_max})
+    """Same decision as fe_witness via intersecting the quotient sets B/a (one block of all k)."""
+    return _fe_search(F, B, k_max, lambda ks: (ks,))
 
 
 def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
@@ -174,10 +163,14 @@ def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
         raise InputError(f"prefix length must be >= 1, got {p}")
     fam = _prefix_of(A, p, config)
     # sound structural refuters are cheap; consult them before scanning dilations
-    for refuter in (_try_level, _try_residue):
-        cert = refuter(A, fam, B, config)
-        if cert is not None:
-            return Verdict.refuted({"refutation": cert.to_json()}, {"prefix": p, "k_max": k_max})
+    try:
+        cert = fe_refute_level(A, B, config.horizon)
+    except InapplicableError:
+        cert = None
+    if cert is None:
+        cert = fe_refute_residue(fam, B)
+    if cert is not None:
+        return Verdict.refuted({"refutation": cert.to_json()}, {"prefix": p, "k_max": k_max})
     res = fe_witness(fam, B, k_max)
     if isinstance(res, FeWitness):
         return Verdict.proved({"witness": res.to_json()}, {"prefix": p, "k_max": k_max})
@@ -204,17 +197,6 @@ def _prefix_of(A: LazySet, p: int, config: EvalConfig) -> tuple[int, ...]:
                 required_horizon=max(A.complete_below * 2, config.horizon),
             )
     return tuple(known[:p])
-
-
-def _try_level(A: LazySet, fam, B: LazySet, config: EvalConfig) -> FeRefutation | None:
-    try:
-        return fe_refute_level(A, B, config.horizon)
-    except InapplicableError:
-        return None
-
-
-def _try_residue(A: LazySet, fam, B: LazySet, config: EvalConfig) -> FeRefutation | None:
-    return fe_refute_residue(fam, B)
 
 
 def me_check(A: LazySet, B: LazySet, m: int, H: int | None = None,
@@ -263,22 +245,23 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
     table = {}
     for a in pool:
         if B.finite:
-            hit = next((b for b in B.elements() if b % a == 0), None)
-            if hit is None:
-                return Verdict.refuted(
-                    {"element": a, "reason": "no multiple in the finite target"},
-                    {"horizon": horizon, "m": 1})
-            table[a] = hit
-            continue
-        hit = next((a * k for k in range(1, k_max + 1) if B.contains(a * k) is True), None)
-        if hit is None:
-            if B.expr is not None and analysis.empty_meet_mult(B.expr, a) is True:
-                return Verdict.refuted(
-                    {"element": a, "reason": f"target provably misses every multiple of {a}"},
-                    {"horizon": horizon, "m": 1})
+            ks = _finite_k_candidates(B.elements(), (a,))[1]
+        else:
+            ks = range(1, k_max + 1)
+        k = _least_dilation((a,), B.contains, _one_by_one(ks))
+        if k is not None:
+            table[a] = a * k
+        elif B.finite:
+            return Verdict.refuted(
+                {"element": a, "reason": "no multiple in the finite target"},
+                {"horizon": horizon, "m": 1})
+        elif B.expr is not None and analysis.empty_meet_mult(B.expr, a) is True:
+            return Verdict.refuted(
+                {"element": a, "reason": f"target provably misses every multiple of {a}"},
+                {"horizon": horizon, "m": 1})
+        else:
             return Verdict.bounded("against", {"horizon": horizon, "m": 1, "k_max": k_max},
                                    {"element": a})
-        table[a] = hit
     return Verdict.proved({"divides_into": table}, {"horizon": horizon, "m": 1})
 
 
@@ -352,23 +335,6 @@ def _colex_pairs(count: int) -> list[tuple[int, int]]:
     return out
 
 
-def _embeds_into_finite(fam: tuple[int, ...], target: list[int], tset: set[int]) -> int | None:
-    """Least dilation mapping fam into the finite target, or None."""
-    if not target:
-        return None
-    bound = target[-1] // fam[0]
-    fmin = fam[0]
-    for b in target:
-        if b % fmin:
-            continue
-        k = b // fmin
-        if k > bound:
-            break
-        if all(k * f in tset for f in fam):
-            return k
-    return None
-
-
 class _Level:
     """Memoized accepted-element stream for one chain level."""
 
@@ -410,8 +376,9 @@ def decreasing_chain(depth: int, per_level: int, scan_cap: int = _CHAIN_SCAN_CAP
                         f"chain level scanned {scan_cap} candidates without "
                         f"filling {per_level} slots")
                 tail = accepted + [x]
-                tset = aset | {x}
-                if any(_embeds_into_finite(f, tail, tset) is not None for f in blocked):
+                inside = (aset | {x}).__contains__
+                if any(_least_dilation(f, inside, _one_by_one(_finite_k_candidates(tail, f)[1]))
+                       is not None for f in blocked):
                     continue
                 accepted.append(x)
                 aset.add(x)
@@ -423,10 +390,7 @@ def decreasing_chain(depth: int, per_level: int, scan_cap: int = _CHAIN_SCAN_CAP
         displayed.append(tuple(lvl.get(i) for i in range(per_level)))
     refutations = []
     for n in range(depth):
-        target = nodes.Explicit(displayed[n + 1])
-        tset = frozenset(displayed[n + 1])
-        finite_view = LazySet(target, displayed[n + 1], max(displayed[n + 1]),
-                              pred=tset.__contains__, finite=True)
+        finite_view = LazySet.of_finite(nodes.Explicit(displayed[n + 1]), displayed[n + 1])
         res = fe_witness(pairs[n], finite_view, 1)
         if not isinstance(res, FeRefutation):
             raise AssertionError(
@@ -444,9 +408,9 @@ def mthick_check(A: LazySet, n: int, H: int | None = None,
         raise InputError(f"run length must be >= 1, got {n}")
     horizon = config.horizon if H is None else H
     k_top = horizon // n
-    for k in range(1, k_top + 1):
-        if all(A.contains(k * i) is True for i in range(1, n + 1)):
-            return Verdict.proved({"k": k, "multiples": [k * i for i in range(1, n + 1)]},
-                                  {"horizon": horizon, "n": n})
+    k = _least_dilation(range(1, n + 1), A.contains, _one_by_one(range(1, k_top + 1)))
+    if k is not None:
+        return Verdict.proved({"k": k, "multiples": [k * i for i in range(1, n + 1)]},
+                              {"horizon": horizon, "n": n})
     return Verdict.bounded("against", {"horizon": horizon, "n": n},
                            {"exhausted_k": k_top})

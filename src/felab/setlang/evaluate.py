@@ -51,8 +51,7 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
         members = range(a, h + 1, d)
         return LazySet(expr, members, h, pred=lambda n: n >= a and (n - a) % d == 0)
     if isinstance(expr, nodes.Explicit):
-        elems = frozenset(expr.elems)
-        return LazySet(expr, expr.elems, max(expr.elems), pred=elems.__contains__, finite=True)
+        return LazySet.of_finite(expr, expr.elems)
     if isinstance(expr, nodes.Union):
         return _eval_union(expr, config)
     if isinstance(expr, nodes.Inter):
@@ -72,8 +71,7 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
         n = expr.n
         members = [m // n for m in kid.elements() if m % n == 0]
         if kid.finite:
-            pool = frozenset(members)
-            return LazySet(expr, members, max(members, default=0), pred=pool.__contains__, finite=True)
+            return LazySet.of_finite(expr, members)
         pred = None
         if kid.pred is not None:
             pred = lambda m, p=kid.pred: p(n * m)
@@ -83,8 +81,7 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
         t = expr.t
         members = [m - t for m in kid.elements() if m > t]
         if kid.finite:
-            pool = frozenset(members)
-            return LazySet(expr, members, max(members, default=0), pred=pool.__contains__, finite=True)
+            return LazySet.of_finite(expr, members)
         pred = None
         if kid.pred is not None:
             pred = lambda m, p=kid.pred: p(m + t)
@@ -100,9 +97,7 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
 
         kids = [_eval(c, config) for c in expr.chain]
         res = constructions.pseudointersection(kids, expr.count, config.horizon)
-        pool = frozenset(res.values)
-        bound = max(res.values) if res.values else 0
-        return LazySet(expr, res.values, bound, pred=pool.__contains__, finite=True)
+        return LazySet.of_finite(expr, res.values)
     if isinstance(expr, nodes.Construct):
         from .. import constructions
 
@@ -127,8 +122,7 @@ def _eval_union(expr: nodes.Union, config: EvalConfig) -> LazySet:
         members.update(kid.elements())
     members = _capped(sorted(members), config)
     if all(kid.finite for kid in kids):
-        pool = frozenset(members)
-        return LazySet(expr, members, max(members, default=0), pred=pool.__contains__, finite=True)
+        return LazySet.of_finite(expr, members)
     pred = None
     if all(kid.pred is not None for kid in kids):
         preds = tuple(kid.pred for kid in kids)
@@ -159,8 +153,7 @@ def _eval_inter(expr: nodes.Inter, config: EvalConfig) -> LazySet:
         else:
             undecided = True
     if base.finite and not undecided:
-        pool = frozenset(members)
-        return LazySet(expr, members, max(members, default=0), pred=pool.__contains__, finite=True)
+        return LazySet.of_finite(expr, members)
     pred = None
     if all(kid.pred is not None for kid in kids):
         preds = tuple(kid.pred for kid in kids)
@@ -204,8 +197,7 @@ def _eval_down(expr: nodes.Down, config: EvalConfig) -> LazySet:
         divs.update(arith.divisors(m))
     members = _capped(sorted(divs), config)
     if kid.finite:
-        pool = frozenset(members)
-        return LazySet(expr, members, max(members, default=0), pred=pool.__contains__, finite=True)
+        return LazySet.of_finite(expr, members)
     return LazySet(expr, members, 0)
 
 
@@ -227,8 +219,7 @@ def _eval_fsfp(expr, config: EvalConfig) -> LazySet:
             )
         closure = _sums_all(terms) if additive else _prods_all(terms)
         members = _capped(sorted(closure), config)
-        pool = frozenset(members)
-        return LazySet(expr, members, max(members, default=0), pred=pool.__contains__, finite=True)
+        return LazySet.of_finite(expr, members)
     if additive:
         members = _sums_upto(terms, h)
     else:

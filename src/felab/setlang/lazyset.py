@@ -45,6 +45,14 @@ class LazySet:
         self.pred = pred
         self.finite = finite
 
+    @classmethod
+    def of_finite(cls, expr, members: Iterable[int]) -> LazySet:
+        """The finite EXACT set of exactly these members, complete up to the largest."""
+        ls = cls(expr, members, 0, finite=True)
+        ls.complete_below = ls.max_known()
+        ls.pred = ls._member_set.__contains__
+        return ls
+
     @property
     def exactness(self) -> str:
         return EXACT if self.pred is not None else PREFIX

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive):
     seq     := "[" natlist "]" | rulename "(" args ")"
 
 "odd" is sugar for ap(1,2). Arities and parameter kinds are fixed per name and
-checked here, so evaluation never sees a malformed tree.
+checked here, so evaluation never sees a malformed tree. Constructor calls nest
+at most 100 deep.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from . import nodes
 from .nodes import (AllNat, Ap, Compl, Construct, Dilate, Explicit, ExplicitSeq,
                     Fp, Fs, Inter, Level, Mult, NamedSeq, Primes, Pseudo, Quot,
                     SetExpr, Shift, Union, Up, Down)
+
+# Deepest nesting of constructor calls; keeps parsing and every later
+# recursive walk of the tree far from Python's recursion limit.
+_MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(){}\[\],]))")
 
@@ -46,6 +51,7 @@ class _Tokens:
             pos = m.end()
         self.items.append(("eof", "", len(text)))
         self.i = 0
+        self.depth = 0
 
     def _fail(self, msg: str, at: int):
         before = self.text[:at]
@@ -104,11 +110,15 @@ def _parse_expr(toks: _Tokens) -> SetExpr:
         return Ap(1, 2)
     if val not in _COMBINATORS:
         toks._fail(f"unknown set constructor {val!r}", at)
+    if toks.depth == _MAX_DEPTH:
+        toks._fail(f"expression nested deeper than {_MAX_DEPTH} constructor calls", at)
     toks.expect_punct("(")
+    toks.depth += 1
     try:
         node = _parse_call(toks, val)
     except InputError as exc:  # node validation errors get positions attached
         toks._fail(str(exc), at)
+    toks.depth -= 1
     toks.expect_punct(")")
     return node
 

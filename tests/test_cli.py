@@ -315,6 +315,18 @@ def test_parse_table_tree(capsys):
     assert lines[2].strip().startswith("Up")
 
 
+@pytest.mark.parametrize("depth", [100, 101, 2000])
+def test_parse_nesting_cap(depth, capsys):
+    text = "compl(" * depth + "N" + ")" * depth
+    code, out, err = run(["parse", text], capsys)
+    if depth <= 100:
+        assert code == 0 and err == "" and out.startswith("text: compl(")
+    else:
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            "error: line 1, col 601: expression nested deeper than 100 constructor calls"]
+
+
 # ---------------------------------------------------------------------------
 # determinism and cache
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from felab import arith
 from felab.constructions import (FpFixture, PseudoResult, ThickFixture,
                                  build_fixture, catalog_lines, gen_equal_exponent,
-                                 gen_exgamma, gen_fastgrowth, gen_fp_prime_subset,
-                                 gen_levelfix, gen_mj_funcs, gen_prophier,
-                                 gen_sidon_levels, gen_thick_nonmaxstar,
+                                 gen_fp_prime_subset, gen_levelfix, gen_mj_funcs,
+                                 gen_prophier, gen_thick_nonmaxstar,
                                  equal_exponent_pred, pseudointersection,
                                  sequence_terms, sidon_level_union_expr,
                                  sidon_sequence, thick_auto_nmax)
@@ -23,12 +22,12 @@ from felab.setlang import nodes
 # ---------------------------------------------------------------------------
 
 def test_exgamma_prefix():
-    assert gen_exgamma(10) == [1, 2, 6, 12, 25, 48, 98, 200, 396, 790]
-    assert gen_exgamma(30)[-1] == 830258580
+    assert sequence_terms("exgamma", (10,), 0) == ([1, 2, 6, 12, 25, 48, 98, 200, 396, 790], True)
+    assert sequence_terms("exgamma", (30,), 0)[0][-1] == 830258580
 
 
 def test_exgamma_laws():
-    seq = gen_exgamma(200)
+    seq, _ = sequence_terms("exgamma", (200,), 0)
     total = 0
     for n, a in enumerate(seq, start=1):
         assert a % n == 0, f"index {n} does not divide its term"
@@ -38,10 +37,9 @@ def test_exgamma_laws():
 
 
 def test_fastgrowth_prefix_and_law():
-    seq = gen_fastgrowth(8)
-    assert seq == [1, 4, 9, 19, 39, 79, 159, 319]
+    assert sequence_terms("fastgrowth", (8,), 0) == ([1, 4, 9, 19, 39, 79, 159, 319], True)
     total = 0
-    for n, a in enumerate(gen_fastgrowth(100), start=1):
+    for n, a in enumerate(sequence_terms("fastgrowth", (100,), 0)[0], start=1):
         assert a == (1 if n == 1 else n + total + 1)
         total += a
 
@@ -52,7 +50,7 @@ def test_sidon_prefix_and_distinct_differences():
     long = sidon_sequence(40)
     diffs = [b - a for i, a in enumerate(long) for b in long[i + 1:]]
     assert len(diffs) == len(set(diffs))
-    assert gen_sidon_levels(5) == [1, 2, 4, 8, 13]
+    assert sequence_terms("sidon", (5,), 0) == ([1, 2, 4, 8, 13], True)
 
 
 def test_sidon_is_greedy_minimal():
@@ -90,9 +88,9 @@ def test_sequence_terms_rejects(rule, params):
 def test_count_cap():
     from felab.errors import ResourceError
     with pytest.raises(ResourceError):
-        gen_exgamma(10_001)
+        sequence_terms("exgamma", (10_001,), 0)
     with pytest.raises(InputError):
-        gen_exgamma(0)
+        sequence_terms("exgamma", (0,), 0)
 
 
 # ---------------------------------------------------------------------------

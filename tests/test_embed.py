@@ -95,18 +95,47 @@ def test_witness_and_oracle_agree_on_random_instances(data):
     text = data.draw(st.sampled_from([
         "mult(2)", "mult(6)", "ap(3,9)", "ap(1,2)", "level(2)",
         "union(mult(4),mult(10))", "{6,12,18,24,36,72}", "down({720})",
-        "inter(mult(2),mult(3))", "up({30})",
+        "inter(mult(2),mult(3))", "up({30})", "fs(exgamma())", "fp(primeseq(odd))",
     ]))
     B = ev(text, horizon=5000)
-    a = fe_witness(fam, B, 400)
-    b = fe_fip_oracle(fam, B, 400)
-    assert a == b
+
+    def decide(route):
+        try:
+            return route(fam, B, 400)
+        except PrecisionError as exc:
+            return str(exc), exc.required_horizon
+
+    a = decide(fe_witness)
+    assert a == decide(fe_fip_oracle)
     if isinstance(a, FeWitness):
         assert a.k <= 400
         assert all(B.contains(a.k * f) is True for f in fam)
-        # least witness: every smaller k fails outright
+        # least witness: every smaller k fails outright, or is unknown in a PREFIX target
         for k in range(1, a.k):
-            assert any(B.contains(k * f) is False for f in fam)
+            answers = [B.contains(k * f) for f in fam]
+            assert False in answers or (not B.is_exact and None in answers)
+
+
+_EXACT_SETS = st.one_of(
+    st.sampled_from(["N", "primes", "level(2)", "compl(level(1))", "up({6,10,15})"]),
+    st.builds("mult({})".format, st.integers(1, 12)),
+    st.builds("compl(mult({}))".format, st.integers(2, 12)),
+    st.builds("union(mult({}),ap({},{}))".format, st.integers(2, 12), st.integers(1, 20),
+              st.integers(2, 12)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EXACT_SETS, st.integers(min_value=1, max_value=6), st.integers(min_value=6, max_value=3000))
+def test_mthick_proves_the_least_witness_of_the_run(text, n, H):
+    A = ev(text, horizon=1000)
+    v = mthick_check(A, n, H)
+    w = fe_witness(range(1, n + 1), A, H // n)
+    if isinstance(w, FeWitness):
+        assert v.status == "proved" and v.certificate["k"] == w.k
+    else:
+        assert w.kind == "exhausted"
+        assert v.status == "bounded" and v.certificate == {"exhausted_k": H // n}
 
 
 # ---------------------------------------------------------------------------
