@@ -35,14 +35,17 @@ class Sieve:
 
     @staticmethod
     def _build(limit: int) -> array:
-        spf = array("I", bytes(4 * (limit + 1)))
-        for i in range(2, limit + 1):
-            if spf[i] == 0:
-                spf[i] = i
-                if i * i <= limit:
-                    for j in range(i * i, limit + 1, i):
-                        if spf[j] == 0:
-                            spf[j] = i
+        spf = array("I", range(limit + 1))
+        spf[1] = 0
+        # every composite j has spf(j)**2 <= j, so the primes up to the root
+        # mark all composites; going from the largest down, the least writes last.
+        # Slices of at most 2**16 slots keep the fill array small beside the table.
+        for p in range(math.isqrt(limit), 1, -1):
+            if all(p % d for d in range(2, math.isqrt(p) + 1)):
+                fill = array("I", [p]) * min((limit - p * p) // p + 1, 1 << 16)
+                for lo in range(p * p, limit + 1, len(fill) * p):
+                    slots = min(len(fill), (limit - lo) // p + 1)
+                    spf[lo:lo + slots * p:p] = fill[:slots]
         return spf
 
     def spf(self, n: int) -> int:
@@ -216,20 +219,20 @@ def factorize(n: int) -> list[tuple[int, int]]:
         raise InputError(f"factorize expects n >= 1, got {n}")
     if n >= _MR_EXACT_BELOW:
         raise ResourceError(f"{n} lies beyond the deterministic primality range")
-    if n == 1:
-        return []
-    out: dict[int, int] = {}
     sieve = ensure_sieve(min(max(n, 2), 100_000))
     if n <= sieve.limit:
+        # the smallest prime factor of what is left never decreases
         t = sieve.table
+        pairs = []
         while n > 1:
             p = t[n]
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
-            out[p] = e
-        return sorted(out.items())
+            pairs.append((p, e))
+        return pairs
+    out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -241,7 +244,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def omega(n: int) -> int:
     """Number of prime factors counted with multiplicity; omega(1) == 0."""
-    return sum(e for _, e in factorize(n))
+    if _sieve is None or not 1 <= n <= _sieve.limit:
+        return sum(e for _, e in factorize(n))
+    t = _sieve.table
+    count = 0
+    while n > 1:
+        n //= t[n]
+        count += 1
+    return count
 
 
 def omega_upto(limit: int) -> array:
@@ -280,17 +290,13 @@ def nth_prime(i: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
+    """All divisors of n, ascending, multiplied out from its factorization."""
     if n < 1:
         raise InputError(f"divisors expects n >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p ** i for i in range(e + 1) for d in divs]
+    return sorted(divs)
 
 
 def up_closure(S, H: int) -> list[int]:

@@ -265,9 +265,9 @@ def cmd_fe(args) -> int:
     rc = _run_config(args)
     node_a, A = _eval_expr(args.expr_a, rc)
     node_b, B = _eval_expr(args.expr_b, rc)
-    verdict = embed.fe_prefix_check(A, B, args.prefix, args.kmax, rc.eval_config)
+    fam = embed.prefix_of(A, args.prefix, rc.eval_config)
+    verdict = embed.fe_prefix_check(A, B, args.prefix, args.kmax, rc.eval_config, fam)
 
-    fam = embed._prefix_of(A, args.prefix, rc.eval_config)
     # cross-check the two decision routes; cap the probe so a certificate
     # refutation is not followed by a full-length scan, and treat matching
     # errors as agreement

@@ -10,6 +10,7 @@ guessing in either direction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ __all__ = [
     "fe_witness",
     "fe_fip_oracle",
     "fe_prefix_check",
+    "prefix_of",
     "me_check",
     "fe_refute_level",
     "fe_refute_residue",
@@ -120,27 +122,31 @@ def _precision(undecided: list[tuple[int, tuple[int, ...]]]) -> PrecisionError:
     )
 
 
-def _finite_k_candidates(elems: list[int], fam: tuple[int, ...]) -> tuple[int, list[int]]:
-    """Exact k-range and its only possible witnesses, given a finite target's sorted members."""
-    fmin = fam[0]
-    bound = (elems[-1] // fmin) if elems else 0
-    return bound, [b // fmin for b in elems if b % fmin == 0]
+def _finite_k_candidates(elems: list[int], fam: tuple[int, ...]) -> list[int]:
+    """The only possible witnesses, ascending, given a finite target's sorted members."""
+    return [b // fam[0] for b in elems if b % fam[0] == 0]
+
+
+def _k_candidates(B: LazySet, fam: tuple[int, ...], k_max: int) -> tuple[list[int] | range, bool]:
+    """The k <= k_max worth testing, and whether they are all that could work (finite B only)."""
+    if not B.finite:
+        return range(1, k_max + 1), False
+    ks = _finite_k_candidates(B.elements(), fam)
+    cut = bisect.bisect_right(ks, k_max)
+    return ks[:cut], cut == len(ks)
 
 
 def _fe_search(F, B: LazySet, k_max: int, blocks) -> FeWitness | FeRefutation:
     fam = _check_family(F)
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    if B.finite:
-        bound, ks = _finite_k_candidates(B.elements(), fam)
-    else:
-        ks = range(1, k_max + 1)
+    ks, closed = _k_candidates(B, fam, k_max)
     undecided: list[tuple[int, tuple[int, ...]]] = []
     k = _least_dilation(fam, B.contains, blocks(ks), undecided)
     if k is not None:
         return FeWitness(k, fam, tuple(k * f for f in fam))
-    if B.finite:
-        return FeRefutation("finite-target", fam, {"bound": bound})
+    if closed:
+        return FeRefutation("finite-target", fam, {"bound": B.max_known() // fam[0]})
     if undecided:
         raise _precision(undecided)
     return FeRefutation("exhausted", fam, {"k_max": k_max})
@@ -157,11 +163,11 @@ def fe_fip_oracle(F, B: LazySet, k_max: int) -> FeWitness | FeRefutation:
 
 
 def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
-                    config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
-    """Embed the prefix of A's first p elements into B, refuting exactly when possible."""
-    if p < 1:
-        raise InputError(f"prefix length must be >= 1, got {p}")
-    fam = _prefix_of(A, p, config)
+                    config: EvalConfig = DEFAULT_CONFIG, fam: tuple[int, ...] | None = None
+                    ) -> Verdict:
+    """Embed A's first p elements (`fam`, their prefix_of) into B, refuting exactly when possible."""
+    if fam is None:
+        fam = prefix_of(A, p, config)
     # sound structural refuters are cheap; consult them before scanning dilations
     try:
         cert = fe_refute_level(A, B, config.horizon)
@@ -180,7 +186,10 @@ def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
                            {"refutation": res.to_json()})
 
 
-def _prefix_of(A: LazySet, p: int, config: EvalConfig) -> tuple[int, ...]:
+def prefix_of(A: LazySet, p: int, config: EvalConfig = DEFAULT_CONFIG) -> tuple[int, ...]:
+    """A's first p members, growing an EXACT enumeration once if too few are known."""
+    if p < 1:
+        raise InputError(f"prefix length must be >= 1, got {p}")
     known = A.elements()
     if len(known) < p:
         if A.finite:
@@ -244,14 +253,11 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
     """Each single element must divide something in B (shadow of the closure test)."""
     table = {}
     for a in pool:
-        if B.finite:
-            ks = _finite_k_candidates(B.elements(), (a,))[1]
-        else:
-            ks = range(1, k_max + 1)
+        ks, closed = _k_candidates(B, (a,), k_max)
         k = _least_dilation((a,), B.contains, _one_by_one(ks))
         if k is not None:
             table[a] = a * k
-        elif B.finite:
+        elif closed:
             return Verdict.refuted(
                 {"element": a, "reason": "no multiple in the finite target"},
                 {"horizon": horizon, "m": 1})
@@ -377,7 +383,7 @@ def decreasing_chain(depth: int, per_level: int, scan_cap: int = _CHAIN_SCAN_CAP
                         f"filling {per_level} slots")
                 tail = accepted + [x]
                 inside = (aset | {x}).__contains__
-                if any(_least_dilation(f, inside, _one_by_one(_finite_k_candidates(tail, f)[1]))
+                if any(_least_dilation(f, inside, _one_by_one(_finite_k_candidates(tail, f)))
                        is not None for f in blocked):
                     continue
                 accepted.append(x)
@@ -391,7 +397,7 @@ def decreasing_chain(depth: int, per_level: int, scan_cap: int = _CHAIN_SCAN_CAP
     refutations = []
     for n in range(depth):
         finite_view = LazySet.of_finite(nodes.Explicit(displayed[n + 1]), displayed[n + 1])
-        res = fe_witness(pairs[n], finite_view, 1)
+        res = fe_witness(pairs[n], finite_view, finite_view.max_known())
         if not isinstance(res, FeRefutation):
             raise AssertionError(
                 f"chain invariant broken: pair {pairs[n]} embeds into level {n + 1}")

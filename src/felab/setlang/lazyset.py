@@ -1,9 +1,10 @@
 """Bounded view of a set of naturals with three-valued membership.
 
 A LazySet knows a sorted list of members and the bound `complete_below` up to
-which that list is exhaustive. EXACT sets additionally carry a total membership
-predicate, so they answer every query; PREFIX sets answer True for listed
-members, False at or below the completeness bound, and unknown (None) above it.
+which that list is exhaustive, so membership at or below the bound is a lookup
+in the list. EXACT sets additionally carry a total membership predicate, which
+answers every query above the bound; PREFIX sets answer True for listed members
+there and unknown (None) otherwise.
 Known members may legitimately sit above the bound: generated fixtures keep all
 their elements even past the evaluation horizon, because discarding them would
 only discard sound witnesses.
@@ -65,13 +66,11 @@ class LazySet:
         """True/False when decidable, None when unknown."""
         if n < 1:
             return False
+        if n <= self.complete_below:
+            return n in self._member_set
         if self.pred is not None:
             return bool(self.pred(n))
-        if n in self._member_set:
-            return True
-        if n <= self.complete_below:
-            return False
-        return None
+        return True if n in self._member_set else None
 
     def require(self, n: int) -> bool:
         """Like contains but unknown raises a precision error naming the point."""

@@ -1,6 +1,9 @@
 """Number-theory helpers: sieve, factorization, closures, antichains, CRT."""
 
+import hashlib
 import math
+import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +17,34 @@ from felab.errors import InputError, ResourceError
 # sieve and factorization
 # ---------------------------------------------------------------------------
 
+def _trial_spf(limit):
+    """Smallest-prime-factor table by trial division, 0 at 0 and 1 like the sieve's."""
+    return [0, 0] + [next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+                     for n in range(2, limit + 1)]
+
+
+def _naive_omega(n):
+    count, d = 0, 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            count += 1
+        d += 1
+    return count + (n > 1)
+
+
+def _naive_divisors(n):
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(low) | {n // d for d in low})
+
+
 def test_sieve_spf_matches_trial_division():
+    ref = _trial_spf(270_000)
+    # 270000 fills the slices of 2 and 3 in several pieces
+    for limit in [*range(2, 601), 131072, 270_000]:
+        assert arith.Sieve(limit).table.tolist() == ref[:limit + 1]
     s = arith.Sieve(500)
-    for n in range(2, 501):
-        least = next(d for d in range(2, n + 1) if n % d == 0)
-        assert s.spf(n) == least
+    assert [s.spf(n) for n in range(2, 501)] == ref[2:501]
 
 
 def test_sieve_rejects_out_of_range():
@@ -111,6 +137,22 @@ def test_sieve_cache_roundtrip(tmp_path):
     assert loaded.table == s.table
 
 
+def test_sieve_cache_of_trial_division_bytes_loads(tmp_path):
+    """Cache files hold raw table bytes, so files written before the sieve was
+    built by slice assignment (with the same header and digest) still load."""
+    limit = 1 << 16  # the size ensure_sieve builds first
+    payload = array("I", _trial_spf(limit)).tobytes()
+    digest = hashlib.sha256(payload).digest()
+    # the digest of the table a 65536 sieve has always written
+    assert digest.hex() == "f42e03d049dbd11a1dc33c6e5c22013f8d6119eeba60ae1b06fd114e488e32e0"
+    old = tmp_path / "old.bin"
+    old.write_bytes(b"FELABSPF" + struct.pack("<IQ", 1, limit) + digest + payload)
+    loaded = arith.Sieve.load(str(old))
+    assert loaded is not None and loaded.table == arith.Sieve(limit).table
+    arith.Sieve(limit).save(str(tmp_path / "new.bin"))
+    assert (tmp_path / "new.bin").read_bytes() == old.read_bytes()
+
+
 def test_sieve_cache_rejects_corruption(tmp_path):
     path = str(tmp_path / "spf.bin")
     arith.Sieve(600).save(path)
@@ -131,6 +173,24 @@ def test_divisors_sorted_and_complete():
         ds = arith.divisors(n)
         assert ds == sorted(ds)
         assert ds == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_divisors_and_omega_match_naive_around_the_sieve(monkeypatch):
+    """From no sieve at all, then inside, at and just past each limit the shared
+    sieve reaches, and on numbers only Brent rho splits."""
+    monkeypatch.setattr(arith, "_sieve", None)
+    assert arith.omega(720) == 7 and arith.divisors(720) == _naive_divisors(720)
+    for grow in (None, 100_000):
+        if grow:
+            arith.ensure_sieve(grow)
+        top = arith._sieve.limit
+        for n in [*range(1, 200), *range(top - 100, top + 100)]:
+            assert arith.omega(n) == _naive_omega(n), n
+            assert arith.divisors(n) == _naive_divisors(n), n
+    p, q = 1_000_003, 1_000_033
+    assert arith.omega(p * q) == 2 and arith.omega(4 * p * q * q) == 5
+    assert arith.divisors(p * q) == [1, p, q, p * q]
+    assert arith.divisors(2 * p * p) == [1, 2, p, 2 * p, p * p, 2 * p * p]
 
 
 def test_up_closure():

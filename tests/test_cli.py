@@ -157,6 +157,27 @@ def test_fe_level_refuted(registry, capsys):
     validate(registry, "fe", payload)
 
 
+@pytest.mark.parametrize("a, b, kmax, code, kind", [
+    ("{1}", "{500}", 10, 2, "exhausted"),
+    ("{1,2}", "{3,4}", 3, 2, "exhausted"),
+    ("{1,2}", "{3,4}", 4, 1, "finite-target"),
+    ("{2}", "{3}", 1, 1, "residue-certificate"),
+    ("{2}", "{3}", 1_000_000, 1, "residue-certificate"),
+])
+def test_fe_finite_target_refutations_respect_kmax(a, b, kmax, code, kind, registry, capsys):
+    got, payload = run_json(["fe", a, b, "--kmax", str(kmax)], capsys)
+    assert got == code
+    assert payload["verdict"]["certificate"]["refutation"]["kind"] == kind
+    assert payload["verdict"]["bounds"]["k_max"] == kmax
+    validate(registry, "fe", payload)
+
+
+def test_fe_finite_target_witness_within_kmax(capsys):
+    code, payload = run_json(["fe", "{1}", "{500}", "--kmax", "500"], capsys)
+    assert code == 0
+    assert payload["verdict"]["certificate"]["witness"]["k"] == 500
+
+
 def test_fe_precision_exit(capsys):
     code, out, err = run(["fe", "{1,704}", "fs(exgamma())",
                           "--kmax", "10", "--horizon", "2000"], capsys)

@@ -50,6 +50,17 @@ def test_finite_target_refutation_is_exact():
     assert fe_fip_oracle([2, 3], fin2, 100) == r
 
 
+@pytest.mark.parametrize("route", [fe_witness, fe_fip_oracle])
+def test_finite_target_honours_k_max(route):
+    """Only candidates k <= k_max are tried; the refutation is exact only if none lies beyond."""
+    far = ev("{500}")
+    assert route([1], far, 10) == FeRefutation("exhausted", (1,), {"k_max": 10})
+    assert route([1], far, 500) == FeWitness(500, (1,), (500,))
+    for k_max in (1, 2, 10_000):
+        r = route([2], ev("{3}"), k_max)
+        assert r.kind == "finite-target" and r.exact
+
+
 def test_exhaustion_is_inexact():
     odds = ev("ap(1,2)")
     r = fe_witness([1, 2], odds, 50)
@@ -225,6 +236,11 @@ def test_me_check_divisibility_shadow():
     assert v.certificate["divides_into"] == {4: 8, 9: 18}
     v = me_check(ev("{5}"), ev("{8,18}"), 1)
     assert v.status == "refuted"
+    # a finite target's multiple beyond k_max leaves the verdict bounded
+    v = me_check(ev("{1}"), ev("{500}"), 1, k_max=10)
+    assert v.status == "bounded" and v.bounds["k_max"] == 10
+    assert me_check(ev("{1}"), ev("{500}"), 1, k_max=500).status == "proved"
+    assert me_check(ev("{2}"), ev("{3}"), 1, k_max=1).status == "refuted"
 
 
 def test_me_check_residue_reason():

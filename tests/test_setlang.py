@@ -278,3 +278,21 @@ def test_membership_never_lies_below_bound(tree, n):
     if n <= A.complete_below:
         assert got is not None
         assert got == (n in set(A.elements(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree)
+def test_member_list_agrees_with_predicate_below_bound(tree):
+    """EXACT sets: contains() reads the member list at or below complete_below,
+    so the list must match the predicate there, also after extend_to. Checked
+    from 1 up and in the 400 numbers just below the bound, where an off-by-one
+    bound shows."""
+    A = evaluate(tree, CFG)
+    if not A.is_exact:
+        return
+    for _ in range(2):
+        top = A.complete_below
+        ns = sorted({*range(1, min(top, 400) + 1), *range(max(top - 400, 1), top + 1)})
+        listed = set(A.elements(top))
+        assert [n for n in ns if A.pred(n)] == [n for n in ns if n in listed]
+        A.extend_to(top + min(top, 400), CFG)
