@@ -1,4 +1,4 @@
-"""Integer kernel: prime sieve, factorization, divisor closures, antichains, CRT.
+"""Integer kernel: prime sieve, factorization, divisors, antichains, CRT.
 
 Everything here works on plain Python ints (so 64-bit-plus values are fine) and
 is deterministic: the same inputs always produce the same outputs.
@@ -282,13 +282,6 @@ def first_primes(count: int) -> list[int]:
         bound *= 4
 
 
-def nth_prime(i: int) -> int:
-    """The i-th prime with p_1 = 2."""
-    if i < 1:
-        raise InputError(f"prime index must be >= 1, got {i}")
-    return first_primes(i)[-1]
-
-
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending, multiplied out from its factorization."""
     if n < 1:
@@ -297,31 +290,6 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p ** i for i in range(e + 1) for d in divs]
     return sorted(divs)
-
-
-def up_closure(S, H: int) -> list[int]:
-    """All n <= H divisible by some element of S (the upward closure cut at H)."""
-    elems = _check_set(S)
-    if H < 1:
-        raise InputError(f"horizon must be >= 1, got {H}")
-    mark = bytearray(H + 1)
-    for s in elems:
-        if s <= H:
-            mark[s::s] = b"\x01" * (H // s)
-    return [n for n in range(1, H + 1) if mark[n]]
-
-
-def down_closure(S, H: int) -> list[int]:
-    """All n <= H dividing some element of S (the downward closure cut at H)."""
-    elems = _check_set(S)
-    if H < 1:
-        raise InputError(f"horizon must be >= 1, got {H}")
-    out: set[int] = set()
-    for s in elems:
-        for d in divisors(s):
-            if d <= H:
-                out.add(d)
-    return sorted(out)
 
 
 def _check_set(S) -> list[int]:

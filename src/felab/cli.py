@@ -19,7 +19,6 @@ from . import arith, constructions, embed, largeness
 from .errors import FelabError, InapplicableError, InputError
 from .setlang import EvalConfig, LazySet, evaluate, parse, unparse
 from .setlang import nodes
-from .verdicts import Verdict
 
 
 @dataclass(frozen=True)
@@ -133,10 +132,9 @@ def _print_jsonl(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _print_verdict_table(head: list[str], verdict: Verdict) -> None:
+def _print_verdict_table(head: list[str], v: dict) -> None:
     for line in head:
         print(line)
-    v = verdict.to_json()
     print(f"status: {v['status']}")
     if "direction" in v:
         print(f"direction: {v['direction']}")
@@ -154,36 +152,16 @@ def _print_verdict_table(head: list[str], verdict: Verdict) -> None:
 # check
 # ---------------------------------------------------------------------------
 
-def _add_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (tuple(range(1, h_max + 1)), tuple(2 * i for i in range(1, h_max + 1)))
-
-
-def _check_runners(args, horizon: int, config: EvalConfig):
-    d = largeness.PropertyParams()
-    n = args.n if args.n is not None else d.run_length
-    t = args.t if args.t is not None else d.t_max
-    L = args.L if args.L is not None else d.ip_len
-    h_max = args.h_max if args.h_max is not None else d.j_h_max
-    s = args.s if args.s is not None else d.antichain_s
-    N = args.N if args.N is not None else d.divisor_n
-    j_a = args.a_max if args.a_max is not None else d.j_a_max
-    star_a = args.a_max if args.a_max is not None else d.star_a_max
-    return {
-        "a-thick": lambda A: largeness.a_thick_check(A, n, horizon, config),
-        "m-thick": lambda A: embed.mthick_check(A, n, horizon, config),
-        "a-pcws": lambda A: largeness.a_pcws_check(A, t, n, horizon, config),
-        "m-pcws": lambda A: largeness.m_pcws_check(A, t, n, horizon, config),
-        "a-ip": lambda A: largeness.ip_search(A, L, horizon, "additive", config),
-        "m-ip": lambda A: largeness.ip_search(A, L, horizon, "multiplicative", config),
-        "a-ip*": lambda A: largeness.ip_star_check(A, L, horizon, config),
-        "a-j": lambda A: largeness.j_check(A, _add_funcs(h_max), j_a, h_max, "additive"),
-        "m-j": lambda A: largeness.j_check(
-            A, constructions.gen_mj_funcs(h_max), j_a, h_max, "multiplicative"),
-        "max": lambda A: largeness.max_check(A, N, horizon, config),
-        "nmax": lambda A: largeness.nmax_refute(A, s, horizon, config),
-        "max*": lambda A: largeness.maxstar_check(A, star_a, horizon, config),
-        "nmax*": lambda A: largeness.nmaxstar_check(A, s, horizon, config),
-    }
+def _property_params(args, horizon: int, star_a_max: int | None) -> largeness.PropertyParams:
+    """The bound flags over PropertyParams' defaults, validated before any evaluation."""
+    overrides = {}
+    for value, name in ((args.n, "run_length"), (args.t, "t_max"), (args.L, "ip_len"),
+                        (args.N, "divisor_n"), (args.s, "antichain_s"),
+                        (args.a_max, "j_a_max"), (args.h_max, "j_h_max"),
+                        (star_a_max, "star_a_max")):
+        if value is not None:
+            overrides[name] = value
+    return largeness.PropertyParams(horizon=horizon, **overrides)
 
 
 def _batch_lines(path: str) -> list[str]:
@@ -196,28 +174,49 @@ def _batch_lines(path: str) -> list[str]:
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def _one_expression(args) -> str:
+def _run_expressions(args, rc: RunConfig, run_one, print_table) -> int:
+    """Run one expression (table or JSON) or every line of --batch (JSON lines).
+
+    run_one(text) returns (payload, exit_code); a batch line that raises prints
+    an error line and the batch exits with the worst code.
+    """
     if args.batch is not None:
         if args.expression is not None:
             raise InputError("give either an expression or --batch, not both")
-        return ""
+        worst = 0
+        for text in _batch_lines(args.batch):
+            try:
+                payload, code = run_one(text)
+            except FelabError as exc:
+                payload = {"expression": text, "error": str(exc), "exit": exc.exit_code}
+                code = exc.exit_code
+            _print_jsonl(payload)
+            worst = max(worst, code)
+        return worst
     if args.expression is None:
         raise InputError("an expression is required (or use --batch FILE)")
-    return args.expression
+    payload, code = run_one(args.expression)
+    if rc.fmt == "json":
+        _print_json(payload)
+    else:
+        print_table(payload)
+    return code
 
 
 def cmd_check(args) -> int:
     rc = _run_config(args)
-    _one_expression(args)
-    runners = _check_runners(args, rc.horizon, rc.eval_config)
+    # --a-max caps both the J base values and the MAX* generators here
+    params = _property_params(args, rc.horizon, args.a_max)
+    names = {name.lower(): name for name in largeness.CHECKERS}
     prop = args.property.lower()
-    if prop not in runners:
+    if prop not in names:
         raise InputError(
-            "unknown property %r; choose from: %s" % (args.property, " ".join(sorted(runners))))
+            "unknown property %r; choose from: %s" % (args.property, " ".join(sorted(names))))
+    check = largeness.CHECKERS[names[prop]]
 
-    def run_one(text: str) -> tuple[dict, Verdict]:
+    def run_one(text: str) -> tuple[dict, int]:
         node, A = _eval_expr(text, rc)
-        verdict = runners[prop](A)
+        verdict = check(A, params, rc.horizon, rc.eval_config)
         payload = {
             "command": "check",
             "property": prop,
@@ -226,35 +225,13 @@ def cmd_check(args) -> int:
             "verdict": verdict.to_json(),
             "exit": verdict.exit_code,
         }
-        return payload, verdict
+        return payload, verdict.exit_code
 
-    if args.batch is not None:
-        return _run_batch(args.batch, lambda text: _with_code(run_one(text)))
-    payload, verdict = run_one(args.expression)
-    if rc.fmt == "json":
-        _print_json(payload)
-    else:
+    def print_table(payload: dict) -> None:
         _print_verdict_table(
-            [f"property: {prop}", f"expression: {payload['expression']}"], verdict)
-    return verdict.exit_code
+            [f"property: {prop}", f"expression: {payload['expression']}"], payload["verdict"])
 
-
-def _with_code(pair: tuple[dict, Verdict]) -> tuple[dict, int]:
-    payload, verdict = pair
-    return payload, verdict.exit_code
-
-
-def _run_batch(path: str, run_one) -> int:
-    worst = 0
-    for text in _batch_lines(path):
-        try:
-            payload, code = run_one(text)
-        except FelabError as exc:
-            payload = {"expression": text, "error": str(exc), "exit": exc.exit_code}
-            code = exc.exit_code
-        _print_jsonl(payload)
-        worst = max(worst, code)
-    return worst
+    return _run_expressions(args, rc, run_one, print_table)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +280,7 @@ def cmd_fe(args) -> int:
     if rc.fmt == "json":
         _print_json(payload)
     else:
-        _print_verdict_table([f"A: {payload['A']}", f"B: {payload['B']}"], verdict)
+        _print_verdict_table([f"A: {payload['A']}", f"B: {payload['B']}"], payload["verdict"])
         print(f"oracle agreement: {'yes' if agreement else 'NO'}")
         print("refuters:")
         for line in _kv_lines(refuters, 1):
@@ -329,7 +306,7 @@ def cmd_me(args) -> int:
         _print_json(payload)
     else:
         _print_verdict_table(
-            [f"A: {payload['A']}", f"B: {payload['B']}", f"m: {args.m}"], verdict)
+            [f"A: {payload['A']}", f"B: {payload['B']}", f"m: {args.m}"], payload["verdict"])
     return verdict.exit_code
 
 
@@ -337,21 +314,9 @@ def cmd_me(args) -> int:
 # diagram
 # ---------------------------------------------------------------------------
 
-def _diagram_params(args, horizon: int) -> largeness.PropertyParams:
-    overrides = {}
-    for value, name in ((args.n, "run_length"), (args.t, "t_max"), (args.L, "ip_len"),
-                        (args.N, "divisor_n"), (args.s, "antichain_s"),
-                        (args.a_max, "j_a_max"), (args.h_max, "j_h_max"),
-                        (args.star_a_max, "star_a_max")):
-        if value is not None:
-            overrides[name] = value
-    return largeness.PropertyParams(horizon=horizon, **overrides)
-
-
 def cmd_diagram(args) -> int:
     rc = _run_config(args)
-    _one_expression(args)
-    params = _diagram_params(args, rc.horizon)
+    params = _property_params(args, rc.horizon, args.star_a_max)
 
     def run_one(text: str) -> tuple[dict, int]:
         node, A = _eval_expr(text, rc)
@@ -364,12 +329,7 @@ def cmd_diagram(args) -> int:
         }
         return payload, 0
 
-    if args.batch is not None:
-        return _run_batch(args.batch, run_one)
-    payload, _ = run_one(args.expression)
-    if rc.fmt == "json":
-        _print_json(payload)
-    else:
+    def print_table(payload: dict) -> None:
         print(f"expression: {payload['expression']}")
         print(f"horizon: {params.horizon}")
         for row in payload["report"]["properties"]:
@@ -384,7 +344,8 @@ def cmd_diagram(args) -> int:
         for audit in payload["report"]["audits"]:
             print(f"audit [{audit['implication']}]: {audit['status']} "
                   + json.dumps(audit["detail"], sort_keys=True, separators=(",", ":")))
-    return 0
+
+    return _run_expressions(args, rc, run_one, print_table)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +403,7 @@ def cmd_chain(args) -> int:
         verified = 0
         for level, ref in zip(result.levels[1:], result.refutations):
             target = evaluate(nodes.Explicit(tuple(level)), rc.eval_config)
-            res = embed.fe_witness(ref.family, target, args.kmax)
+            res = embed.fe_witness(ref.family, target, target.max_known())
             if not isinstance(res, embed.FeRefutation) or not res.exact:
                 print(f"re-check failed for pair {list(ref.family)} at level "
                       f"{verified + 1}", file=sys.stderr)
@@ -603,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("per_level", type=int)
     p.add_argument("--verify", action="store_true",
                    help="re-check every logged refutation")
-    p.add_argument("--kmax", type=int, default=1_000_000, help="largest dilation tried")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("atlas", parents=[common],

@@ -33,6 +33,7 @@ __all__ = [
     "LargenessReport",
     "AtlasReport",
     "PROPERTY_ORDER",
+    "CHECKERS",
     "OUT_OF_SCOPE",
     "a_thick_check",
     "a_pcws_check",
@@ -503,10 +504,31 @@ class PropertyParams:
         return asdict(self)
 
 
-PROPERTY_ORDER = (
-    "A-thick", "M-thick", "A-pcws", "M-pcws", "A-IP", "M-IP", "A-IP*",
-    "A-J", "M-J", "MAX", "NMAX", "MAX*", "NMAX*",
-)
+def _add_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The additive J tables f(i) = i and g(i) = 2i for i <= h_max."""
+    return (tuple(range(1, h_max + 1)), tuple(2 * i for i in range(1, h_max + 1)))
+
+
+# Each entry calls its checker by module-level name at call time, so a wrapper
+# installed on the module attribute (a tracer, a profiler) sees every call.
+CHECKERS = {
+    "A-thick": lambda A, p, H, c: a_thick_check(A, p.run_length, H, c),
+    "M-thick": lambda A, p, H, c: mthick_check(A, p.run_length, H, c),
+    "A-pcws": lambda A, p, H, c: a_pcws_check(A, p.t_max, p.run_length, H, c),
+    "M-pcws": lambda A, p, H, c: m_pcws_check(A, p.t_max, p.run_length, H, c),
+    "A-IP": lambda A, p, H, c: ip_search(A, p.ip_len, H, "additive", c),
+    "M-IP": lambda A, p, H, c: ip_search(A, p.ip_len, H, "multiplicative", c),
+    "A-IP*": lambda A, p, H, c: ip_star_check(A, p.ip_len, H, c),
+    "A-J": lambda A, p, H, c: j_check(
+        A, _add_funcs(p.j_h_max), p.j_a_max, p.j_h_max, "additive"),
+    "M-J": lambda A, p, H, c: j_check(
+        A, gen_mj_funcs(p.j_h_max), p.j_a_max, p.j_h_max, "multiplicative"),
+    "MAX": lambda A, p, H, c: max_check(A, p.divisor_n, H, c),
+    "NMAX": lambda A, p, H, c: nmax_refute(A, p.antichain_s, H, c),
+    "MAX*": lambda A, p, H, c: maxstar_check(A, p.star_a_max, H, c),
+    "NMAX*": lambda A, p, H, c: nmaxstar_check(A, p.antichain_s, H, c),
+}
+PROPERTY_ORDER = tuple(CHECKERS)
 OUT_OF_SCOPE = ("A-central", "A-central*", "M-central", "M-central*")
 _OUT_OF_SCOPE_REASON = (
     "defined through idempotent elements of a compactified semigroup; "
@@ -604,30 +626,12 @@ def diagram_report(A: LazySet, params: PropertyParams | None = None,
     """Run every property checker on one set and audit the implications."""
     params = params or PropertyParams()
     H = params.horizon if params.horizon is not None else config.horizon
-    add_funcs = (tuple(range(1, params.j_h_max + 1)),
-                 tuple(2 * i for i in range(1, params.j_h_max + 1)))
-    mul_funcs = gen_mj_funcs(params.j_h_max)
-    entries: list[tuple[str, object]] = [
-        ("A-thick", a_thick_check(A, params.run_length, H, config)),
-        ("M-thick", mthick_check(A, params.run_length, H, config)),
-        ("A-pcws", a_pcws_check(A, params.t_max, params.run_length, H, config)),
-        ("M-pcws", m_pcws_check(A, params.t_max, params.run_length, H, config)),
-        ("A-IP", ip_search(A, params.ip_len, H, "additive", config)),
-        ("M-IP", ip_search(A, params.ip_len, H, "multiplicative", config)),
-    ]
-    try:
-        entries.append(("A-IP*", ip_star_check(A, params.ip_len, H, config)))
-    except InapplicableError as exc:
-        entries.append(("A-IP*", {"inapplicable": str(exc)}))
-    entries += [
-        ("A-J", j_check(A, add_funcs, params.j_a_max, params.j_h_max, "additive")),
-        ("M-J", j_check(A, mul_funcs, params.j_a_max, params.j_h_max,
-                        "multiplicative")),
-        ("MAX", max_check(A, params.divisor_n, H, config)),
-        ("NMAX", nmax_refute(A, params.antichain_s, H, config)),
-        ("MAX*", maxstar_check(A, params.star_a_max, H, config)),
-        ("NMAX*", nmaxstar_check(A, params.antichain_s, H, config)),
-    ]
+    entries: list[tuple[str, object]] = []
+    for name, check in CHECKERS.items():
+        try:
+            entries.append((name, check(A, params, H, config)))
+        except InapplicableError as exc:
+            entries.append((name, {"inapplicable": str(exc)}))
     produced = dict(entries)
     audits = (
         _audit_thick_pcws(A, produced, params, H, config),

@@ -72,14 +72,6 @@ class LazySet:
             return bool(self.pred(n))
         return True if n in self._member_set else None
 
-    def require(self, n: int) -> bool:
-        """Like contains but unknown raises a precision error naming the point."""
-        r = self.contains(n)
-        if r is None:
-            raise PrecisionError(
-                f"membership of {n} is unknown in {self.describe_short()}", required_horizon=n)
-        return r
-
     def elements(self, bound: int | None = None) -> list[int]:
         """Known members, optionally cut at bound. A sound sublist of the set."""
         if bound is None:
@@ -130,15 +122,6 @@ class LazySet:
             except Exception:
                 pass
         return f"<set with {len(self._members)} known members>"
-
-    def describe(self) -> dict:
-        return {
-            "expression": self.describe_short(),
-            "exactness": self.exactness,
-            "complete_below": self.complete_below,
-            "known_members": len(self._members),
-            "finite": self.finite,
-        }
 
     def __repr__(self) -> str:
         head = ",".join(str(m) for m in self._members[:8])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from felab import arith
 from felab.errors import InputError, ResourceError
+from felab.setlang import EvalConfig, evaluate, parse
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +66,10 @@ def test_primes_upto_cuts_at_limit():
 
 def test_first_primes_and_nth_prime():
     assert arith.first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert arith.nth_prime(1) == 2
-    assert arith.nth_prime(100) == 541
+    assert arith.first_primes(1)[-1] == 2
+    assert arith.first_primes(100)[-1] == 541
     with pytest.raises(InputError):
-        arith.nth_prime(0)
+        arith.first_primes(0)
 
 
 def test_factorize_small_and_edge():
@@ -193,24 +194,28 @@ def test_divisors_and_omega_match_naive_around_the_sieve(monkeypatch):
     assert arith.divisors(2 * p * p) == [1, 2, p, 2 * p, p * p, 2 * p * p]
 
 
+def _closure(kind: str, S, H: int) -> list[int]:
+    """The up or down node of the set language over {S}, cut at H."""
+    text = "%s({%s})" % (kind, ",".join(str(x) for x in sorted(S)))
+    return evaluate(parse(text), EvalConfig(horizon=H)).elements(H)
+
+
 def test_up_closure():
-    assert arith.up_closure({2, 3}, 12) == [2, 3, 4, 6, 8, 9, 10, 12]
-    assert arith.up_closure({5}, 4) == []
-    with pytest.raises(InputError):
-        arith.up_closure(set(), 10)
+    assert _closure("up", {2, 3}, 12) == [2, 3, 4, 6, 8, 9, 10, 12]
+    assert _closure("up", {5}, 4) == []
 
 
 def test_down_closure():
-    assert arith.down_closure({12}, 100) == [1, 2, 3, 4, 6, 12]
-    assert arith.down_closure({6, 10}, 5) == [1, 2, 3, 5]
+    assert _closure("down", {12}, 100) == [1, 2, 3, 4, 6, 12]
+    assert _closure("down", {6, 10}, 5) == [1, 2, 3, 5]
 
 
 def test_closures_are_inverse_galois_on_samples():
     H = 60
     for S in ({2, 9}, {7}, {3, 4, 5}):
-        up = arith.up_closure(S, H)
+        up = _closure("up", S, H)
         assert all(any(x % s == 0 for s in S) for x in up)
-        down = arith.down_closure(S, H)
+        down = _closure("down", S, H)
         assert all(any(s % x == 0 for s in S) for x in down)
 
 

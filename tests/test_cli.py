@@ -1,5 +1,8 @@
 """End-to-end command-line behavior: exit codes, formats, schemas, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -11,6 +14,7 @@ from referencing import Registry, Resource
 
 import conftest
 from felab import arith, cli
+from felab.largeness import PROPERTY_ORDER
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +131,82 @@ def test_check_batch_worst_exit(tmp_path, capsys):
     assert lines[0]["exit"] == 0 and lines[1]["exit"] == 1
     assert "error" in lines[2] and lines[2]["exit"] == 3
     assert all("\n" not in json.dumps(l) for l in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "max", "N", "--n", "0"],
+    ["check", "a-thick", "--batch", "{batch}", "--s", "1"],
+])
+def test_check_bound_flags_fail_before_any_expression(argv, tmp_path, capsys):
+    batch = tmp_path / "exprs.txt"
+    batch.write_text("N\nodd\n")
+    code, out, err = run([a.format(batch=batch) for a in argv], capsys)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# check agrees with the matching diagram row
+# ---------------------------------------------------------------------------
+
+AGREE_EXPRS = ("N", "odd", "up({6,10,15})")
+
+
+@pytest.fixture(scope="module")
+def diagram_rows():
+    """The diagram rows of an expression at horizon 2000, one diagram run each."""
+    cache = {}
+
+    def rows(expr, *flags):
+        key = (expr, *flags)
+        if key not in cache:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(["diagram", expr, "--horizon", "2000", "--json", *flags]) == 0
+            props = json.loads(buf.getvalue())["report"]["properties"]
+            cache[key] = {row["name"]: row for row in props}
+        return cache[key]
+
+    return rows
+
+
+def _same_as_row(code, out, err, row):
+    if row["verdict"] == "inapplicable":
+        assert code == 3 and out == "" and err == f"error: {row['reason']}\n"
+        return
+    assert err == ""
+    payload = json.loads(out)
+    expected = {"status": row["verdict"], "certificate": row["certificate"],
+                "bounds": row["bounds"]}
+    if "direction" in row:
+        expected["direction"] = row["direction"]
+    assert payload["verdict"] == expected
+    assert code == payload["exit"]
+
+
+@pytest.mark.parametrize("name", PROPERTY_ORDER)
+def test_check_agrees_with_diagram_row(name, diagram_rows, capsys):
+    for expr in AGREE_EXPRS:
+        code, out, err = run(["check", name.lower(), expr, "--horizon", "2000", "--json"],
+                             capsys)
+        _same_as_row(code, out, err, diagram_rows(expr)[name])
+
+
+def test_check_a_ip_star_inapplicable_like_diagram(diagram_rows, capsys):
+    row = diagram_rows("fs(sidon())")["A-IP*"]
+    assert row["verdict"] == "inapplicable"
+    code, out, err = run(["check", "a-ip*", "fs(sidon())", "--horizon", "2000", "--json"],
+                         capsys)
+    _same_as_row(code, out, err, row)
+
+
+@pytest.mark.parametrize("expr", AGREE_EXPRS)
+def test_check_a_max_caps_max_star_like_diagram(expr, diagram_rows, capsys):
+    code, out, err = run(["check", "max*", expr, "--horizon", "2000", "--json",
+                          "--a-max", "5"], capsys)
+    row = diagram_rows(expr, "--star-a-max", "5")["MAX*"]
+    assert row["bounds"]["a_max"] == 5
+    _same_as_row(code, out, err, row)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +372,25 @@ def test_set_file_requires_values(tmp_path, capsys):
 # chain / atlas / parse
 # ---------------------------------------------------------------------------
 
+# sha256 of `chain 5 8 --verify --json` stdout as printed while the re-check
+# still took its k_max from a --kmax option; it now covers each whole level
+CHAIN_5_8_SHA256 = "10072292d56044127f2686314cd7b931d3d46cb83b50156db55cd18b019570d9"
+
+
 def test_chain_verify(registry, capsys):
     code, out, err = run(["chain", "5", "8", "--verify"], capsys)
     assert code == 0 and err == ""
     assert "verified 5/5 refutations" in out
-    code, payload = run_json(["chain", "5", "8", "--verify"], capsys)
+    code, out, err = run(["chain", "5", "8", "--verify", "--json"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CHAIN_5_8_SHA256
+    payload = json.loads(out)
     assert payload["verified_refutations"] == 5
     assert payload["result"]["levels"][0] == [1, 2, 3, 4, 5, 6, 7, 8]
     validate(registry, "chain", payload)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["chain", "5", "8", "--verify", "--kmax", "1"])
+    assert exc.value.code == 2
 
 
 def test_atlas_exit_and_duality(registry, capsys):

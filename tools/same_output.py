@@ -1,0 +1,151 @@
+"""Compare what two felab trees print for a fixed battery of commands.
+
+    python3 tools/same_output.py OLD NEW
+
+OLD and NEW are checkouts (each with a ``src/felab`` package), for example a
+copy of the parent commit made with ``git archive`` and the working tree.
+Every command of the battery runs through ``python -m felab`` with the tree's
+``src`` first on PYTHONPATH, once under PYTHONHASHSEED 1 and once under 2, in
+a scratch working directory and without FELAB_CACHE. Every difference in
+stdout, stderr or exit code is printed, between the two trees and between the
+two hash seeds of one tree. The exit code is 1 if there was any difference.
+
+The battery, read from this checkout:
+- round 0, seed 1 of the three benchmark workloads (``perfbench/workloads.py``),
+- the C10 battery (``C10_BATTERY`` in ``tests/test_acceptance.py``),
+- every ``check`` property (``felab.largeness.PROPERTY_ORDER`` of NEW) on a few
+  expressions, as JSON, as a table and as ``--batch``,
+- a few error paths of ``check``, ``diagram`` and ``chain``.
+
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import ast
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = ("1", "2")
+TIMEOUT_S = 600
+CHECK_EXPRS = ("N", "odd", "up({6,10,15})", "level(2)", "fs(sidon())")
+CHECK_HORIZON = "2000"
+
+
+def c10_battery() -> list[list[str]]:
+    """The argv lists of C10_BATTERY, read without importing the test module."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "C10_BATTERY" for t in node.targets):
+            return [argv for argv, _ in ast.literal_eval(node.value)]
+    raise SystemExit("C10_BATTERY not found in tests/test_acceptance.py")
+
+
+def property_names(tree: Path) -> list[str]:
+    code = "from felab.largeness import PROPERTY_ORDER; print(' '.join(PROPERTY_ORDER))"
+    proc = subprocess.run([sys.executable, "-c", code], env=felab_env(tree, "1"),
+                          capture_output=True, text=True, check=True)
+    return [name.lower() for name in proc.stdout.split()]
+
+
+def battery(new: Path, scratch: Path) -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads as wl
+
+    def batch_file(name: str, lines) -> str:
+        path = scratch / name
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return str(path)
+
+    cmds = [wl.fe_argv(q) for q in wl.round_inputs("fe_mix", 1, 0)]
+    cmds.append(wl.diagram_argv(batch_file(
+        "diagram_batch.txt", map(wl.text, wl.round_inputs("diagram_batch", 1, 0)))))
+    cmds.append(wl.eval_argv(batch_file(
+        "eval_batch.txt", map(wl.text, wl.round_inputs("eval_batch", 1, 0)))))
+    cmds += c10_battery()
+    exprs = batch_file("check_exprs.txt", CHECK_EXPRS)
+    for prop in property_names(new):
+        for expr in CHECK_EXPRS:
+            cmds.append(["check", prop, expr, "--horizon", CHECK_HORIZON, "--json"])
+        cmds.append(["check", prop, "odd", "--horizon", CHECK_HORIZON])
+        cmds.append(["check", prop, "--batch", exprs, "--horizon", CHECK_HORIZON])
+    cmds += [
+        ["diagram", "up({6,10,15})", "--horizon", CHECK_HORIZON],
+        ["diagram", "odd", "--horizon", CHECK_HORIZON, "--star-a-max", "5", "--json"],
+        ["check", "huge", "N"],
+        ["check", "max", "N", "--batch", exprs],
+        ["check", "max"],
+        ["diagram", "--batch", exprs + ".missing"],
+        ["check", "max", "N", "--n", "0"],
+        ["check", "a-pcws", "N", "--t", "0"],
+        ["diagram", "N", "--n", "0"],
+        ["chain", "5", "8", "--verify", "--kmax", "1"],
+    ]
+    return cmds
+
+
+def felab_env(tree: Path, seed: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "FELAB_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONHASHSEED"] = seed
+    return env
+
+
+def run(tree: Path, seed: str, argv: list[str], cwd: Path) -> tuple[int, str, str]:
+    proc = subprocess.run([sys.executable, "-m", "felab", *argv], cwd=cwd,
+                          env=felab_env(tree, seed), capture_output=True, text=True,
+                          timeout=TIMEOUT_S)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def differences(left: tuple, right: tuple, names: tuple[str, str]) -> list[str]:
+    out = []
+    if left[0] != right[0]:
+        out.append(f"  exit code: {left[0]} ({names[0]}) != {right[0]} ({names[1]})")
+    for stream, a, b in (("stdout", left[1], right[1]), ("stderr", left[2], right[2])):
+        if a != b:
+            diff = difflib.unified_diff(a.splitlines(), b.splitlines(), names[0], names[1],
+                                        lineterm="", n=1)
+            out.append(f"  {stream}:")
+            out += ["    " + line for line in list(diff)[:40]]
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in argv)
+    for tree in (old, new):
+        if not (tree / "src" / "felab").is_dir():
+            print(f"no src/felab under {tree}", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
+        scratch = Path(tmp)
+        cmds = battery(new, scratch)
+        found = 0
+        for argv_ in cmds:
+            results = {(tree, seed): run(tree, seed, argv_, scratch)
+                       for tree in (old, new) for seed in SEEDS}
+            # a tree that prints the same under both seeds needs one cross-tree diff
+            lines = differences(results[old, SEEDS[0]], results[new, SEEDS[0]], ("OLD", "NEW"))
+            for tree, label in ((old, "OLD"), (new, "NEW")):
+                lines += differences(results[tree, SEEDS[0]], results[tree, SEEDS[1]],
+                                     (f"{label} seed {SEEDS[0]}", f"{label} seed {SEEDS[1]}"))
+            if lines:
+                found += 1
+                print("DIFFERENT: felab " + " ".join(argv_))
+                print("\n".join(lines))
+        print(f"{len(cmds)} commands, {found} with differences")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
