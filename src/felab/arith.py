@@ -96,6 +96,8 @@ class Sieve:
 
 _sieve: Sieve | None = None
 _cache_dir: str | None = None
+# omega(n) at index n, for n from 0; omega < 25 below the sieve cap fits a byte
+_omega_table = array("B", [0, 0])
 
 
 def set_cache_dir(path: str | None) -> None:
@@ -255,12 +257,15 @@ def omega(n: int) -> int:
 
 
 def omega_upto(limit: int) -> array:
-    """Bulk table of omega(n) for n <= limit via one sieve pass."""
-    s = ensure_sieve(limit)
-    t = s.table
-    om = array("I", bytes(4 * (limit + 1)))
-    for n in range(2, limit + 1):
-        om[n] = om[n // t[n]] + 1
+    """The process-wide table of omega(n), grown from the shared sieve to reach
+    limit; it may be longer than asked for, and callers never write to it."""
+    om = _omega_table
+    if len(om) <= limit:
+        t = ensure_sieve(limit).table
+        start = len(om)
+        om.frombytes(bytes(limit + 1 - start))
+        for n in range(start, limit + 1):
+            om[n] = om[n // t[n]] + 1
     return om
 
 

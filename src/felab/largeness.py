@@ -25,6 +25,7 @@ from .constructions import gen_mj_funcs
 from .embed import mthick_check
 from .errors import InapplicableError, InputError, ResourceError
 from .setlang import analysis, nodes
+from .setlang.evaluate import complement
 from .setlang.lazyset import DEFAULT_CONFIG, EvalConfig, LazySet
 from .verdicts import Verdict
 
@@ -259,10 +260,8 @@ def ip_star_check(A: LazySet, L: int, H: int | None = None,
         raise InapplicableError(
             "the dual check needs a total membership predicate for the complement")
     horizon = _resolve_horizon(H, config)
-    pred = A.pred
-    comp_members = [x for x in range(1, horizon + 1) if not pred(x)]
     comp_expr = nodes.Compl(A.expr) if A.expr is not None else None
-    comp = LazySet(comp_expr, comp_members, horizon, pred=lambda v: not pred(v))
+    comp = complement(A, comp_expr, horizon, config)
     r = ip_search(comp, L, horizon, "additive", config)
     bounds = {"horizon": horizon, "L": L}
     if r.is_proved:

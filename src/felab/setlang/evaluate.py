@@ -8,7 +8,7 @@ child bound, and divisor closures of unbounded sets promise nothing.
 
 from __future__ import annotations
 
-import bisect
+from itertools import compress
 
 from .. import arith
 from ..errors import InputError, ResourceError
@@ -57,7 +57,7 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
     if isinstance(expr, nodes.Inter):
         return _eval_inter(expr, config)
     if isinstance(expr, nodes.Compl):
-        return _eval_compl(expr, config)
+        return complement(_eval(expr.arg, config), expr, config.horizon, config)
     if isinstance(expr, nodes.Dilate):
         kid = _eval(expr.arg, config)
         k = expr.k
@@ -161,17 +161,21 @@ def _eval_inter(expr: nodes.Inter, config: EvalConfig) -> LazySet:
     return LazySet(expr, members, bound, pred=pred)
 
 
-def _eval_compl(expr: nodes.Compl, config: EvalConfig) -> LazySet:
-    kid = _eval(expr.arg, config)
-    h = config.horizon
-    if kid.pred is not None:
-        p = kid.pred
-        members = [n for n in range(1, h + 1) if not p(n)]
-        return LazySet(expr, _capped(members, config), h, pred=lambda n: not p(n))
+def complement(kid: LazySet, expr, h: int, config: EvalConfig) -> LazySet:
+    """Complement of kid, complete to h if kid is EXACT, else to kid's bound.
+
+    Below kid's bound the members come from kid's own member set, read in
+    place; above it kid's predicate decides. kid is never extended: the
+    set A-IP* complements is shared with every other checker.
+    """
     bound = min(kid.complete_below, h)
-    known = set(kid.elements(bound))
+    known = kid._member_set
     members = [n for n in range(1, bound + 1) if n not in known]
-    return LazySet(expr, _capped(members, config), bound)
+    if kid.pred is None:
+        return LazySet(expr, _capped(members, config), bound)
+    p = kid.pred
+    members += [n for n in range(bound + 1, h + 1) if not p(n)]
+    return LazySet(expr, _capped(members, config), h, pred=lambda n: not p(n))
 
 
 def _eval_up(expr: nodes.Up, config: EvalConfig) -> LazySet:
@@ -220,10 +224,7 @@ def _eval_fsfp(expr, config: EvalConfig) -> LazySet:
         closure = _sums_all(terms) if additive else _prods_all(terms)
         members = _capped(sorted(closure), config)
         return LazySet.of_finite(expr, members)
-    if additive:
-        members = _sums_upto(terms, h)
-    else:
-        members = _prods_upto(terms, h, config.subset_cap)
+    members = _closure_upto(terms, h, additive, config.subset_cap)
     return LazySet(expr, _capped(members, config), h)
 
 
@@ -245,56 +246,29 @@ def _prods_all(terms) -> set[int]:
     return prods
 
 
-def _sums_upto(terms, bound: int) -> list[int]:
-    mask = (1 << (bound + 1)) - 1
-    bits = 1
+def _closure_upto(terms, h: int, additive: bool, cap: int) -> list[int]:
+    """Members <= h of the sums (or products) of distinct ascending terms.
+
+    reach[v] marks the v reached so far, starting from the empty sum 0 (or the
+    empty product 1). Each term ORs the old table into itself shifted (or
+    scaled) by the term; both slices are read before the write, so a term is
+    used at most once, and the OR runs on whole ints at C speed.
+    """
+    reach = bytearray(h + 1)
+    reach[0 if additive else 1] = 1
     for t in terms:
-        if t > bound:
+        # a term only lands on cells >= t, so once those are all marked no
+        # later term adds anything
+        if t > h or reach.find(0, t) < 0:
             break
-        bits |= (bits << t) & mask
-    bits &= ~1
-    members = []
-    while bits:
-        low = bits & -bits
-        members.append(low.bit_length() - 1)
-        bits ^= low
-    return members
-
-
-def _prods_upto(terms, bound: int, cap: int) -> list[int]:
-    prods = [1]
-    seen = {1}
-    for t in terms:
-        if t > bound:
-            break
-        cut = bisect.bisect_right(prods, bound // t)
-        fresh = []
-        for p in prods[:cut]:
-            v = p * t
-            if v not in seen:
-                seen.add(v)
-                fresh.append(v)
-        if fresh:
-            if len(seen) > cap:
-                raise ResourceError(
-                    f"product closure exceeds the subset cap {cap}; lower the horizon"
-                )
-            prods = _merge(prods, fresh)
-    if 1 not in terms:
-        prods = prods[1:]
-    return prods
-
-
-def _merge(a: list[int], b: list[int]) -> list[int]:
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] <= b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+        cells = slice(t, None) if additive else slice(t, None, t)
+        old = reach[:h + 1 - t] if additive else reach[1:h // t + 1]
+        merged = int.from_bytes(old, "little") | int.from_bytes(reach[cells], "little")
+        reach[cells] = merged.to_bytes(len(old), "little")
+    if not additive:
+        # the closure only grows, so the final size decides the cap
+        if reach.count(1) > cap:
+            raise ResourceError(
+                f"product closure exceeds the subset cap {cap}; lower the horizon")
+        reach[1] = 1 in terms
+    return list(compress(range(1, h + 1), memoryview(reach)[1:]))

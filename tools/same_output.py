@@ -15,6 +15,9 @@ The battery, read from this checkout:
 - the C10 battery (``C10_BATTERY`` in ``tests/test_acceptance.py``),
 - every ``check`` property (``felab.largeness.PROPERTY_ORDER`` of NEW) on a few
   expressions, as JSON, as a table and as ``--batch``,
+- ``check a-thick`` on unpinned ``fs``/``fp`` closures and on 30 nested
+  complements, and ``check a-ip*`` on a set whose complement it builds, at
+  horizon 20000,
 - a few error paths of ``check``, ``diagram`` and ``chain``.
 
 Standard library only.
@@ -35,6 +38,9 @@ SEEDS = ("1", "2")
 TIMEOUT_S = 600
 CHECK_EXPRS = ("N", "odd", "up({6,10,15})", "level(2)", "fs(sidon())")
 CHECK_HORIZON = "2000"
+CLOSURE_EXPRS = ("fp(primeseq(all))", "fp(exgamma())", "fp(fastgrowth())", "fs(sidon())",
+                 "fs(exgamma())", "compl(" * 30 + "mult(3)" + ")" * 30)
+CLOSURE_HORIZON = "20000"
 
 
 def c10_battery() -> list[list[str]]:
@@ -75,7 +81,11 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
             cmds.append(["check", prop, expr, "--horizon", CHECK_HORIZON, "--json"])
         cmds.append(["check", prop, "odd", "--horizon", CHECK_HORIZON])
         cmds.append(["check", prop, "--batch", exprs, "--horizon", CHECK_HORIZON])
+    for expr in CLOSURE_EXPRS:
+        cmds.append(["check", "a-thick", expr, "--horizon", CLOSURE_HORIZON, "--json"])
     cmds += [
+        ["check", "a-ip*", "inter(compl(mult(4)),ap(1,2))", "--horizon", CLOSURE_HORIZON,
+         "--json"],
         ["diagram", "up({6,10,15})", "--horizon", CHECK_HORIZON],
         ["diagram", "odd", "--horizon", CHECK_HORIZON, "--star-a-max", "5", "--json"],
         ["check", "huge", "N"],
