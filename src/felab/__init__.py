@@ -1,140 +1,1 @@
 """Bounded-scale lab for dilation embeddability and largeness of sets of naturals."""
-
-from .arith import (
-    Sieve,
-    crt_solve,
-    divisors,
-    ensure_sieve,
-    extract_strong_antichain,
-    factorize,
-    first_primes,
-    integer_nth_root,
-    is_strong_antichain,
-    nth_power_completion,
-    omega,
-    omega_upto,
-    primes_upto,
-    set_cache_dir,
-)
-from .constructions import (
-    CATALOG,
-    build_fixture,
-    gen_mj_funcs,
-    gen_thick_nonmaxstar,
-    pseudointersection,
-    sequence_terms,
-    sidon_sequence,
-)
-from .embed import (
-    ChainResult,
-    FeRefutation,
-    FeWitness,
-    decreasing_chain,
-    fe_fip_oracle,
-    fe_prefix_check,
-    fe_refute_level,
-    fe_refute_residue,
-    fe_witness,
-    me_check,
-    mthick_check,
-)
-from .errors import (
-    FelabError,
-    InapplicableError,
-    InputError,
-    ParseError,
-    PrecisionError,
-    ResourceError,
-)
-from .largeness import (
-    OUT_OF_SCOPE,
-    PROPERTY_ORDER,
-    AtlasReport,
-    LargenessReport,
-    PropertyParams,
-    a_pcws_check,
-    a_thick_check,
-    crt_thickness_demo,
-    diagram_report,
-    ip_search,
-    ip_star_check,
-    j_check,
-    m_pcws_check,
-    max_check,
-    maxstar_check,
-    nmax_refute,
-    nmaxstar_check,
-    poset_atlas,
-)
-from .setlang import EXACT, PREFIX, EvalConfig, LazySet, evaluate, parse, unparse
-from .verdicts import Verdict
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CATALOG",
-    "EXACT",
-    "OUT_OF_SCOPE",
-    "PREFIX",
-    "PROPERTY_ORDER",
-    "AtlasReport",
-    "ChainResult",
-    "EvalConfig",
-    "FeRefutation",
-    "FeWitness",
-    "FelabError",
-    "InapplicableError",
-    "InputError",
-    "LargenessReport",
-    "LazySet",
-    "ParseError",
-    "PrecisionError",
-    "PropertyParams",
-    "ResourceError",
-    "Sieve",
-    "Verdict",
-    "__version__",
-    "a_pcws_check",
-    "a_thick_check",
-    "build_fixture",
-    "crt_solve",
-    "crt_thickness_demo",
-    "decreasing_chain",
-    "diagram_report",
-    "divisors",
-    "ensure_sieve",
-    "evaluate",
-    "extract_strong_antichain",
-    "factorize",
-    "fe_fip_oracle",
-    "fe_prefix_check",
-    "fe_refute_level",
-    "fe_refute_residue",
-    "fe_witness",
-    "first_primes",
-    "gen_mj_funcs",
-    "gen_thick_nonmaxstar",
-    "integer_nth_root",
-    "ip_search",
-    "ip_star_check",
-    "is_strong_antichain",
-    "j_check",
-    "m_pcws_check",
-    "max_check",
-    "maxstar_check",
-    "me_check",
-    "mthick_check",
-    "nmax_refute",
-    "nmaxstar_check",
-    "nth_power_completion",
-    "omega",
-    "omega_upto",
-    "parse",
-    "poset_atlas",
-    "primes_upto",
-    "pseudointersection",
-    "sequence_terms",
-    "set_cache_dir",
-    "sidon_sequence",
-    "unparse",
-]

@@ -20,6 +20,9 @@ DEFAULT_SIEVE_CAP = 20_000_000
 # Witness bases making Miller-Rabin exact below 3.3e24; covers every 64-bit value.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# candidates one antichain search may try before it gives up
+_ANTICHAIN_STEP_CAP = 1_000_000
+
 _CACHE_MAGIC = b"FELABSPF"
 _CACHE_VERSION = 1
 
@@ -47,11 +50,6 @@ class Sieve:
                     slots = min(len(fill), (limit - lo) // p + 1)
                     spf[lo:lo + slots * p:p] = fill[:slots]
         return spf
-
-    def spf(self, n: int) -> int:
-        if n < 2 or n > self.limit:
-            raise InputError(f"spf query {n} outside sieve range [2, {self.limit}]")
-        return self.table[n]
 
     def is_prime(self, n: int) -> bool:
         return n >= 2 and n <= self.limit and self.table[n] == n
@@ -319,18 +317,28 @@ def is_strong_antichain(S) -> bool:
 
 
 def extract_strong_antichain(A, s: int, H: int) -> list[int] | None:
-    """Lexicographically least size-s pairwise-coprime subset of A within [2, H], or None."""
+    """Lexicographically least size-s pairwise-coprime subset of A within [2, H], or None.
+
+    Raises a resource error once the search has tried _ANTICHAIN_STEP_CAP candidates.
+    """
     if s < 1:
         raise InputError(f"antichain size must be >= 1, got {s}")
     pool = sorted(x for x in set(A) if 2 <= x <= H)
     chosen: list[int] = []
+    steps = 0
 
     def rec(start: int) -> bool:
+        nonlocal steps
         if len(chosen) == s:
             return True
         for idx in range(start, len(pool)):
             if len(pool) - idx < s - len(chosen):
                 return False
+            steps += 1
+            if steps > _ANTICHAIN_STEP_CAP:
+                raise ResourceError(
+                    f"antichain search over {len(pool)} candidates exceeds the step cap "
+                    f"{_ANTICHAIN_STEP_CAP}")
             c = pool[idx]
             if all(math.gcd(c, x) == 1 for x in chosen):
                 chosen.append(c)

@@ -1,7 +1,8 @@
 """Command-line front end: parse expressions, run checkers, emit tables or JSON.
 
 Exit codes follow the verdict contract (0 proved, 1 refuted, 2 bounded);
-errors map to 3 (input/parse/inapplicable), 4 (resource), 5 (precision).
+errors map to 3 (input/parse/inapplicable), 4 (resource), 5 (precision),
+and a stdout closed by its reader to 141.
 All JSON output is sorted and timestamp-free, so identical invocations
 produce byte-identical bytes.
 """
@@ -17,15 +18,16 @@ from dataclasses import dataclass
 
 from . import arith, constructions, embed, largeness
 from .errors import FelabError, InapplicableError, InputError
-from .setlang import EvalConfig, LazySet, evaluate, parse, unparse
+from .setlang import LazySet, evaluate, parse, unparse
 from .setlang import nodes
+from .setlang.lazyset import DEFAULT_HORIZON
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved invocation settings shared by every subcommand."""
 
-    horizon: int = 100_000
+    horizon: int = DEFAULT_HORIZON
     fmt: str = "table"
     cache: str | None = None
 
@@ -35,13 +37,9 @@ class RunConfig:
         if self.fmt not in ("table", "json"):
             raise InputError(f"format must be table or json, got {self.fmt!r}")
 
-    @property
-    def eval_config(self) -> EvalConfig:
-        return EvalConfig(horizon=self.horizon)
-
 
 def _run_config(args) -> RunConfig:
-    horizon = args.horizon if args.horizon is not None else 100_000
+    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
     fmt = "json" if getattr(args, "json", False) else args.fmt
     cache = args.cache if args.cache is not None else os.environ.get("FELAB_CACHE")
     rc = RunConfig(horizon, fmt, cache or None)
@@ -87,7 +85,7 @@ def _expr_node(text: str) -> nodes.SetExpr:
 
 def _eval_expr(text: str, rc: RunConfig) -> tuple[nodes.SetExpr, LazySet]:
     node = _expr_node(text)
-    return node, evaluate(node, rc.eval_config)
+    return node, evaluate(node, rc.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +214,7 @@ def cmd_check(args) -> int:
 
     def run_one(text: str) -> tuple[dict, int]:
         node, A = _eval_expr(text, rc)
-        verdict = check(A, params, rc.horizon, rc.eval_config)
+        verdict = check(A, params, rc.horizon)
         payload = {
             "command": "check",
             "property": prop,
@@ -242,8 +240,8 @@ def cmd_fe(args) -> int:
     rc = _run_config(args)
     node_a, A = _eval_expr(args.expr_a, rc)
     node_b, B = _eval_expr(args.expr_b, rc)
-    fam = embed.prefix_of(A, args.prefix, rc.eval_config)
-    verdict = embed.fe_prefix_check(A, B, args.prefix, args.kmax, rc.eval_config, fam)
+    fam = embed.prefix_of(A, args.prefix, rc.horizon)
+    verdict = embed.fe_prefix_check(A, B, args.prefix, args.kmax, rc.horizon, fam)
 
     # cross-check the two decision routes; cap the probe so a certificate
     # refutation is not followed by a full-length scan, and treat matching
@@ -260,7 +258,7 @@ def cmd_fe(args) -> int:
 
     refuters: dict[str, object] = {}
     try:
-        hit = embed.fe_refute_level(A, B, rc.horizon, rc.eval_config)
+        hit = embed.fe_refute_level(A, B, rc.horizon)
         refuters["level"] = hit.to_json() if hit is not None else None
     except InapplicableError as exc:
         refuters["level"] = {"inapplicable": str(exc)}
@@ -292,7 +290,7 @@ def cmd_me(args) -> int:
     rc = _run_config(args)
     node_a, A = _eval_expr(args.expr_a, rc)
     node_b, B = _eval_expr(args.expr_b, rc)
-    verdict = embed.me_check(A, B, args.m, rc.horizon, args.kmax, rc.eval_config)
+    verdict = embed.me_check(A, B, args.m, rc.horizon, args.kmax)
     payload = {
         "command": "me",
         "A": unparse(node_a),
@@ -320,7 +318,7 @@ def cmd_diagram(args) -> int:
 
     def run_one(text: str) -> tuple[dict, int]:
         node, A = _eval_expr(text, rc)
-        report = largeness.diagram_report(A, params, rc.eval_config)
+        report = largeness.diagram_report(A, params)
         payload = {
             "command": "diagram",
             "expression": unparse(node),
@@ -402,7 +400,7 @@ def cmd_chain(args) -> int:
     if args.verify:
         verified = 0
         for level, ref in zip(result.levels[1:], result.refutations):
-            target = evaluate(nodes.Explicit(tuple(level)), rc.eval_config)
+            target = evaluate(nodes.Explicit(tuple(level)), rc.horizon)
             res = embed.fe_witness(ref.family, target, target.max_known())
             if not isinstance(res, embed.FeRefutation) or not res.exact:
                 print(f"re-check failed for pair {list(ref.family)} at level "
@@ -493,7 +491,7 @@ def cmd_parse(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--horizon", type=int, default=None,
-                        help="evaluation horizon (default 100000)")
+                        help=f"evaluation horizon (default {DEFAULT_HORIZON})")
     common.add_argument("--format", dest="fmt", choices=("table", "json"),
                         default="table", help="output format")
     common.add_argument("--json", action="store_true",
@@ -583,10 +581,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except FelabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        try:
+            code = args.func(args)
+        except FelabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = exc.exit_code
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the flush at
+        # exit cannot fail again, and end with the status SIGPIPE would give
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

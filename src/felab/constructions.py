@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from . import arith
 from .errors import InputError, ResourceError
 from .setlang import nodes
-from .setlang.lazyset import DEFAULT_CONFIG, EvalConfig, LazySet
+from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 
 _COUNT_CAP = 10_000
 
@@ -232,8 +232,7 @@ class FpFixture:
     members: tuple[int, ...]
 
 
-def gen_fp_prime_subset(index_rule="odd", count: int | None = None,
-                        config: EvalConfig = DEFAULT_CONFIG) -> FpFixture:
+def gen_fp_prime_subset(index_rule="odd", count: int | None = None) -> FpFixture:
     """Subset-product closure of a prime subsequence chosen by index parity or explicit indices."""
     if isinstance(index_rule, (tuple, list)):
         sel = sorted(set(index_rule))
@@ -254,8 +253,8 @@ def gen_fp_prime_subset(index_rule="odd", count: int | None = None,
         else:
             raise InputError(f"index rule must be odd, even, all, or [i1,i2,...], got {index_rule!r}")
     k = len(sel)
-    if (1 << k) - 1 > config.subset_cap:
-        raise ResourceError(f"closure of {k} primes exceeds the subset cap {config.subset_cap}")
+    if (1 << k) - 1 > SUBSET_CAP:
+        raise ResourceError(f"closure of {k} primes exceeds the subset cap {SUBSET_CAP}")
     ps = arith.first_primes(sel[-1] + 2 * k + 2)
     base = tuple(ps[i - 1] for i in sel)
     selset = set(sel)
@@ -427,57 +426,57 @@ def _opt_count(params: tuple, name: str) -> int | None:
     raise InputError(f"bad parameters for {name}; usage: {CATALOG[name]}")
 
 
-def _seq_fixture(stream_fn, params: tuple, name: str, config: EvalConfig, expr,
+def _seq_fixture(stream_fn, params: tuple, name: str, horizon: int, expr,
                  exact: bool) -> LazySet:
     count = _opt_count(params, name)
     stream = _IncreasingStream(stream_fn())
     if count is None:
-        members = stream.upto(config.horizon)
+        members = stream.upto(horizon)
         if exact:
-            return LazySet(expr, members, config.horizon, pred=stream.range_pred())
-        return LazySet(expr, members, config.horizon)
+            return LazySet(expr, members, horizon, pred=stream.range_pred())
+        return LazySet(expr, members, horizon)
     _check_count(count)
     return LazySet.of_finite(expr, stream.take(count))
 
 
-def _fx_exgamma(params, config, expr):
-    return _seq_fixture(_exgamma_stream, params, "exgamma", config, expr, exact=True)
+def _fx_exgamma(params, horizon, expr):
+    return _seq_fixture(_exgamma_stream, params, "exgamma", horizon, expr, exact=True)
 
 
-def _fx_fastgrowth(params, config, expr):
-    return _seq_fixture(_fastgrowth_stream, params, "fastgrowth", config, expr, exact=True)
+def _fx_fastgrowth(params, horizon, expr):
+    return _seq_fixture(_fastgrowth_stream, params, "fastgrowth", horizon, expr, exact=True)
 
 
-def _fx_sidon(params, config, expr):
-    return _seq_fixture(_sidon_stream, params, "sidon", config, expr, exact=False)
+def _fx_sidon(params, horizon, expr):
+    return _seq_fixture(_sidon_stream, params, "sidon", horizon, expr, exact=False)
 
 
-def _fx_thick(params, config, expr):
+def _fx_thick(params, horizon, expr):
     n_max = _opt_count(params, "thick_nonmaxstar")
     if n_max is None:
-        n_max = thick_auto_nmax(config.horizon)
+        n_max = thick_auto_nmax(horizon)
     fx = gen_thick_nonmaxstar(n_max)
     return LazySet.of_finite(expr, fx.members)
 
 
-def _fx_equal_exponent(params, config, expr):
+def _fx_equal_exponent(params, horizon, expr):
     if params:
         raise InputError(f"bad parameters for equal_exponent; usage: {CATALOG['equal_exponent']}")
-    members = gen_equal_exponent(config.horizon)
-    return LazySet(expr, members, config.horizon, pred=equal_exponent_pred)
+    members = gen_equal_exponent(horizon)
+    return LazySet(expr, members, horizon, pred=equal_exponent_pred)
 
 
-def _fx_fp_primes(params, config, expr):
+def _fx_fp_primes(params, horizon, expr):
     if len(params) == 1 and isinstance(params[0], tuple):
-        fx = gen_fp_prime_subset(params[0], None, config)
+        fx = gen_fp_prime_subset(params[0], None)
     elif len(params) == 2 and isinstance(params[0], str) and isinstance(params[1], int):
-        fx = gen_fp_prime_subset(params[0], params[1], config)
+        fx = gen_fp_prime_subset(params[0], params[1])
     else:
         raise InputError(f"bad parameters for fp_primes; usage: {CATALOG['fp_primes']}")
     return LazySet.of_finite(expr, fx.members)
 
 
-def _fx_prophier(params, config, expr):
+def _fx_prophier(params, horizon, expr):
     if not params or len(params) % 3 != 0:
         raise InputError(f"bad parameters for prophier; usage: {CATALOG['prophier']}")
     prime_sets, exps, counts = [], [], []
@@ -488,15 +487,15 @@ def _fx_prophier(params, config, expr):
         prime_sets.append(blk)
         exps.append(k)
         counts.append(n)
-    members = gen_prophier(prime_sets, exps, counts, config.horizon)
+    members = gen_prophier(prime_sets, exps, counts, horizon)
     return LazySet.of_finite(expr, members)
 
 
-def _fx_levelfix(params, config, expr):
+def _fx_levelfix(params, horizon, expr):
     if (len(params) != 3 or not isinstance(params[0], tuple)
             or not isinstance(params[1], tuple) or not isinstance(params[2], int)):
         raise InputError(f"bad parameters for levelfix; usage: {CATALOG['levelfix']}")
-    members = gen_levelfix(params[0], params[1], params[2], config.horizon)
+    members = gen_levelfix(params[0], params[1], params[2], horizon)
     return LazySet.of_finite(expr, members)
 
 
@@ -512,7 +511,7 @@ _BUILDERS = {
 }
 
 
-def build_fixture(name: str, params: tuple, config: EvalConfig = DEFAULT_CONFIG,
+def build_fixture(name: str, params: tuple, horizon: int = DEFAULT_HORIZON,
                   expr=None) -> LazySet:
     """Resolve a construct(...) reference to its LazySet."""
     if name == "sidon_levels":
@@ -520,4 +519,4 @@ def build_fixture(name: str, params: tuple, config: EvalConfig = DEFAULT_CONFIG,
     builder = _BUILDERS.get(name)
     if builder is None:
         raise InputError("unknown fixture %r; catalog:\n  %s" % (name, "\n  ".join(catalog_lines())))
-    return builder(params, config, expr)
+    return builder(params, horizon, expr)

@@ -17,23 +17,8 @@ from dataclasses import dataclass, field
 from . import arith
 from .errors import InapplicableError, InputError, PrecisionError, ResourceError
 from .setlang import analysis, nodes
-from .setlang.lazyset import DEFAULT_CONFIG, EvalConfig, LazySet
+from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 from .verdicts import Verdict
-
-__all__ = [
-    "FeWitness",
-    "FeRefutation",
-    "ChainResult",
-    "fe_witness",
-    "fe_fip_oracle",
-    "fe_prefix_check",
-    "prefix_of",
-    "me_check",
-    "fe_refute_level",
-    "fe_refute_residue",
-    "decreasing_chain",
-    "mthick_check",
-]
 
 _CHAIN_SCAN_CAP = 200_000
 
@@ -163,14 +148,14 @@ def fe_fip_oracle(F, B: LazySet, k_max: int) -> FeWitness | FeRefutation:
 
 
 def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
-                    config: EvalConfig = DEFAULT_CONFIG, fam: tuple[int, ...] | None = None
+                    horizon: int = DEFAULT_HORIZON, fam: tuple[int, ...] | None = None
                     ) -> Verdict:
     """Embed A's first p elements (`fam`, their prefix_of) into B, refuting exactly when possible."""
     if fam is None:
-        fam = prefix_of(A, p, config)
+        fam = prefix_of(A, p, horizon)
     # sound structural refuters are cheap; consult them before scanning dilations
     try:
-        cert = fe_refute_level(A, B, config.horizon)
+        cert = fe_refute_level(A, B, horizon)
     except InapplicableError:
         cert = None
     if cert is None:
@@ -186,7 +171,7 @@ def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
                            {"refutation": res.to_json()})
 
 
-def prefix_of(A: LazySet, p: int, config: EvalConfig = DEFAULT_CONFIG) -> tuple[int, ...]:
+def prefix_of(A: LazySet, p: int, horizon: int = DEFAULT_HORIZON) -> tuple[int, ...]:
     """A's first p members, growing an EXACT enumeration once if too few are known."""
     if p < 1:
         raise InputError(f"prefix length must be >= 1, got {p}")
@@ -197,35 +182,34 @@ def prefix_of(A: LazySet, p: int, config: EvalConfig = DEFAULT_CONFIG) -> tuple[
                 raise InputError("prefix of an empty set is undefined")
             return tuple(known)
         if A.pred is not None:
-            A.extend_to(max(A.complete_below * 2, config.horizon), config)
+            A.extend_to(max(A.complete_below * 2, horizon))
             known = A.elements()
         if len(known) < p:
             raise PrecisionError(
                 f"only {len(known)} elements of {A.describe_short()} are known; "
                 f"cannot take a {p}-element prefix",
-                required_horizon=max(A.complete_below * 2, config.horizon),
+                required_horizon=max(A.complete_below * 2, horizon),
             )
     return tuple(known[:p])
 
 
-def me_check(A: LazySet, B: LazySet, m: int, H: int | None = None,
-             k_max: int = 1_000_000, config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
+             k_max: int = 1_000_000) -> Verdict:
     """All m-subsets of A within the horizon embed into B."""
     if m < 1:
         raise InputError(f"subset cardinality must be >= 1, got {m}")
-    horizon = config.horizon if H is None else H
-    pool = A.complete_elements(horizon, config) if not A.finite else A.elements(horizon)
+    pool = A.complete_elements(H) if not A.finite else A.elements(H)
     if len(pool) < m:
         raise InputError(
-            f"A has only {len(pool)} elements within horizon {horizon}, need {m}")
+            f"A has only {len(pool)} elements within horizon {H}, need {m}")
     if m == 1:
-        return _me_divisibility(pool, B, horizon, k_max)
+        return _me_divisibility(pool, B, H, k_max)
     total = 1
     for i in range(m):
         total = total * (len(pool) - i) // (i + 1)
-    if total > config.subset_cap:
+    if total > SUBSET_CAP:
         raise ResourceError(
-            f"{total} subsets of size {m} exceed the cap {config.subset_cap}; "
+            f"{total} subsets of size {m} exceed the cap {SUBSET_CAP}; "
             f"rerun with a smaller horizon")
     worst: FeWitness | None = None
     exhausted: FeRefutation | None = None
@@ -234,19 +218,19 @@ def me_check(A: LazySet, B: LazySet, m: int, H: int | None = None,
         if isinstance(res, FeRefutation):
             if res.exact:
                 return Verdict.refuted({"refutation": res.to_json()},
-                                       {"horizon": horizon, "k_max": k_max, "m": m})
+                                       {"horizon": H, "k_max": k_max, "m": m})
             cert = fe_refute_residue(sub, B)
             if cert is not None:
                 return Verdict.refuted({"refutation": cert.to_json()},
-                                       {"horizon": horizon, "k_max": k_max, "m": m})
+                                       {"horizon": H, "k_max": k_max, "m": m})
             exhausted = exhausted or res
         elif worst is None or res.k > worst.k:
             worst = res
     if exhausted is not None:
-        return Verdict.bounded("against", {"horizon": horizon, "k_max": k_max, "m": m},
+        return Verdict.bounded("against", {"horizon": H, "k_max": k_max, "m": m},
                                {"refutation": exhausted.to_json()})
     return Verdict.proved({"subsets": total, "worst_witness": worst.to_json()},
-                          {"horizon": horizon, "k_max": k_max, "m": m})
+                          {"horizon": H, "k_max": k_max, "m": m})
 
 
 def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
@@ -271,8 +255,7 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
     return Verdict.proved({"divides_into": table}, {"horizon": horizon, "m": 1})
 
 
-def fe_refute_level(A: LazySet, B: LazySet, H: int | None = None,
-                    config: EvalConfig = DEFAULT_CONFIG) -> FeRefutation | None:
+def fe_refute_level(A: LazySet, B: LazySet, H: int = DEFAULT_HORIZON) -> FeRefutation | None:
     """Exact refutation from factor-count bookkeeping, for level-covered targets."""
     if B.expr is None:
         raise InapplicableError("target has no expression to analyze")
@@ -281,8 +264,7 @@ def fe_refute_level(A: LazySet, B: LazySet, H: int | None = None,
         raise InapplicableError(
             f"target {B.describe_short()} is not covered by finitely many levels")
     deltas = analysis.level_deltas(cover)
-    horizon = config.horizon if H is None else H
-    elems = A.elements(horizon)
+    elems = A.elements(H)
     by_level: dict[int, int] = {}
     for c in elems:
         o = arith.omega(c)
@@ -407,16 +389,14 @@ def decreasing_chain(depth: int, per_level: int, scan_cap: int = _CHAIN_SCAN_CAP
         tuple(tuple(lvl.items) for lvl in levels))
 
 
-def mthick_check(A: LazySet, n: int, H: int | None = None,
-                 config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def mthick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Search a dilation k with k*{1..n} inside A, k*n within the horizon."""
     if n < 1:
         raise InputError(f"run length must be >= 1, got {n}")
-    horizon = config.horizon if H is None else H
-    k_top = horizon // n
+    k_top = H // n
     k = _least_dilation(range(1, n + 1), A.contains, _one_by_one(range(1, k_top + 1)))
     if k is not None:
         return Verdict.proved({"k": k, "multiples": [k * i for i in range(1, n + 1)]},
-                              {"horizon": horizon, "n": n})
-    return Verdict.bounded("against", {"horizon": horizon, "n": n},
+                              {"horizon": H, "n": n})
+    return Verdict.bounded("against", {"horizon": H, "n": n},
                            {"exhausted_k": k_top})

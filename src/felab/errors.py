@@ -31,7 +31,7 @@ class ParseError(FelabError):
 
 
 class ResourceError(FelabError):
-    """A configured cap (memory, element count, combination count) was exceeded."""
+    """A cap (memory, element count, combination count, search steps) was exceeded."""
 
     exit_code = 4
 

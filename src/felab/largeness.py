@@ -26,30 +26,8 @@ from .embed import mthick_check
 from .errors import InapplicableError, InputError, ResourceError
 from .setlang import analysis, nodes
 from .setlang.evaluate import complement
-from .setlang.lazyset import DEFAULT_CONFIG, EvalConfig, LazySet
+from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 from .verdicts import Verdict
-
-__all__ = [
-    "PropertyParams",
-    "LargenessReport",
-    "AtlasReport",
-    "PROPERTY_ORDER",
-    "CHECKERS",
-    "OUT_OF_SCOPE",
-    "a_thick_check",
-    "a_pcws_check",
-    "m_pcws_check",
-    "ip_search",
-    "ip_star_check",
-    "j_check",
-    "max_check",
-    "maxstar_check",
-    "nmax_refute",
-    "nmaxstar_check",
-    "crt_thickness_demo",
-    "diagram_report",
-    "poset_atlas",
-]
 
 _PERIOD_WINDOW_CAP = 2_000_000
 _J_MASK_CAP = 1 << 20
@@ -60,23 +38,21 @@ _ATLAS_SAMPLE = 4_096
 _ATLAS_FAMILY_CAP = 2_000_000
 
 
-def _resolve_horizon(H: int | None, config: EvalConfig) -> int:
-    h = config.horizon if H is None else H
-    if h < 1:
-        raise InputError(f"horizon must be >= 1, got {h}")
-    return h
+def _check_horizon(H: int) -> int:
+    if H < 1:
+        raise InputError(f"horizon must be >= 1, got {H}")
+    return H
 
 
 # ---------------------------------------------------------------------------
 # interval properties (runs of consecutive integers and their shifted covers)
 # ---------------------------------------------------------------------------
 
-def a_thick_check(A: LazySet, n: int, H: int | None = None,
-                  config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def a_thick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find n consecutive members; refute only when periodic structure decides it."""
     if n < 1:
         raise InputError(f"run length must be >= 1, got {n}")
-    horizon = _resolve_horizon(H, config)
+    horizon = _check_horizon(H)
     if n > horizon:
         raise InputError(f"run length {n} exceeds horizon {horizon}")
     bounds = {"horizon": horizon, "n": n}
@@ -133,8 +109,7 @@ def a_thick_check(A: LazySet, n: int, H: int | None = None,
     return Verdict.bounded("against", bounds, detail)
 
 
-def a_pcws_check(A: LazySet, t_max: int, n: int, H: int | None = None,
-                 config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def a_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find a run of n in the union of the downward shifts A-t, t = 0..t_max.
 
     The union grows with the shift family, so searching with the full family
@@ -144,7 +119,7 @@ def a_pcws_check(A: LazySet, t_max: int, n: int, H: int | None = None,
         raise InputError(f"shift cap must be >= 0, got {t_max}")
     if n < 1:
         raise InputError(f"run length must be >= 1, got {n}")
-    horizon = _resolve_horizon(H, config)
+    horizon = _check_horizon(H)
     if n > horizon or t_max > horizon:
         raise InputError(f"bounds (t_max={t_max}, n={n}) exceed horizon {horizon}")
     bounds = {"horizon": horizon, "t_max": t_max, "n": n}
@@ -166,14 +141,13 @@ def a_pcws_check(A: LazySet, t_max: int, n: int, H: int | None = None,
     return Verdict.bounded("against", bounds, detail)
 
 
-def m_pcws_check(A: LazySet, t_max: int, n: int, H: int | None = None,
-                 config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def m_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find k with k*{1..n} inside the union of the quotients A/t, t = 1..t_max."""
     if t_max < 1:
         raise InputError(f"divisor cap must be >= 1, got {t_max}")
     if n < 1:
         raise InputError(f"run length must be >= 1, got {n}")
-    horizon = _resolve_horizon(H, config)
+    horizon = _check_horizon(H)
     if n > horizon or t_max > horizon:
         raise InputError(f"bounds (t_max={t_max}, n={n}) exceed horizon {horizon}")
     bounds = {"horizon": horizon, "t_max": t_max, "n": n}
@@ -196,20 +170,20 @@ def m_pcws_check(A: LazySet, t_max: int, n: int, H: int | None = None,
 # combination-closure properties (subset sums / subset products)
 # ---------------------------------------------------------------------------
 
-def ip_search(A: LazySet, L: int, H: int | None = None, mode: str = "additive",
-              config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
+              mode: str = "additive") -> Verdict:
     """Lexicographically least x_1 < ... < x_L whose nonempty combinations stay in A."""
     if mode not in ("additive", "multiplicative"):
         raise InputError(f"mode must be additive or multiplicative, got {mode!r}")
     if L < 1:
         raise InputError(f"sequence length must be >= 1, got {L}")
-    if (1 << L) - 1 > config.subset_cap:
+    if (1 << L) - 1 > SUBSET_CAP:
         raise ResourceError(
-            f"2^{L}-1 combinations exceed the subset cap {config.subset_cap}")
-    horizon = _resolve_horizon(H, config)
+            f"2^{L}-1 combinations exceed the subset cap {SUBSET_CAP}")
+    horizon = _check_horizon(H)
     bounds = {"horizon": horizon, "L": L, "mode": mode}
     if A.is_exact:
-        elems = A.complete_elements(horizon, config)
+        elems = A.complete_elements(horizon)
     else:
         elems = A.elements(horizon)
     additive = mode == "additive"
@@ -227,7 +201,7 @@ def ip_search(A: LazySet, L: int, H: int | None = None, mode: str = "additive",
             # the largest fresh combination only grows along the candidate list
             if vals and (top + x if additive else top * x) > horizon:
                 break
-            if attempts >= config.subset_cap:
+            if attempts >= SUBSET_CAP:
                 truncated = True
                 return False
             attempts += 1
@@ -253,16 +227,15 @@ def ip_search(A: LazySet, L: int, H: int | None = None, mode: str = "additive",
          "exhausted": not truncated})
 
 
-def ip_star_check(A: LazySet, L: int, H: int | None = None,
-                  config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def ip_star_check(A: LazySet, L: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Dual check: a combination witness inside the complement refutes the star property."""
     if not A.is_exact:
         raise InapplicableError(
             "the dual check needs a total membership predicate for the complement")
-    horizon = _resolve_horizon(H, config)
+    horizon = _check_horizon(H)
     comp_expr = nodes.Compl(A.expr) if A.expr is not None else None
-    comp = complement(A, comp_expr, horizon, config)
-    r = ip_search(comp, L, horizon, "additive", config)
+    comp = complement(A, comp_expr, horizon)
+    r = ip_search(comp, L, horizon, "additive")
     bounds = {"horizon": horizon, "L": L}
     if r.is_proved:
         return Verdict.refuted({"complement_witness": r.certificate}, bounds)
@@ -312,12 +285,11 @@ def j_check(A: LazySet, funcs, a_max: int, h_max: int,
 # divisibility properties (the dilation order on sets)
 # ---------------------------------------------------------------------------
 
-def max_check(A: LazySet, N: int, H: int | None = None,
-              config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Every n <= N must divide some member; refute only with provable emptiness."""
     if N < 1:
         raise InputError(f"divisor bound must be >= 1, got {N}")
-    horizon = _resolve_horizon(H, config)
+    horizon = _check_horizon(H)
     if N > horizon:
         raise InputError(f"divisor bound {N} exceeds horizon {horizon}")
     bounds = {"N": N, "horizon": horizon}
@@ -349,12 +321,11 @@ def max_check(A: LazySet, N: int, H: int | None = None,
     return Verdict.proved({"witnesses": witnesses}, bounds)
 
 
-def maxstar_check(A: LazySet, a_max: int, H: int | None = None,
-                  config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def maxstar_check(A: LazySet, a_max: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find a whose every multiple up to the horizon belongs to A."""
     if a_max < 1:
         raise InputError(f"dilation cap must be >= 1, got {a_max}")
-    horizon = _resolve_horizon(H, config)
+    horizon = _check_horizon(H)
     if a_max > horizon:
         raise InputError(f"dilation cap {a_max} exceeds horizon {horizon}")
     bounds = {"a_max": a_max, "horizon": horizon}
@@ -382,14 +353,13 @@ def maxstar_check(A: LazySet, a_max: int, H: int | None = None,
     return Verdict.refuted({"missing_multiple": missing}, bounds)
 
 
-def nmax_refute(A: LazySet, s: int, H: int | None = None,
-                config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def nmax_refute(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Seek s pairwise-coprime numbers none of which divides any member."""
     if s < 2:
         raise InputError(f"antichain strength must be >= 2, got {s}")
-    horizon = _resolve_horizon(H, config)
+    horizon = _check_horizon(H)
     if A.is_exact:
-        members = A.complete_elements(horizon, config)
+        members = A.complete_elements(horizon)
         complete_to = horizon
     else:
         complete_to = min(horizon, A.complete_below)
@@ -418,12 +388,11 @@ def nmax_refute(A: LazySet, s: int, H: int | None = None,
     return Verdict.bounded("for", bounds, {"absent_primes": absent})
 
 
-def nmaxstar_check(A: LazySet, s: int, H: int | None = None,
-                   config: EvalConfig = DEFAULT_CONFIG) -> Verdict:
+def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Seek a pairwise-coprime C whose dilations up to the horizon all lie in A."""
     if s < 2:
         raise InputError(f"antichain strength must be >= 2, got {s}")
-    horizon = _resolve_horizon(H, config)
+    horizon = _check_horizon(H)
     bounds = {"horizon": horizon, "s": s}
 
     def valid(c: int) -> bool:
@@ -433,19 +402,22 @@ def nmaxstar_check(A: LazySet, s: int, H: int | None = None,
     # a prefix of them already yields the lexicographically least antichain.
     # The cap at horizon//2 keeps the evidence honest: every accepted generator
     # has at least two of its dilations verified, never just itself.
+    # A search that hits its step cap ends the check with bounded evidence.
     pool: list[int] = []
     target = max(64, 8 * s)
-    for c in range(2, horizon // 2 + 1):
+    top = horizon // 2
+    for c in range(2, top + 1):
         if valid(c):
             pool.append(c)
-            if len(pool) >= target:
+        if len(pool) >= target or (c == top and len(pool) >= s):
+            try:
                 C = arith.extract_strong_antichain(pool, s, horizon)
-                if C is not None:
-                    return Verdict.proved({"antichain": C, "strength": s}, bounds)
-                target *= 2
-    C = arith.extract_strong_antichain(pool, s, horizon) if len(pool) >= s else None
-    if C is not None:
-        return Verdict.proved({"antichain": C, "strength": s}, bounds)
+            except ResourceError:
+                return Verdict.bounded("against", bounds, {
+                    "dilation_generators": pool[:32], "antichain_search_capped": True})
+            if C is not None:
+                return Verdict.proved({"antichain": C, "strength": s}, bounds)
+            target *= 2
     return Verdict.bounded(
         "against", bounds, {"dilation_generators": pool[:32]})
 
@@ -511,23 +483,22 @@ def _add_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # Each entry calls its checker by module-level name at call time, so a wrapper
 # installed on the module attribute (a tracer, a profiler) sees every call.
 CHECKERS = {
-    "A-thick": lambda A, p, H, c: a_thick_check(A, p.run_length, H, c),
-    "M-thick": lambda A, p, H, c: mthick_check(A, p.run_length, H, c),
-    "A-pcws": lambda A, p, H, c: a_pcws_check(A, p.t_max, p.run_length, H, c),
-    "M-pcws": lambda A, p, H, c: m_pcws_check(A, p.t_max, p.run_length, H, c),
-    "A-IP": lambda A, p, H, c: ip_search(A, p.ip_len, H, "additive", c),
-    "M-IP": lambda A, p, H, c: ip_search(A, p.ip_len, H, "multiplicative", c),
-    "A-IP*": lambda A, p, H, c: ip_star_check(A, p.ip_len, H, c),
-    "A-J": lambda A, p, H, c: j_check(
+    "A-thick": lambda A, p, H: a_thick_check(A, p.run_length, H),
+    "M-thick": lambda A, p, H: mthick_check(A, p.run_length, H),
+    "A-pcws": lambda A, p, H: a_pcws_check(A, p.t_max, p.run_length, H),
+    "M-pcws": lambda A, p, H: m_pcws_check(A, p.t_max, p.run_length, H),
+    "A-IP": lambda A, p, H: ip_search(A, p.ip_len, H, "additive"),
+    "M-IP": lambda A, p, H: ip_search(A, p.ip_len, H, "multiplicative"),
+    "A-IP*": lambda A, p, H: ip_star_check(A, p.ip_len, H),
+    "A-J": lambda A, p, H: j_check(
         A, _add_funcs(p.j_h_max), p.j_a_max, p.j_h_max, "additive"),
-    "M-J": lambda A, p, H, c: j_check(
+    "M-J": lambda A, p, H: j_check(
         A, gen_mj_funcs(p.j_h_max), p.j_a_max, p.j_h_max, "multiplicative"),
-    "MAX": lambda A, p, H, c: max_check(A, p.divisor_n, H, c),
-    "NMAX": lambda A, p, H, c: nmax_refute(A, p.antichain_s, H, c),
-    "MAX*": lambda A, p, H, c: maxstar_check(A, p.star_a_max, H, c),
-    "NMAX*": lambda A, p, H, c: nmaxstar_check(A, p.antichain_s, H, c),
+    "MAX": lambda A, p, H: max_check(A, p.divisor_n, H),
+    "NMAX": lambda A, p, H: nmax_refute(A, p.antichain_s, H),
+    "MAX*": lambda A, p, H: maxstar_check(A, p.star_a_max, H),
+    "NMAX*": lambda A, p, H: nmaxstar_check(A, p.antichain_s, H),
 }
-PROPERTY_ORDER = tuple(CHECKERS)
 OUT_OF_SCOPE = ("A-central", "A-central*", "M-central", "M-central*")
 _OUT_OF_SCOPE_REASON = (
     "defined through idempotent elements of a compactified semigroup; "
@@ -542,15 +513,6 @@ class LargenessReport:
     out_of_scope: tuple[str, ...]
     audits: tuple[dict, ...]
     params: PropertyParams
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-    def verdict(self, name: str):
-        for key, value in self.entries:
-            if key == name:
-                return value
-        raise KeyError(name)
 
     def to_json(self) -> dict:
         props = []
@@ -572,19 +534,19 @@ class LargenessReport:
                 "params": self.params.to_json()}
 
 
-def _audit_thick_pcws(A, produced, params, H, config) -> dict:
+def _audit_thick_pcws(A, produced, params, H) -> dict:
     name = "A-thick(n) => A-pcws(t_max=0, n)"
     v = produced["A-thick"]
     if not (isinstance(v, Verdict) and v.is_proved):
         return {"implication": name, "status": "skipped",
                 "detail": {"reason": "premise not proved"}}
-    w = a_pcws_check(A, 0, params.run_length, H, config)
+    w = a_pcws_check(A, 0, params.run_length, H)
     return {"implication": name,
             "status": "pass" if w.is_proved else "fail",
             "detail": {"pcws_status": w.status}}
 
 
-def _audit_maxstar_max(A, produced, params, H, config) -> dict:
+def _audit_maxstar_max(A, produced, params, H) -> dict:
     name = "MAX*(a) => MAX up to horizon//a"
     v = produced["MAX*"]
     if not (isinstance(v, Verdict) and v.is_proved):
@@ -592,13 +554,13 @@ def _audit_maxstar_max(A, produced, params, H, config) -> dict:
                 "detail": {"reason": "premise not proved"}}
     a = v.certificate["a"]
     N = max(1, H // a)
-    w = max_check(A, N, H, config)
+    w = max_check(A, N, H)
     return {"implication": name,
             "status": "pass" if w.is_proved else "fail",
             "detail": {"a": a, "N": N, "max_status": w.status}}
 
 
-def _audit_nmaxstar_thick(A, produced, params, H, config) -> dict:
+def _audit_nmaxstar_thick(A, produced, params, H) -> dict:
     name = "NMAX* antichain => interval inside its dilation cover"
     v = produced["NMAX*"]
     if not (isinstance(v, Verdict) and v.is_proved):
@@ -620,22 +582,21 @@ def _audit_nmaxstar_thick(A, produced, params, H, config) -> dict:
     return {"implication": name, "status": status, "detail": detail}
 
 
-def diagram_report(A: LazySet, params: PropertyParams | None = None,
-                   config: EvalConfig = DEFAULT_CONFIG) -> LargenessReport:
+def diagram_report(A: LazySet, params: PropertyParams | None = None) -> LargenessReport:
     """Run every property checker on one set and audit the implications."""
     params = params or PropertyParams()
-    H = params.horizon if params.horizon is not None else config.horizon
+    H = params.horizon if params.horizon is not None else DEFAULT_HORIZON
     entries: list[tuple[str, object]] = []
     for name, check in CHECKERS.items():
         try:
-            entries.append((name, check(A, params, H, config)))
+            entries.append((name, check(A, params, H)))
         except InapplicableError as exc:
             entries.append((name, {"inapplicable": str(exc)}))
     produced = dict(entries)
     audits = (
-        _audit_thick_pcws(A, produced, params, H, config),
-        _audit_maxstar_max(A, produced, params, H, config),
-        _audit_nmaxstar_thick(A, produced, params, H, config),
+        _audit_thick_pcws(A, produced, params, H),
+        _audit_maxstar_max(A, produced, params, H),
+        _audit_nmaxstar_thick(A, produced, params, H),
     )
     return LargenessReport(tuple(entries), OUT_OF_SCOPE, audits, params)
 

@@ -1,22 +1,6 @@
 """Expression language for bounded sets of naturals: parse, evaluate, analyze."""
 
-from .analysis import empty_meet_mult, level_deltas, levels_of, period_of
 from .evaluate import evaluate
-from .lazyset import DEFAULT_CONFIG, EXACT, PREFIX, EvalConfig, LazySet
+from .lazyset import LazySet
 from .nodes import unparse
 from .parser import parse
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "EXACT",
-    "PREFIX",
-    "EvalConfig",
-    "LazySet",
-    "empty_meet_mult",
-    "evaluate",
-    "level_deltas",
-    "levels_of",
-    "parse",
-    "period_of",
-    "unparse",
-]

@@ -1,4 +1,4 @@
-"""Evaluator: turns set expressions into LazySets under an evaluation config.
+"""Evaluator: turns set expressions into LazySets up to an evaluation horizon.
 
 Completeness bounds propagate so that every verdict downstream can tell
 verified facts from horizon artifacts: quotient divides the bound, shift
@@ -13,36 +13,35 @@ from itertools import compress
 from .. import arith
 from ..errors import InputError, ResourceError
 from . import nodes
-from .lazyset import DEFAULT_CONFIG, EvalConfig, LazySet
+from .lazyset import DEFAULT_HORIZON, FS_MAX_LEN, MAX_ELEMENTS, SUBSET_CAP, LazySet
 
 
-def evaluate(expr: nodes.SetExpr, config: EvalConfig = DEFAULT_CONFIG) -> LazySet:
-    """Evaluate a set expression to a LazySet honoring the config horizon."""
-    if config.horizon < 1:
-        raise InputError(f"horizon must be >= 1, got {config.horizon}")
-    return _eval(expr, config)
+def evaluate(expr: nodes.SetExpr, horizon: int = DEFAULT_HORIZON) -> LazySet:
+    """Evaluate a set expression to a LazySet complete up to the horizon where it can be."""
+    if horizon < 1:
+        raise InputError(f"horizon must be >= 1, got {horizon}")
+    return _eval(expr, horizon)
 
 
-def _capped(members, config: EvalConfig):
-    if len(members) > config.max_elements:
+def _capped(members):
+    if len(members) > MAX_ELEMENTS:
         raise ResourceError(
             f"evaluation produced {len(members)} elements, over the cap "
-            f"{config.max_elements}; lower the horizon"
+            f"{MAX_ELEMENTS}; lower the horizon"
         )
     return members
 
 
-def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
-    h = config.horizon
+def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
     if isinstance(expr, nodes.AllNat):
-        return LazySet(expr, _capped(range(1, h + 1), config), h, pred=lambda n: True)
+        return LazySet(expr, _capped(range(1, h + 1)), h, pred=lambda n: True)
     if isinstance(expr, nodes.Primes):
         return LazySet(expr, arith.primes_upto(h), h, pred=arith.is_prime)
     if isinstance(expr, nodes.Level):
         om = arith.omega_upto(h)
         members = [i for i in range(1, h + 1) if om[i] == expr.n]
         pred = lambda m, k=expr.n: arith.omega(m) == k
-        return LazySet(expr, _capped(members, config), h, pred=pred, finite=expr.n == 0)
+        return LazySet(expr, _capped(members), h, pred=pred, finite=expr.n == 0)
     if isinstance(expr, nodes.Mult):
         k = expr.k
         return LazySet(expr, range(k, h + 1, k), h, pred=lambda n: n % k == 0)
@@ -53,13 +52,13 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
     if isinstance(expr, nodes.Explicit):
         return LazySet.of_finite(expr, expr.elems)
     if isinstance(expr, nodes.Union):
-        return _eval_union(expr, config)
+        return _eval_union(expr, h)
     if isinstance(expr, nodes.Inter):
-        return _eval_inter(expr, config)
+        return _eval_inter(expr, h)
     if isinstance(expr, nodes.Compl):
-        return complement(_eval(expr.arg, config), expr, config.horizon, config)
+        return complement(_eval(expr.arg, h), expr, h)
     if isinstance(expr, nodes.Dilate):
-        kid = _eval(expr.arg, config)
+        kid = _eval(expr.arg, h)
         k = expr.k
         members = [k * m for m in kid.elements()]
         pred = None
@@ -67,7 +66,7 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
             pred = lambda n, p=kid.pred: n % k == 0 and p(n // k)
         return LazySet(expr, members, k * kid.complete_below + k - 1, pred=pred, finite=kid.finite)
     if isinstance(expr, nodes.Quot):
-        kid = _eval(expr.arg, config)
+        kid = _eval(expr.arg, h)
         n = expr.n
         members = [m // n for m in kid.elements() if m % n == 0]
         if kid.finite:
@@ -77,7 +76,7 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
             pred = lambda m, p=kid.pred: p(n * m)
         return LazySet(expr, members, kid.complete_below // n, pred=pred)
     if isinstance(expr, nodes.Shift):
-        kid = _eval(expr.arg, config)
+        kid = _eval(expr.arg, h)
         t = expr.t
         members = [m - t for m in kid.elements() if m > t]
         if kid.finite:
@@ -87,16 +86,16 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
             pred = lambda m, p=kid.pred: p(m + t)
         return LazySet(expr, members, max(kid.complete_below - t, 0), pred=pred)
     if isinstance(expr, nodes.Up):
-        return _eval_up(expr, config)
+        return _eval_up(expr, h)
     if isinstance(expr, nodes.Down):
-        return _eval_down(expr, config)
+        return _eval_down(expr, h)
     if isinstance(expr, (nodes.Fs, nodes.Fp)):
-        return _eval_fsfp(expr, config)
+        return _eval_fsfp(expr, h)
     if isinstance(expr, nodes.Pseudo):
         from .. import constructions
 
-        kids = [_eval(c, config) for c in expr.chain]
-        res = constructions.pseudointersection(kids, expr.count, config.horizon)
+        kids = [_eval(c, h) for c in expr.chain]
+        res = constructions.pseudointersection(kids, expr.count, h)
         return LazySet.of_finite(expr, res.values)
     if isinstance(expr, nodes.Construct):
         from .. import constructions
@@ -105,8 +104,8 @@ def _eval(expr: nodes.SetExpr, config: EvalConfig) -> LazySet:
             if len(expr.params) != 2 or not all(isinstance(p, int) for p in expr.params):
                 raise InputError("sidon_levels takes (count, side) with side 0 or 1")
             expanded = constructions.sidon_level_union_expr(expr.params[0], expr.params[1])
-            return _eval(expanded, config)
-        return constructions.build_fixture(expr.name, expr.params, config, expr)
+            return _eval(expanded, h)
+        return constructions.build_fixture(expr.name, expr.params, h, expr)
     raise InputError(f"cannot evaluate node {type(expr).__name__}")
 
 
@@ -115,12 +114,12 @@ def _decision_bound(ls: LazySet) -> int | None:
     return None if ls.pred is not None else ls.complete_below
 
 
-def _eval_union(expr: nodes.Union, config: EvalConfig) -> LazySet:
-    kids = [_eval(a, config) for a in expr.args]
+def _eval_union(expr: nodes.Union, h: int) -> LazySet:
+    kids = [_eval(a, h) for a in expr.args]
     members = set()
     for kid in kids:
         members.update(kid.elements())
-    members = _capped(sorted(members), config)
+    members = _capped(sorted(members))
     if all(kid.finite for kid in kids):
         return LazySet.of_finite(expr, members)
     pred = None
@@ -131,8 +130,8 @@ def _eval_union(expr: nodes.Union, config: EvalConfig) -> LazySet:
     return LazySet(expr, members, bound, pred=pred)
 
 
-def _eval_inter(expr: nodes.Inter, config: EvalConfig) -> LazySet:
-    kids = [_eval(a, config) for a in expr.args]
+def _eval_inter(expr: nodes.Inter, h: int) -> LazySet:
+    kids = [_eval(a, h) for a in expr.args]
     finite_kids = [k for k in kids if k.finite]
     if finite_kids:
         base = min(finite_kids, key=lambda k: k.count_known())
@@ -140,8 +139,8 @@ def _eval_inter(expr: nodes.Inter, config: EvalConfig) -> LazySet:
         base = min(kids, key=lambda k: k.count_known())
     others = [k for k in kids if k is not base]
     real = [b for b in map(_decision_bound, kids) if b is not None]
-    bound = min(real) if real else config.horizon
-    base.extend_to(bound, config)
+    bound = min(real) if real else h
+    base.extend_to(bound)
     members = []
     undecided = False
     for x in base.elements():
@@ -161,7 +160,7 @@ def _eval_inter(expr: nodes.Inter, config: EvalConfig) -> LazySet:
     return LazySet(expr, members, bound, pred=pred)
 
 
-def complement(kid: LazySet, expr, h: int, config: EvalConfig) -> LazySet:
+def complement(kid: LazySet, expr, h: int) -> LazySet:
     """Complement of kid, complete to h if kid is EXACT, else to kid's bound.
 
     Below kid's bound the members come from kid's own member set, read in
@@ -172,21 +171,20 @@ def complement(kid: LazySet, expr, h: int, config: EvalConfig) -> LazySet:
     known = kid._member_set
     members = [n for n in range(1, bound + 1) if n not in known]
     if kid.pred is None:
-        return LazySet(expr, _capped(members, config), bound)
+        return LazySet(expr, _capped(members), bound)
     p = kid.pred
     members += [n for n in range(bound + 1, h + 1) if not p(n)]
-    return LazySet(expr, _capped(members, config), h, pred=lambda n: not p(n))
+    return LazySet(expr, _capped(members), h, pred=lambda n: not p(n))
 
 
-def _eval_up(expr: nodes.Up, config: EvalConfig) -> LazySet:
-    kid = _eval(expr.arg, config)
-    h = config.horizon
-    kid.extend_to(h, config)
+def _eval_up(expr: nodes.Up, h: int) -> LazySet:
+    kid = _eval(expr.arg, h)
+    kid.extend_to(h)
     marks = bytearray(h + 1)
     for a in kid.elements():
         if a <= h:
             marks[a::a] = b"\x01" * (h // a)
-    members = _capped([n for n in range(1, h + 1) if marks[n]], config)
+    members = _capped([n for n in range(1, h + 1) if marks[n]])
     pred = None
     if kid.pred is not None:
         p = kid.pred
@@ -194,18 +192,18 @@ def _eval_up(expr: nodes.Up, config: EvalConfig) -> LazySet:
     return LazySet(expr, members, min(kid.complete_below, h), pred=pred)
 
 
-def _eval_down(expr: nodes.Down, config: EvalConfig) -> LazySet:
-    kid = _eval(expr.arg, config)
+def _eval_down(expr: nodes.Down, h: int) -> LazySet:
+    kid = _eval(expr.arg, h)
     divs = set()
     for m in kid.elements():
         divs.update(arith.divisors(m))
-    members = _capped(sorted(divs), config)
+    members = _capped(sorted(divs))
     if kid.finite:
         return LazySet.of_finite(expr, members)
     return LazySet(expr, members, 0)
 
 
-def _eval_fsfp(expr, config: EvalConfig) -> LazySet:
+def _eval_fsfp(expr, h: int) -> LazySet:
     from .. import constructions
 
     additive = isinstance(expr, nodes.Fs)
@@ -213,19 +211,18 @@ def _eval_fsfp(expr, config: EvalConfig) -> LazySet:
     if isinstance(seq, nodes.ExplicitSeq):
         terms, pinned = list(seq.values), True
     else:
-        terms, pinned = constructions.sequence_terms(seq.rule, seq.params, config.horizon)
-    h = config.horizon
+        terms, pinned = constructions.sequence_terms(seq.rule, seq.params, h)
     if pinned:
-        if len(terms) > config.fs_max_len or 2 ** len(terms) > config.subset_cap:
+        if len(terms) > FS_MAX_LEN or 2 ** len(terms) > SUBSET_CAP:
             raise ResourceError(
                 f"closure of {len(terms)} pinned terms exceeds the subset cap "
-                f"{config.subset_cap}; use an unpinned sequence or fewer terms"
+                f"{SUBSET_CAP}; use an unpinned sequence or fewer terms"
             )
         closure = _sums_all(terms) if additive else _prods_all(terms)
-        members = _capped(sorted(closure), config)
+        members = _capped(sorted(closure))
         return LazySet.of_finite(expr, members)
-    members = _closure_upto(terms, h, additive, config.subset_cap)
-    return LazySet(expr, _capped(members, config), h)
+    members = _closure_upto(terms, h, additive)
+    return LazySet(expr, _capped(members), h)
 
 
 def _sums_all(terms) -> set[int]:
@@ -246,7 +243,7 @@ def _prods_all(terms) -> set[int]:
     return prods
 
 
-def _closure_upto(terms, h: int, additive: bool, cap: int) -> list[int]:
+def _closure_upto(terms, h: int, additive: bool) -> list[int]:
     """Members <= h of the sums (or products) of distinct ascending terms.
 
     reach[v] marks the v reached so far, starting from the empty sum 0 (or the
@@ -267,8 +264,8 @@ def _closure_upto(terms, h: int, additive: bool, cap: int) -> list[int]:
         reach[cells] = merged.to_bytes(len(old), "little")
     if not additive:
         # the closure only grows, so the final size decides the cap
-        if reach.count(1) > cap:
+        if reach.count(1) > SUBSET_CAP:
             raise ResourceError(
-                f"product closure exceeds the subset cap {cap}; lower the horizon")
+                f"product closure exceeds the subset cap {SUBSET_CAP}; lower the horizon")
         reach[1] = 1 in terms
     return list(compress(range(1, h + 1), memoryview(reach)[1:]))

@@ -13,24 +13,16 @@ only discard sound witnesses.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..errors import PrecisionError, ResourceError
 
-EXACT = "EXACT"
-PREFIX = "PREFIX"
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    horizon: int = 100_000
-    max_elements: int = 2_000_000
-    fs_max_len: int = 24
-    subset_cap: int = 200_000
-
-
-DEFAULT_CONFIG = EvalConfig()
+# the evaluation horizon when none is given, and the caps on what one evaluation
+# or one search may build
+DEFAULT_HORIZON = 100_000
+MAX_ELEMENTS = 2_000_000
+FS_MAX_LEN = 24
+SUBSET_CAP = 200_000
 
 
 class LazySet:
@@ -39,9 +31,8 @@ class LazySet:
     def __init__(self, expr, members: Iterable[int], complete_below: int,
                  pred: Callable[[int], bool] | None = None, finite: bool = False):
         self.expr = expr
-        ms = sorted(set(members))
-        self._members = ms
-        self._member_set = set(ms)
+        self._member_set = set(members)
+        self._members = sorted(self._member_set)
         self.complete_below = complete_below
         self.pred = pred
         self.finite = finite
@@ -53,10 +44,6 @@ class LazySet:
         ls.complete_below = ls.max_known()
         ls.pred = ls._member_set.__contains__
         return ls
-
-    @property
-    def exactness(self) -> str:
-        return EXACT if self.pred is not None else PREFIX
 
     @property
     def is_exact(self) -> bool:
@@ -79,7 +66,7 @@ class LazySet:
         idx = bisect.bisect_right(self._members, bound)
         return self._members[:idx]
 
-    def extend_to(self, bound: int, config: EvalConfig = DEFAULT_CONFIG) -> None:
+    def extend_to(self, bound: int) -> None:
         """Grow the enumeration of an EXACT set so completeness reaches `bound`."""
         if bound <= self.complete_below or self.pred is None:
             return
@@ -89,23 +76,22 @@ class LazySet:
             return
         pred = self.pred
         fresh = [n for n in range(self.complete_below + 1, bound + 1) if pred(n)]
-        if len(self._members) + len(fresh) > config.max_elements:
+        if len(self._members) + len(fresh) > MAX_ELEMENTS:
             raise ResourceError(
                 f"enumerating {self.describe_short()} to {bound} exceeds the "
-                f"element cap {config.max_elements}")
-        merged = sorted(self._member_set.union(fresh))
-        self._members = merged
-        self._member_set = set(merged)
+                f"element cap {MAX_ELEMENTS}")
+        self._member_set.update(fresh)
+        self._members = sorted(self._member_set)
         self.complete_below = bound
 
-    def complete_elements(self, bound: int, config: EvalConfig = DEFAULT_CONFIG) -> list[int]:
+    def complete_elements(self, bound: int) -> list[int]:
         """Every member <= bound; raises a precision error if that is not knowable."""
         if bound > self.complete_below:
             if self.pred is None:
                 raise PrecisionError(
                     f"enumeration of {self.describe_short()} is only complete below "
                     f"{self.complete_below}", required_horizon=bound)
-            self.extend_to(bound, config)
+            self.extend_to(bound)
         return self.elements(bound)
 
     def max_known(self) -> int:
@@ -126,4 +112,4 @@ class LazySet:
     def __repr__(self) -> str:
         head = ",".join(str(m) for m in self._members[:8])
         more = ",..." if len(self._members) > 8 else ""
-        return f"LazySet({self.describe_short()}: {{{head}{more}}} {self.exactness})"
+        return f"LazySet({self.describe_short()}: {{{head}{more}}} {'EXACT' if self.is_exact else 'PREFIX'})"

@@ -42,14 +42,6 @@ class Verdict:
         return self.status == PROVED
 
     @property
-    def is_refuted(self) -> bool:
-        return self.status == REFUTED
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.status == BOUNDED
-
-    @property
     def exit_code(self) -> int:
         return {PROVED: 0, REFUTED: 1, BOUNDED: 2}[self.status]
 

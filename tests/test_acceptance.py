@@ -20,16 +20,15 @@ from felab import arith, cli, constructions, embed, largeness
 from felab.embed import FeRefutation, FeWitness
 from felab.errors import FelabError
 from felab.setlang import analysis
-from felab.setlang.evaluate import EvalConfig, evaluate
+from felab.setlang.evaluate import evaluate
 from felab.setlang.nodes import Explicit
 from felab.setlang.parser import parse
 
 H = 10_000
-CFG = EvalConfig(horizon=H)
 
 
 def ev(text, horizon=H):
-    return evaluate(parse(text), EvalConfig(horizon=horizon))
+    return evaluate(parse(text), horizon)
 
 
 def criterion(num, title):
@@ -97,10 +96,9 @@ def test_c01_witness_oracle_equivalence():
 
 @criterion(2, "singleton {m} maps into {n} iff m | n, with k = n/m (all m,n <= 200)")
 def test_c02_singleton_divisibility_exhaustive():
-    cfg = EvalConfig(horizon=500)
     pairs = 0
     for n in range(1, 201):
-        target = evaluate(Explicit((n,)), cfg)
+        target = evaluate(Explicit((n,)), 500)
         for m in range(1, 201):
             res = embed.fe_witness((m,), target, 10 ** 6)
             if n % m == 0:
@@ -179,7 +177,7 @@ def test_c04_decreasing_chain():
     for n, ref in enumerate(chain.refutations):
         assert isinstance(ref, FeRefutation) and ref.exact
         assert ref.family == chain.blocked[n]
-        target = evaluate(Explicit(tuple(chain.extended[n + 1])), CFG)
+        target = evaluate(Explicit(tuple(chain.extended[n + 1])), H)
         res = embed.fe_witness(chain.blocked[n], target, 10 ** 6)
         assert isinstance(res, FeRefutation) and res.exact
         assert res.kind == "finite-target"
@@ -215,7 +213,7 @@ def test_c05_sidon_level_unions_cross_refuted():
             for a in members[la]:
                 for b in members[lb]:
                     pair = (a, b) if a < b else (b, a)
-                    r = embed.fe_refute_level(evaluate(Explicit(pair), CFG), target, H)
+                    r = embed.fe_refute_level(evaluate(Explicit(pair), H), target, H)
                     if r is None or not r.exact:
                         pytest.fail("pair %s not refuted" % (pair,))
                     count += 1

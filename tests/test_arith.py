@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from felab import arith
 from felab.errors import InputError, ResourceError
-from felab.setlang import EvalConfig, evaluate, parse
+from felab.setlang import evaluate, parse
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +44,6 @@ def test_sieve_spf_matches_trial_division():
     # 270000 fills the slices of 2 and 3 in several pieces
     for limit in [*range(2, 601), 131072, 270_000]:
         assert arith.Sieve(limit).table.tolist() == ref[:limit + 1]
-    s = arith.Sieve(500)
-    assert [s.spf(n) for n in range(2, 501)] == ref[2:501]
-
-
-def test_sieve_rejects_out_of_range():
-    s = arith.Sieve(50)
-    with pytest.raises(InputError):
-        s.spf(1)
-    with pytest.raises(InputError):
-        s.spf(51)
 
 
 def test_primes_upto_cuts_at_limit():
@@ -205,7 +195,7 @@ def test_divisors_and_omega_match_naive_around_the_sieve(monkeypatch):
 def _closure(kind: str, S, H: int) -> list[int]:
     """The up or down node of the set language over {S}, cut at H."""
     text = "%s({%s})" % (kind, ",".join(str(x) for x in sorted(S)))
-    return evaluate(parse(text), EvalConfig(horizon=H)).elements(H)
+    return evaluate(parse(text), H).elements(H)
 
 
 def test_up_closure():
@@ -244,6 +234,13 @@ def test_extract_strong_antichain_lex_least():
     assert arith.extract_strong_antichain({4, 6, 9, 10, 25, 49}, 3, 100) == [4, 9, 25]
     assert arith.extract_strong_antichain({6, 10, 15}, 2, 100) is None
     assert arith.extract_strong_antichain({8, 9}, 2, 8) is None  # 9 beyond the bound
+
+
+def test_extract_strong_antichain_step_cap():
+    # 1500 even numbers share the factor 2: the search tries about 1.1M
+    # (first, second) candidates before it could report None
+    with pytest.raises(ResourceError, match="step cap"):
+        arith.extract_strong_antichain(range(2, 3002, 2), 2, 3002)
 
 
 @given(st.sets(st.integers(min_value=2, max_value=120), min_size=1, max_size=14),

@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import time
 from importlib import resources as importlib_resources
 
 import jsonschema
@@ -14,7 +16,7 @@ from referencing import Registry, Resource
 
 import conftest
 from felab import arith, cli
-from felab.largeness import PROPERTY_ORDER
+from felab.largeness import CHECKERS
 
 
 @pytest.fixture(autouse=True)
@@ -184,7 +186,7 @@ def _same_as_row(code, out, err, row):
     assert code == payload["exit"]
 
 
-@pytest.mark.parametrize("name", PROPERTY_ORDER)
+@pytest.mark.parametrize("name", CHECKERS)
 def test_check_agrees_with_diagram_row(name, diagram_rows, capsys):
     for expr in AGREE_EXPRS:
         code, out, err = run(["check", name.lower(), expr, "--horizon", "2000", "--json"],
@@ -462,6 +464,35 @@ def test_module_entry_point_matches_main(argv, expected, tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
     assert code == expected
     assert (err == "") if code == 0 else err.startswith("error: ")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141(unbuffered, tmp_path):
+    """A reader that closed stdout gets the SIGPIPE status and no traceback."""
+    env = conftest.module_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "felab", "parse", "union(mult(2),level(3))", "--json"],
+            stdout=w, stderr=subprocess.PIPE, env=env, cwd=tmp_path, timeout=60)
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
+
+
+def test_nmaxstar_antichain_search_capped(capsys):
+    """A search past the antichain step cap ends bounded, not in an unbounded run."""
+    start = time.perf_counter()
+    code, payload = run_json(["check", "nmax*", "union(up({3,5}),{4,9,49})",
+                              "--horizon", "5000"], capsys)
+    assert time.perf_counter() - start < 10
+    assert code == 2
+    assert payload["verdict"]["certificate"]["antichain_search_capped"] is True
 
 
 def test_json_flag_matches_format_option(capsys):

@@ -13,7 +13,7 @@ from felab.constructions import (FpFixture, PseudoResult, ThickFixture,
                                  sequence_terms, sidon_level_union_expr,
                                  sidon_sequence, thick_auto_nmax)
 from felab.errors import InputError
-from felab.setlang import EvalConfig, evaluate, parse
+from felab.setlang import evaluate, parse
 from felab.setlang import nodes
 
 
@@ -110,9 +110,8 @@ def test_sidon_level_union_expr():
 
 
 def test_sidon_level_union_sides_are_disjoint():
-    cfg = EvalConfig(horizon=3000)
-    A0 = evaluate(sidon_level_union_expr(5, 0), cfg)
-    A1 = evaluate(sidon_level_union_expr(5, 1), cfg)
+    A0 = evaluate(sidon_level_union_expr(5, 0), 3000)
+    A1 = evaluate(sidon_level_union_expr(5, 1), 3000)
     for n in range(1, 3001):
         assert not (A0.contains(n) and A1.contains(n))
 
@@ -306,8 +305,7 @@ def test_levelfix_rejects():
 # ---------------------------------------------------------------------------
 
 def _sets(*texts, horizon=200):
-    cfg = EvalConfig(horizon=horizon)
-    return [evaluate(parse(t), cfg) for t in texts]
+    return [evaluate(parse(t), horizon) for t in texts]
 
 
 def test_pseudointersection_basic():
@@ -350,15 +348,13 @@ def test_build_fixture_exgamma():
 
 
 def test_build_fixture_defaults_to_horizon():
-    cfg = EvalConfig(horizon=1000)
-    A = build_fixture("fastgrowth", (), cfg)
+    A = build_fixture("fastgrowth", (), 1000)
     assert A.elements() == [1, 4, 9, 19, 39, 79, 159, 319, 639]
     assert A.contains(640) is False  # exact via the growth law
 
 
 def test_build_fixture_thick_auto():
-    cfg = EvalConfig(horizon=100)
-    A = build_fixture("thick_nonmaxstar", (), cfg)
+    A = build_fixture("thick_nonmaxstar", (), 100)
     fx = gen_thick_nonmaxstar(thick_auto_nmax(100))
     assert tuple(A.elements()) == fx.members
 
@@ -373,11 +369,10 @@ def test_build_fixture_rejects():
 
 
 def test_fixture_evaluates_through_expressions():
-    cfg = EvalConfig(horizon=2000)
-    A = evaluate(parse("construct(equal_exponent)"), cfg)
+    A = evaluate(parse("construct(equal_exponent)"), 2000)
     for n in range(2, 500):
         assert A.contains(n) == equal_exponent_pred(n)
-    B = evaluate(parse("construct(sidon_levels,5,1)"), cfg)
+    B = evaluate(parse("construct(sidon_levels,5,1)"), 2000)
     assert B.contains(6) is True     # two factors
     assert B.contains(2) is False    # one factor sits on the other side
     assert B.contains(256) is True   # eight factors

@@ -11,11 +11,12 @@ from felab.embed import (ChainResult, FeRefutation, FeWitness, decreasing_chain,
                          fe_fip_oracle, fe_prefix_check, fe_refute_level,
                          fe_refute_residue, fe_witness, me_check, mthick_check)
 from felab.errors import InapplicableError, InputError, PrecisionError
-from felab.setlang import EvalConfig, evaluate, parse
+from felab.setlang import evaluate, parse
+from felab.setlang.lazyset import DEFAULT_HORIZON
 
 
-def ev(text, **kw):
-    return evaluate(parse(text), EvalConfig(**kw) if kw else EvalConfig())
+def ev(text, horizon=DEFAULT_HORIZON):
+    return evaluate(parse(text), horizon)
 
 
 @pytest.fixture(scope="module")

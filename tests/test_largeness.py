@@ -4,16 +4,17 @@ import pytest
 
 from felab.constructions import gen_mj_funcs
 from felab.errors import InapplicableError, InputError, ResourceError
-from felab.largeness import (PropertyParams, PROPERTY_ORDER, a_pcws_check,
+from felab.largeness import (CHECKERS, PropertyParams, a_pcws_check,
                              a_thick_check, crt_thickness_demo, diagram_report,
                              ip_search, ip_star_check, j_check, m_pcws_check,
                              max_check, maxstar_check, nmax_refute,
                              nmaxstar_check, poset_atlas)
-from felab.setlang import EvalConfig, evaluate, parse
+from felab.setlang import evaluate, parse
+from felab.setlang.lazyset import DEFAULT_HORIZON
 
 
-def ev(text, **kw):
-    return evaluate(parse(text), EvalConfig(**kw) if kw else EvalConfig())
+def ev(text, horizon=DEFAULT_HORIZON):
+    return evaluate(parse(text), horizon)
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +50,12 @@ def test_a_thick(N, evens):
     v = a_thick_check(N, 10)
     assert v.is_proved and v.certificate["m"] == 0
     v = a_thick_check(evens, 2)
-    assert v.is_refuted and v.certificate["period"] == 2
+    assert v.status == "refuted" and v.certificate["period"] == 2
     v = a_thick_check(ev("construct(thick_nonmaxstar,8)"), 6)
     assert v.is_proved
     # finite sparse set: no 3-run anywhere, and finiteness makes that decidable
     v = a_thick_check(ev("construct(exgamma,12)"), 3)
-    assert v.is_refuted
+    assert v.status == "refuted"
 
 
 def test_a_thick_run_is_genuine():
@@ -80,10 +81,10 @@ def test_a_pcws_subset_sum_threshold(FG):
     v = a_pcws_check(FG, 3, 18, 10_000)
     assert v.is_proved
     v19 = a_pcws_check(FG, 3, 19, 10_000)
-    assert v19.is_bounded and v19.direction == "against"
+    assert v19.status == "bounded" and v19.direction == "against"
     assert v19.certificate["max_run"] == 18
     v0 = a_pcws_check(FG, 0, 3, 10_000)
-    assert v0.is_bounded and v0.certificate["max_run"] == 2
+    assert v0.status == "bounded" and v0.certificate["max_run"] == 2
 
 
 def test_m_pcws(N):
@@ -117,7 +118,7 @@ def test_ip_additive(N):
     assert v.certificate["sequence"] == [3, 6]
     assert v.certificate["values"] == [3, 6, 9]
     v = ip_search(ev("construct(exgamma,25)"), 2, 10_000, "additive")
-    assert v.is_bounded and v.direction == "against"
+    assert v.status == "bounded" and v.direction == "against"
 
 
 def test_ip_multiplicative(FP6):
@@ -141,12 +142,12 @@ def test_ip_certificate_closure_verifies(FP6):
 
 def test_ip_star(N, evens, FG):
     v = ip_star_check(ev("compl(mult(3))"), 2)
-    assert v.is_refuted
+    assert v.status == "refuted"
     assert v.certificate["complement_witness"]["sequence"] == [3, 6]
     v = ip_star_check(N, 2)
-    assert v.is_bounded and v.direction == "for"
+    assert v.status == "bounded" and v.direction == "for"
     v = ip_star_check(evens, 1)
-    assert v.is_refuted and v.certificate["complement_witness"]["sequence"] == [1]
+    assert v.status == "refuted" and v.certificate["complement_witness"]["sequence"] == [1]
     with pytest.raises(InapplicableError):
         ip_star_check(FG, 2)
 
@@ -156,7 +157,7 @@ def test_ip_star_leaves_its_set_alone():
     A = ev("quot(compl(mult(8)),2)", horizon=5000)  # compl(mult(4)), complete to 2500
     before = A.elements()
     v = ip_star_check(A, 2, 5000)
-    assert v.is_refuted and v.certificate["complement_witness"]["sequence"] == [4, 8]
+    assert v.status == "refuted" and v.certificate["complement_witness"]["sequence"] == [4, 8]
     assert A.complete_below == 2500 and A.elements() == before
 
 
@@ -174,7 +175,7 @@ def test_j_additive(N, evens):
 def test_j_multiplicative_scan_exhausts():
     EE = ev("construct(equal_exponent)")
     v = j_check(EE, gen_mj_funcs(4), 500, 4, "multiplicative")
-    assert v.is_bounded and v.direction == "against"
+    assert v.status == "bounded" and v.direction == "against"
     assert v.certificate["exhausted_a"] == 500
 
 
@@ -186,7 +187,7 @@ def test_max_check(N, odds):
     v = max_check(ev("construct(exgamma,30)"), 20, 1_000_000)
     assert v.is_proved and len(v.certificate["witnesses"]) == 20
     v = max_check(odds, 2)
-    assert v.is_refuted and v.certificate["n0"] == 2
+    assert v.status == "refuted" and v.certificate["n0"] == 2
     v = max_check(N, 50)
     assert v.is_proved
 
@@ -205,7 +206,7 @@ def test_maxstar_check(N, evens):
     v = maxstar_check(evens, 5)
     assert v.is_proved and v.certificate["a"] == 2
     v = maxstar_check(ev("construct(thick_nonmaxstar,8)"), 8)
-    assert v.is_refuted and v.certificate["missing_multiple"][2] == 6
+    assert v.status == "refuted" and v.certificate["missing_multiple"][2] == 6
     v = maxstar_check(N, 5)
     assert v.is_proved and v.certificate["a"] == 1
 
@@ -226,11 +227,11 @@ def test_maxstar_refutation_verifies():
 
 def test_nmax(N, odds, FP6):
     v = nmax_refute(FP6, 4)
-    assert v.is_refuted and v.certificate["antichain"] == [3, 7, 13, 19]
+    assert v.status == "refuted" and v.certificate["antichain"] == [3, 7, 13, 19]
     v = nmax_refute(N, 4, 10_000)
-    assert v.is_bounded and v.direction == "for"
+    assert v.status == "bounded" and v.direction == "for"
     v = nmax_refute(odds, 3, 100)
-    assert v.is_bounded and v.direction == "for"
+    assert v.status == "bounded" and v.direction == "for"
     assert v.certificate["absent_primes"] == [2]
 
 
@@ -250,7 +251,7 @@ def test_nmaxstar(odds):
     v = nmaxstar_check(ev("up({3,5,7,11})"), 4, 5_000)
     assert v.is_proved and v.certificate["antichain"] == [3, 5, 7, 11]
     v = nmaxstar_check(odds, 2, 1_000)
-    assert v.is_bounded and v.direction == "against"
+    assert v.status == "bounded" and v.direction == "against"
     v = nmaxstar_check(ev("union(up({3,5}),{4,9,49})"), 2, 5_000)
     assert v.is_proved and v.certificate["antichain"] == [3, 5]
 
@@ -292,18 +293,18 @@ def report_N(N):
 
 
 def test_diagram_on_everything(report_N):
-    d = report_N.as_dict()
+    d = dict(report_N.entries)
     for name in PROVED_ON_N:
         assert d[name].is_proved, name
-    assert d["A-IP*"].is_bounded and d["A-IP*"].direction == "for"
-    assert d["NMAX"].is_bounded and d["NMAX"].direction == "for"
+    assert d["A-IP*"].status == "bounded" and d["A-IP*"].direction == "for"
+    assert d["NMAX"].status == "bounded" and d["NMAX"].direction == "for"
     assert all(a["status"] == "pass" for a in report_N.audits)
 
 
 def test_diagram_json_order(report_N):
     j = report_N.to_json()
     names = [p["name"] for p in j["properties"]]
-    assert names[:13] == list(PROPERTY_ORDER)[:13] == [
+    assert names[:13] == list(CHECKERS)[:13] == [
         "A-thick", "M-thick", "A-pcws", "M-pcws", "A-IP", "M-IP", "A-IP*",
         "A-J", "M-J", "MAX", "NMAX", "MAX*", "NMAX*"]
     assert names[13:] == ["A-central", "A-central*", "M-central", "M-central*"]
@@ -313,10 +314,10 @@ def test_diagram_json_order(report_N):
 
 def test_diagram_on_odds(odds):
     rep = diagram_report(odds, PropertyParams(horizon=10_000))
-    d = rep.as_dict()
-    assert d["A-thick"].is_refuted
+    d = dict(rep.entries)
+    assert d["A-thick"].status == "refuted"
     assert d["A-pcws"].is_proved
-    assert d["MAX"].is_refuted
+    assert d["MAX"].status == "refuted"
     assert all(a["status"] in ("pass", "skipped") for a in rep.audits)
 
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from felab.errors import InputError, ParseError, PrecisionError, ResourceError
-from felab.setlang import (EXACT, PREFIX, EvalConfig, evaluate, empty_meet_mult,
-                           level_deltas, levels_of, parse, period_of, unparse)
-from felab.setlang import nodes
+from felab.setlang.lazyset import MAX_ELEMENTS
+from felab.setlang import evaluate, nodes, parse, unparse
+from felab.setlang.analysis import empty_meet_mult, level_deltas, levels_of, period_of
 
-CFG = EvalConfig(horizon=2000)
+HORIZON = 2000
 
 
 def _load_reference():
@@ -27,8 +27,8 @@ def _load_reference():
 reference = _load_reference()
 
 
-def ev(text, **kw):
-    return evaluate(parse(text), EvalConfig(**kw) if kw else CFG)
+def ev(text, horizon=HORIZON):
+    return evaluate(parse(text), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +175,12 @@ def test_fs_fp_of_explicit_sequences():
 
 def test_fs_of_named_rule_is_prefix_class():
     A = ev("fs(fastgrowth())", horizon=2000)
-    assert A.exactness == PREFIX
+    assert not A.is_exact
     assert A.contains(1) is True
     assert A.contains(2) is False  # below the completeness bound, absent
     assert A.contains(A.complete_below + 1) in (True, None)
     with pytest.raises(PrecisionError):
-        A.complete_elements(10**9, CFG)
+        A.complete_elements(10**9)
 
 
 _RULES = {
@@ -201,7 +201,7 @@ def test_unpinned_closure_matches_reference(op, rule, H):
     A = ev(f"{op}({rule})", horizon=H)
     tree = (op, _RULES[rule])
     assert A.elements() == [n for n in range(1, H + 1) if reference.member(tree, n)]
-    assert A.complete_below == H and A.exactness == PREFIX
+    assert A.complete_below == H and not A.is_exact
 
 
 def test_unpinned_fp_holds_one_only_as_a_term():
@@ -235,10 +235,10 @@ def test_pseudo_chain_values():
 
 
 def test_exactness_flags():
-    assert ev("N").exactness == EXACT
-    assert ev("inter(compl(mult(2)),primes)").exactness == EXACT
-    assert ev("construct(exgamma,10)").exactness == EXACT  # finite fixture is fully known
-    assert ev("fs(fastgrowth())").exactness == PREFIX
+    assert ev("N").is_exact
+    assert ev("inter(compl(mult(2)),primes)").is_exact
+    assert ev("construct(exgamma,10)").is_exact  # finite fixture is fully known
+    assert not ev("fs(fastgrowth())").is_exact
 
 
 def test_contains_below_completeness_is_decided():
@@ -317,20 +317,20 @@ def test_period_of_really_is_a_period():
 
 def test_member_cap_enforced():
     with pytest.raises(ResourceError):
-        evaluate(parse("N"), EvalConfig(horizon=100, max_elements=10)).elements(100)
+        evaluate(parse("N"), MAX_ELEMENTS + 1)
 
 
 def test_fs_length_cap():
     seq = "[" + ",".join(str(10**k) for k in range(1, 30)) + "]"
     with pytest.raises((ResourceError, InputError)):
-        evaluate(parse(f"fs({seq})"), EvalConfig(horizon=10**40))
+        evaluate(parse(f"fs({seq})"), 10**40)
 
 
 @settings(max_examples=40, deadline=None)
 @given(_tree, st.integers(min_value=1, max_value=120))
 def test_membership_never_lies_below_bound(tree, n):
     """Random trees: membership at or below the completeness bound is decided."""
-    A = evaluate(tree, CFG)
+    A = evaluate(tree, HORIZON)
     if n <= A.complete_below:
         assert A.contains(n) is not None
 
@@ -342,7 +342,7 @@ def test_member_list_agrees_with_predicate_below_bound(tree):
     so the list must match the predicate there, also after extend_to. Checked
     from 1 up and in the 400 numbers just below the bound, where an off-by-one
     bound shows."""
-    A = evaluate(tree, CFG)
+    A = evaluate(tree, HORIZON)
     if not A.is_exact:
         return
     for _ in range(2):
@@ -350,4 +350,4 @@ def test_member_list_agrees_with_predicate_below_bound(tree):
         ns = sorted({*range(1, min(top, 400) + 1), *range(max(top - 400, 1), top + 1)})
         listed = set(A.elements(top))
         assert [n for n in ns if A.pred(n)] == [n for n in ns if n in listed]
-        A.extend_to(top + min(top, 400), CFG)
+        A.extend_to(top + min(top, 400))

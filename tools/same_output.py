@@ -13,7 +13,7 @@ two hash seeds of one tree. The exit code is 1 if there was any difference.
 The battery, read from this checkout:
 - round 0, seed 1 of the three benchmark workloads (``perfbench/workloads.py``),
 - the C10 battery (``C10_BATTERY`` in ``tests/test_acceptance.py``),
-- every ``check`` property (``felab.largeness.PROPERTY_ORDER`` of NEW) on a few
+- every ``check`` property (``felab.largeness.CHECKERS`` of NEW) on a few
   expressions, as JSON, as a table and as ``--batch``,
 - ``check a-thick`` on unpinned ``fs``/``fp`` closures and on 30 nested
   complements, and ``check a-ip*`` on a set whose complement it builds, at
@@ -54,7 +54,7 @@ def c10_battery() -> list[list[str]]:
 
 
 def property_names(tree: Path) -> list[str]:
-    code = "from felab.largeness import PROPERTY_ORDER; print(' '.join(PROPERTY_ORDER))"
+    code = "from felab.largeness import CHECKERS; print(' '.join(CHECKERS))"
     proc = subprocess.run([sys.executable, "-c", code], env=felab_env(tree, "1"),
                           capture_output=True, text=True, check=True)
     return [name.lower() for name in proc.stdout.split()]

@@ -1,0 +1,106 @@
+"""List the names defined in src/felab that no code in src/felab uses.
+
+    python3 tools/unused_names.py
+
+A name is a top-level function, class or constant of a module under
+``src/felab``, or a method (not a dunder) of one of its classes. It counts as
+used when some node in ``src/felab`` outside its own definition reads it: a
+``Name`` or an ``Attribute`` for a top-level name, an ``Attribute`` for a
+method. Strings, docstrings and imports do not count, and names are matched by
+their bare spelling, so an attribute ``x.contains`` uses every method called
+``contains``. Next to each unused name the script prints the
+files under ``tests/``, ``tools/`` and ``perfbench/`` that use it.
+
+Names in ``KEEP`` are listed with their reason. The exit code is 1 if any other
+name is listed, else 0. Standard library only.
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "felab"
+OUTSIDE = ("tests", "tools", "perfbench")
+
+# name -> why it stays although nothing in src uses it
+KEEP = {
+    "nth_power_completion": "criterion C08 checks the n-th power completions of the kernel",
+    "integer_nth_root": "criterion C08 checks the n-th power completions of the kernel",
+}
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, bare name, defining node, whether a method) for the
+    top-level names and the methods of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not _dunder(item.name)):
+                        yield f"{node.name}.{item.name}", item.name, item, True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not _dunder(target.id):
+                    yield target.id, target.id, node, False
+
+
+def reads(node: ast.AST) -> tuple[Counter, Counter]:
+    """How often each bare name is read below node, as a Name and as an Attribute."""
+    names: Counter = Counter()
+    attrs: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            attrs[sub.attr] += 1
+    return names, attrs
+
+
+def read_count(counts: tuple[Counter, Counter], name: str, method: bool) -> int:
+    names, attrs = counts
+    return attrs[name] + (0 if method else names[name])
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def main() -> int:
+    trees = {path: parse(path) for path in sorted(SRC.rglob("*.py"))}
+    src: tuple[Counter, Counter] = (Counter(), Counter())
+    for tree in trees.values():
+        for total, part in zip(src, reads(tree)):
+            total.update(part)
+    users: dict[str, set[str]] = {}
+    for top in OUTSIDE:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            names, attrs = reads(parse(path))
+            for name in names + attrs:
+                users.setdefault(name, set()).add(str(path.relative_to(ROOT)))
+    unkept = 0
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
+        for qualname, name, node, method in definitions(tree):
+            if read_count(src, name, method) > read_count(reads(node), name, method):
+                continue
+            where = ", ".join(sorted(users.get(name, ()))) or "nothing"
+            note = f"kept: {KEEP[name]}" if name in KEEP else "unused"
+            print(f"{module}.{qualname}: {note}; outside src used by {where}")
+            unkept += name not in KEEP
+    print(f"{unkept} unused names outside KEEP")
+    return 1 if unkept else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
