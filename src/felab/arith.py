@@ -6,8 +6,6 @@ is deterministic: the same inputs always produce the same outputs.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import math
 import os
 import struct
@@ -54,12 +52,9 @@ class Sieve:
     def is_prime(self, n: int) -> bool:
         return n >= 2 and n <= self.limit and self.table[n] == n
 
-    def primes(self) -> list[int]:
-        t = self.table
-        return [i for i in range(2, self.limit + 1) if t[i] == i]
-
     def save(self, path: str) -> None:
         """Persist the table with an integrity digest so stale caches are detected."""
+        import hashlib  # only the --cache path needs it; keeps it out of CLI start-up
         payload = self.table.tobytes()
         digest = hashlib.sha256(payload).digest()
         header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, self.limit) + digest
@@ -71,6 +66,7 @@ class Sieve:
 
     @classmethod
     def load(cls, path: str) -> "Sieve | None":
+        import hashlib
         try:
             with open(path, "rb") as fh:
                 header = fh.read(len(_CACHE_MAGIC) + 12 + 32)
@@ -268,9 +264,9 @@ def omega_upto(limit: int) -> array:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Primes <= limit (the shared sieve may reach further; cut to the request)."""
-    ps = ensure_sieve(limit).primes()
-    return ps[:bisect.bisect_right(ps, limit)]
+    """Primes <= limit, scanning the shared sieve's table no further than limit."""
+    t = ensure_sieve(limit).table
+    return [i for i in range(2, limit + 1) if t[i] == i]
 
 
 def first_primes(count: int) -> list[int]:

@@ -10,20 +10,19 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import arith, constructions, embed, largeness
 from .errors import FelabError, InapplicableError, InputError
+from .record import record
 from .setlang import LazySet, evaluate, parse, unparse
 from .setlang import nodes
 from .setlang.lazyset import DEFAULT_HORIZON
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """Resolved invocation settings shared by every subcommand."""
 
@@ -443,10 +442,10 @@ def cmd_atlas(args) -> int:
 
 
 def _ast_json(node) -> object:
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+    if hasattr(node, "_fields"):
         out: dict[str, object] = {"kind": type(node).__name__}
-        for f in dataclasses.fields(node):
-            out[f.name] = _ast_json(getattr(node, f.name))
+        for name in node._fields:
+            out[name] = _ast_json(getattr(node, name))
         return out
     if isinstance(node, tuple):
         return [_ast_json(x) for x in node]
@@ -457,14 +456,14 @@ def _ast_lines(node, indent: int = 0):
     pad = "  " * indent
     scalars = []
     children = []
-    for f in dataclasses.fields(node):
-        val = getattr(node, f.name)
-        if dataclasses.is_dataclass(val):
+    for name in node._fields:
+        val = getattr(node, name)
+        if hasattr(val, "_fields"):
             children.append(val)
-        elif isinstance(val, tuple) and val and dataclasses.is_dataclass(val[0]):
+        elif isinstance(val, tuple) and val and hasattr(val[0], "_fields"):
             children.extend(val)
         else:
-            scalars.append(f"{f.name}={val if not isinstance(val, tuple) else list(val)}")
+            scalars.append(f"{name}={val if not isinstance(val, tuple) else list(val)}")
     head = type(node).__name__
     yield pad + head + ((" " + " ".join(scalars)) if scalars else "")
     for child in children:
@@ -488,6 +487,12 @@ def cmd_parse(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 3 like other input errors: 2 is the bounded verdict."""
+        self.exit(InputError.exit_code, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--horizon", type=int, default=None,
@@ -510,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--h-max", dest="h_max", type=int, default=None,
                         help="largest index for function tables")
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="felab",
         description="Bounded-scale deciders for dilation-based set embeddability "
                     "and largeness properties of sets of naturals.")

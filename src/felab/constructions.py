@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import arith
 from .errors import InputError, ResourceError
+from .record import record
 from .setlang import nodes
 from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 
@@ -146,7 +146,7 @@ def sidon_level_union_expr(count: int, side: int) -> nodes.SetExpr:
     return nodes.Union(tuple(nodes.Level(n) for n in chosen))
 
 
-@dataclass(frozen=True)
+@record
 class ThickFixture:
     """Blocks of consecutive runs plus the one dodged multiple of each run length."""
 
@@ -223,7 +223,7 @@ def gen_mj_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return f, g
 
 
-@dataclass(frozen=True)
+@record
 class FpFixture:
     """Selected primes, the unselected complement, and the subset-product closure."""
 
@@ -363,7 +363,7 @@ def gen_levelfix(positions: Sequence[int], primes: Sequence[int], n: int, H: int
     return sorted(out)
 
 
-@dataclass(frozen=True)
+@record
 class PseudoResult:
     """Greedy transversal of a decreasing chain; partial when the horizon ran out."""
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 
 from . import arith
 from .errors import InapplicableError, InputError, PrecisionError, ResourceError
+from .record import record
 from .setlang import analysis, nodes
 from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 from .verdicts import Verdict
@@ -23,7 +23,7 @@ from .verdicts import Verdict
 _CHAIN_SCAN_CAP = 200_000
 
 
-@dataclass(frozen=True)
+@record
 class FeWitness:
     """Dilation factor k with every k*f verified inside the target."""
 
@@ -35,13 +35,13 @@ class FeWitness:
         return {"k": self.k, "family": list(self.family), "images": list(self.images)}
 
 
-@dataclass(frozen=True)
+@record
 class FeRefutation:
     """Why no dilation works: kind names the argument, detail re-verifies it."""
 
     kind: str
     family: tuple[int, ...]
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     @property
     def exact(self) -> bool:
@@ -294,7 +294,7 @@ def fe_refute_residue(F, B: LazySet) -> FeRefutation | None:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class ChainResult:
     """Strictly shrinking levels, the pairs each level dodges, and the proofs."""
 

@@ -18,12 +18,11 @@ and verifies the finite characterizations of the dilation properties exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from . import arith
 from .constructions import gen_mj_funcs
 from .embed import mthick_check
 from .errors import InapplicableError, InputError, ResourceError
+from .record import record
 from .setlang import analysis, nodes
 from .setlang.evaluate import complement
 from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
@@ -442,7 +441,7 @@ def crt_thickness_demo(C, n: int) -> int:
 # the combined report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class PropertyParams:
     """Bounds for one report run; horizon None defers to the evaluator default."""
 
@@ -457,22 +456,13 @@ class PropertyParams:
     antichain_s: int = 4
 
     def __post_init__(self):
-        positives = {
-            "run_length": self.run_length, "t_max": self.t_max,
-            "ip_len": self.ip_len, "j_a_max": self.j_a_max,
-            "j_h_max": self.j_h_max, "divisor_n": self.divisor_n,
-            "star_a_max": self.star_a_max,
-        }
-        for name, value in positives.items():
-            if value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
-        if self.antichain_s < 2:
-            raise InputError(f"antichain_s must be >= 2, got {self.antichain_s}")
-        if self.horizon is not None and self.horizon < 1:
-            raise InputError(f"horizon must be >= 1, got {self.horizon}")
+        for name in self._fields:
+            value, least = getattr(self, name), 2 if name == "antichain_s" else 1
+            if not (name == "horizon" and value is None) and value < least:
+                raise InputError(f"{name} must be >= {least}, got {value}")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f: getattr(self, f) for f in self._fields}
 
 
 def _add_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -505,7 +495,7 @@ _OUT_OF_SCOPE_REASON = (
     "no finite fragment of the set decides it")
 
 
-@dataclass(frozen=True)
+@record
 class LargenessReport:
     """Fixed-order verdicts for one set plus the cross-property audits."""
 
@@ -605,7 +595,7 @@ def diagram_report(A: LazySet, params: PropertyParams | None = None) -> Largenes
 # the exact finite atlas of the divisor poset
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AtlasReport:
     """Exact enumeration results for the divisor poset on {1..n}."""
 
@@ -618,15 +608,7 @@ class AtlasReport:
     violations: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "exhaustive": self.exhaustive,
-            "up_closed_count": self.up_closed_count,
-            "down_closed_count": self.down_closed_count,
-            "brute_up_count": self.brute_up_count,
-            "subsets_checked": self.subsets_checked,
-            "violations": list(self.violations),
-        }
+        return {f: getattr(self, f) for f in self._fields} | {"violations": list(self.violations)}
 
 
 def poset_atlas(n: int, sample_cap: int = _ATLAS_SAMPLE,

@@ -1,14 +1,13 @@
 """AST for the set-expression language.
 
-Nodes are frozen dataclasses so they hash, compare structurally, and survive
-round-tripping through unparse/parse unchanged.
+Nodes are frozen records (felab.record) so they hash, compare structurally, and
+survive round-tripping through unparse/parse unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import InputError
+from ..record import record
 
 
 class SetExpr:
@@ -28,17 +27,17 @@ def _need(cond: bool, msg: str) -> None:
         raise InputError(msg)
 
 
-@dataclass(frozen=True)
+@record
 class AllNat(SetExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Primes(SetExpr):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Level(SetExpr):
     n: int
 
@@ -46,7 +45,7 @@ class Level(SetExpr):
         _need(self.n >= 0, f"level index must be >= 0, got {self.n}")
 
 
-@dataclass(frozen=True)
+@record
 class Mult(SetExpr):
     k: int
 
@@ -54,7 +53,7 @@ class Mult(SetExpr):
         _need(self.k >= 1, f"mult step must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@record
 class Ap(SetExpr):
     """Arithmetic progression {a, a+d, a+2d, ...}."""
 
@@ -66,7 +65,7 @@ class Ap(SetExpr):
         _need(self.d >= 1, f"ap step must be >= 1, got {self.d}")
 
 
-@dataclass(frozen=True)
+@record
 class Explicit(SetExpr):
     elems: tuple[int, ...]
 
@@ -77,7 +76,7 @@ class Explicit(SetExpr):
               "explicit set elements must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@record
 class Union(SetExpr):
     args: tuple[SetExpr, ...]
 
@@ -85,7 +84,7 @@ class Union(SetExpr):
         _need(len(self.args) >= 2, "union needs at least two operands")
 
 
-@dataclass(frozen=True)
+@record
 class Inter(SetExpr):
     args: tuple[SetExpr, ...]
 
@@ -93,12 +92,12 @@ class Inter(SetExpr):
         _need(len(self.args) >= 2, "inter needs at least two operands")
 
 
-@dataclass(frozen=True)
+@record
 class Compl(SetExpr):
     arg: SetExpr
 
 
-@dataclass(frozen=True)
+@record
 class Dilate(SetExpr):
     k: int
     arg: SetExpr
@@ -107,7 +106,7 @@ class Dilate(SetExpr):
         _need(self.k >= 1, f"dilate factor must be >= 1, got {self.k}")
 
 
-@dataclass(frozen=True)
+@record
 class Quot(SetExpr):
     arg: SetExpr
     n: int
@@ -116,7 +115,7 @@ class Quot(SetExpr):
         _need(self.n >= 1, f"quot divisor must be >= 1, got {self.n}")
 
 
-@dataclass(frozen=True)
+@record
 class Shift(SetExpr):
     """Downward shift A - t (elements <= t vanish)."""
 
@@ -127,17 +126,17 @@ class Shift(SetExpr):
         _need(self.t >= 0, f"shift amount must be >= 0, got {self.t}")
 
 
-@dataclass(frozen=True)
+@record
 class Up(SetExpr):
     arg: SetExpr
 
 
-@dataclass(frozen=True)
+@record
 class Down(SetExpr):
     arg: SetExpr
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitSeq(SeqSpec):
     values: tuple[int, ...]
 
@@ -148,7 +147,7 @@ class ExplicitSeq(SeqSpec):
               "sequence terms must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@record
 class NamedSeq(SeqSpec):
     rule: str
     params: tuple
@@ -157,17 +156,17 @@ class NamedSeq(SeqSpec):
         _need(self.rule in SEQUENCE_RULES, f"unknown sequence rule {self.rule!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Fs(SetExpr):
     seq: SeqSpec
 
 
-@dataclass(frozen=True)
+@record
 class Fp(SetExpr):
     seq: SeqSpec
 
 
-@dataclass(frozen=True)
+@record
 class Pseudo(SetExpr):
     """Greedy pseudointersection: count elements drawn from a decreasing chain."""
 
@@ -179,7 +178,7 @@ class Pseudo(SetExpr):
         _need(len(self.chain) >= 1, "pseudo needs at least one chain member")
 
 
-@dataclass(frozen=True)
+@record
 class Construct(SetExpr):
     name: str
     params: tuple

@@ -7,20 +7,21 @@ follow the CLI contract: 0 proved, 1 refuted, 2 bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+from .record import record
 
 PROVED = "proved"
 REFUTED = "refuted"
 BOUNDED = "bounded"
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: str
-    direction: str | None = None
-    certificate: Mapping[str, Any] = field(default_factory=dict)
-    bounds: Mapping[str, Any] = field(default_factory=dict)
+    direction: str | None
+    certificate: Mapping[str, Any]
+    bounds: Mapping[str, Any]
 
     @classmethod
     def proved(cls, certificate: Mapping[str, Any], bounds: Mapping[str, Any] | None = None) -> "Verdict":

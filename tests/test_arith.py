@@ -54,6 +54,13 @@ def test_primes_upto_cuts_at_limit():
     assert arith.primes_upto(2) == [2]
 
 
+def test_primes_upto_on_a_large_shared_sieve():
+    arith.ensure_sieve(10**6)
+    for n in (0, 1, 2, 3, 4, 30, 97, 1000):
+        assert arith.primes_upto(n) == [p for p in range(2, n + 1)
+                                        if all(p % d for d in range(2, p))]
+
+
 def test_first_primes_and_nth_prime():
     assert arith.first_primes(10) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert arith.first_primes(1)[-1] == 2

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 from importlib import resources as importlib_resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -277,8 +279,20 @@ def test_me_proved(registry, capsys):
 def test_me_requires_m(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["me", "N", "N"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check", "max", "N", "--horizon", "x"], 3), ([], 3), (["--help"], 0),
+    (["chain", "--help"], 0)])
+def test_usage_errors_exit_3_and_help_exits_0(argv, expected, capsys):
+    """2 is the bounded verdict, so argparse's own usage errors must not use it."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == expected
+    assert ("error:" in err) == (expected == 3) and ("usage:" in out + err)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +406,7 @@ def test_chain_verify(registry, capsys):
     validate(registry, "chain", payload)
     with pytest.raises(SystemExit) as exc:
         cli.main(["chain", "5", "8", "--verify", "--kmax", "1"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
 
 
 def test_atlas_exit_and_duality(registry, capsys):
@@ -464,6 +478,22 @@ def test_module_entry_point_matches_main(argv, expected, tmp_path, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
     assert code == expected
     assert (err == "") if code == 0 else err.startswith("error: ")
+
+
+def test_cli_import_stays_light_and_loads_every_layer():
+    """A fresh `import felab.cli` leaves out the modules that dominated its
+    start-up, and still loads every layer module the benchmark's tracer wraps."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    # -S: no site hooks, so only what felab itself imports is counted
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, felab.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=conftest.module_env(), timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "hashlib"}
+    assert set(tracer.LAYER_MODULES) <= loaded
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -326,6 +326,26 @@ def test_diagram_audits_have_details(report_N):
         assert set(a) == {"implication", "status", "detail"}
 
 
+PARAMS_JSON = {"horizon": None, "run_length": 10, "t_max": 3, "ip_len": 3, "j_a_max": 500,
+               "j_h_max": 4, "divisor_n": 20, "star_a_max": 20, "antichain_s": 4}
+
+
+def test_property_params_defaults_and_json():
+    assert PropertyParams().to_json() == PARAMS_JSON
+    assert list(PropertyParams().to_json()) == list(PARAMS_JSON)
+    p = PropertyParams(horizon=500, antichain_s=3)
+    assert p.to_json() == {**PARAMS_JSON, "horizon": 500, "antichain_s": 3}
+    assert p == PropertyParams(500, 10, 3, 3, 500, 4, 20, 20, 3)
+    assert hash(p) == hash(PropertyParams(500, antichain_s=3))
+
+
+@pytest.mark.parametrize("field, bad, least", [
+    ("horizon", 0, 1), ("run_length", 0, 1), ("star_a_max", -2, 1), ("antichain_s", 1, 2)])
+def test_property_params_reject_small_bounds(field, bad, least):
+    with pytest.raises(InputError, match=f"^{field} must be >= {least}, got {bad}$"):
+        PropertyParams(**{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # divisor-closure atlas over small supports
 # ---------------------------------------------------------------------------
@@ -335,6 +355,10 @@ def test_atlas_small_exhaustive():
     assert rep.violations == ()
     assert rep.brute_up_count == rep.up_closed_count
     assert rep.exhaustive and rep.subsets_checked == 64
+    assert rep.to_json() == {
+        "n": 6, "exhaustive": True, "up_closed_count": rep.up_closed_count,
+        "down_closed_count": rep.down_closed_count, "brute_up_count": rep.brute_up_count,
+        "subsets_checked": 64, "violations": []}
 
 
 def test_atlas_twelve():

@@ -114,6 +114,69 @@ def test_unparse_parse_roundtrip(tree):
     assert parse(unparse(tree)) == tree
 
 
+# one tree per node kind, nested where the kind allows it
+EVERY_KIND = (
+    "N", "primes", "level(0)", "mult(3)", "ap(1,2)", "{2,5}", "union(mult(2),level(1))",
+    "inter(compl(mult(4)),ap(1,2))", "dilate(2,primes)", "shift(quot(level(2),2),3)",
+    "up({6,10})", "down({12})", "fs([1,2,4])", "fp(primeseq(odd))",
+    "pseudo(3,N,mult(2),mult(4))", "construct(sidon_levels,6,1)",
+)
+
+
+def _kinds(node) -> set:
+    out = {type(node)}
+    for name in node._fields:
+        value = getattr(node, name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if hasattr(child, "_fields"):
+                out |= _kinds(child)
+    return out
+
+
+def test_every_node_kind_roundtrips_with_equal_hash():
+    seen = set()
+    for text in EVERY_KIND:
+        tree = parse(text)
+        again = parse(unparse(tree))
+        assert again == tree and hash(again) == hash(tree), text
+        seen |= _kinds(tree)
+    assert seen == {c for c in vars(nodes).values()
+                    if isinstance(c, type) and hasattr(c, "_fields")}
+
+
+def test_node_records_compare_within_a_kind_and_are_frozen():
+    assert nodes.Mult(3) == nodes.Mult(k=3)
+    assert nodes.Mult(3) != nodes.Level(3)
+    assert nodes.Up(nodes.Mult(2)) != nodes.Down(nodes.Mult(2))
+    assert repr(nodes.Mult(3)) == "Mult(k=3)"
+    node = nodes.Shift(nodes.AllNat(), 2)
+    with pytest.raises(AttributeError):
+        node.t = 3
+    with pytest.raises(AttributeError):
+        del node.arg
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert node == nodes.Shift(nodes.AllNat(), 2)
+    with pytest.raises(TypeError):
+        nodes.Mult(3, k=3)
+    with pytest.raises(TypeError):
+        nodes.Ap(1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: nodes.Level(-1), lambda: nodes.Mult(0), lambda: nodes.Ap(0, 1),
+    lambda: nodes.Ap(1, 0), lambda: nodes.Explicit(()), lambda: nodes.Explicit((3, 2)),
+    lambda: nodes.Union((nodes.AllNat(),)), lambda: nodes.Inter((nodes.AllNat(),)),
+    lambda: nodes.Dilate(0, nodes.AllNat()), lambda: nodes.Quot(nodes.AllNat(), 0),
+    lambda: nodes.Shift(nodes.AllNat(), -1), lambda: nodes.ExplicitSeq((0, 1)),
+    lambda: nodes.NamedSeq("nope", ()), lambda: nodes.Pseudo(0, (nodes.AllNat(),)),
+    lambda: nodes.Pseudo(1, ()), lambda: nodes.Construct("nope", ()),
+])
+def test_node_validation_raises_input_error(build):
+    with pytest.raises(InputError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # evaluation semantics
 # ---------------------------------------------------------------------------

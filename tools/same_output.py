@@ -18,6 +18,8 @@ The battery, read from this checkout:
 - ``check a-thick`` on unpinned ``fs``/``fp`` closures and on 30 nested
   complements, and ``check a-ip*`` on a set whose complement it builds, at
   horizon 20000,
+- ``parse`` of nested expressions over every kind of syntax-tree node, as a
+  table and as JSON,
 - a few error paths of ``check``, ``diagram`` and ``chain``.
 
 Standard library only.
@@ -41,6 +43,10 @@ CHECK_HORIZON = "2000"
 CLOSURE_EXPRS = ("fp(primeseq(all))", "fp(exgamma())", "fp(fastgrowth())", "fs(sidon())",
                  "fs(exgamma())", "compl(" * 30 + "mult(3)" + ")" * 30)
 CLOSURE_HORIZON = "20000"
+PARSE_EXPRS = ("pseudo(3,N,mult(2),mult(4))", "fs([1,2,4])", "fp(primeseq(odd))",
+               "construct(sidon_levels,6,1)", "shift(quot(level(2),2),3)",
+               "union(inter(compl(primes),ap(1,2)),dilate(2,{3,5}),up(level(0)))",
+               "down(fp(exgamma()))")
 
 
 def c10_battery() -> list[list[str]]:
@@ -83,6 +89,8 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         cmds.append(["check", prop, "--batch", exprs, "--horizon", CHECK_HORIZON])
     for expr in CLOSURE_EXPRS:
         cmds.append(["check", "a-thick", expr, "--horizon", CLOSURE_HORIZON, "--json"])
+    for expr in PARSE_EXPRS:
+        cmds += [["parse", expr], ["parse", expr, "--json"]]
     cmds += [
         ["check", "a-ip*", "inter(compl(mult(4)),ap(1,2))", "--horizon", CLOSURE_HORIZON,
          "--json"],
