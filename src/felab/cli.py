@@ -33,8 +33,6 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise InputError(f"horizon must be >= 1, got {self.horizon}")
-        if self.fmt not in ("table", "json"):
-            raise InputError(f"format must be table or json, got {self.fmt!r}")
 
 
 def _run_config(args) -> RunConfig:
@@ -149,16 +147,24 @@ def _print_verdict_table(head: list[str], v: dict) -> None:
 # check
 # ---------------------------------------------------------------------------
 
+# the bound flags of check and diagram: (flag, PropertyParams field, help)
+_BOUND_FLAGS = (
+    ("--n", "run_length", "run length"),
+    ("--t", "t_max", "largest shift"),
+    ("--L", "ip_len", "generator count"),
+    ("--N", "divisor_n", "divisor count"),
+    ("--s", "antichain_s", "antichain size"),
+    ("--a-max", "j_a_max", "largest base value scanned"),
+    ("--h-max", "j_h_max", "largest index for function tables"),
+)
+
+
 def _property_params(args, horizon: int, star_a_max: int | None) -> largeness.PropertyParams:
     """The bound flags over PropertyParams' defaults, validated before any evaluation."""
-    overrides = {}
-    for value, name in ((args.n, "run_length"), (args.t, "t_max"), (args.L, "ip_len"),
-                        (args.N, "divisor_n"), (args.s, "antichain_s"),
-                        (args.a_max, "j_a_max"), (args.h_max, "j_h_max"),
-                        (star_a_max, "star_a_max")):
-        if value is not None:
-            overrides[name] = value
-    return largeness.PropertyParams(horizon=horizon, **overrides)
+    given = {field: getattr(args, flag[2:].replace("-", "_")) for flag, field, _ in _BOUND_FLAGS}
+    given["star_a_max"] = star_a_max
+    return largeness.PropertyParams(
+        horizon=horizon, **{field: value for field, value in given.items() if value is not None})
 
 
 def _batch_lines(path: str) -> list[str]:
@@ -505,15 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sieve cache directory (FELAB_CACHE supplies a default)")
 
     bounds = argparse.ArgumentParser(add_help=False)
-    bounds.add_argument("--n", type=int, default=None, help="run length")
-    bounds.add_argument("--t", type=int, default=None, help="largest shift")
-    bounds.add_argument("--L", type=int, default=None, help="generator count")
-    bounds.add_argument("--N", type=int, default=None, help="divisor count")
-    bounds.add_argument("--s", type=int, default=None, help="antichain size")
-    bounds.add_argument("--a-max", dest="a_max", type=int, default=None,
-                        help="largest base value scanned")
-    bounds.add_argument("--h-max", dest="h_max", type=int, default=None,
-                        help="largest index for function tables")
+    for flag, _, help_text in _BOUND_FLAGS:
+        bounds.add_argument(flag, type=int, default=None, help=help_text)
 
     top = _Parser(
         prog="felab",

@@ -16,6 +16,7 @@ from . import arith
 from .errors import InputError, ResourceError
 from .record import record
 from .setlang import nodes
+from .setlang.evaluate import evaluate
 from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 
 _COUNT_CAP = 10_000
@@ -104,6 +105,8 @@ _SEQ_STREAMS = {
     "fastgrowth": _fastgrowth_stream,
     "sidon": _sidon_stream,
 }
+# the rules a named sequence fs(rule(...)) / fp(rule(...)) may use
+SEQUENCE_RULES = (*_SEQ_STREAMS, "primeseq")
 
 
 def sequence_terms(rule: str, params: tuple, horizon: int) -> tuple[list[int], bool]:
@@ -401,21 +404,8 @@ def pseudointersection(chain: Sequence[LazySet], count: int, H: int) -> PseudoRe
     return PseudoResult(tuple(values), False, H)
 
 
-CATALOG = {
-    "exgamma": "construct(exgamma[,count]) - sum-dominating sequence with n dividing the n-th term",
-    "fastgrowth": "construct(fastgrowth[,count]) - sum-dominating sequence for subset-sum sets",
-    "sidon": "construct(sidon[,count]) - greedy distinct-difference sequence",
-    "thick_nonmaxstar": "construct(thick_nonmaxstar[,n_max]) - runs of every length dodging one multiple of each n",
-    "equal_exponent": "construct(equal_exponent) - numbers whose prime exponents are all equal",
-    "fp_primes": "construct(fp_primes,odd|even|all,count) or construct(fp_primes,[i1,...]) - subset products of selected primes",
-    "prophier": "construct(prophier,[p,...],k,n[,[p,...],k,n]...) - distinct-prime products, one power per block",
-    "levelfix": "construct(levelfix,[pos,...],[prime,...],n) - sorted n-factor products with pinned factors",
-    "sidon_levels": "construct(sidon_levels,count,side) - union of levels at alternating distinct-difference indices",
-}
-
-
-def catalog_lines() -> list[str]:
-    return [CATALOG[name] for name in sorted(CATALOG)]
+def _bad_params(name: str) -> InputError:
+    return InputError(f"bad parameters for {name}; usage: {FIXTURES[name][0]}")
 
 
 def _opt_count(params: tuple, name: str) -> int | None:
@@ -423,32 +413,20 @@ def _opt_count(params: tuple, name: str) -> int | None:
         return None
     if len(params) == 1 and isinstance(params[0], int):
         return params[0]
-    raise InputError(f"bad parameters for {name}; usage: {CATALOG[name]}")
+    raise _bad_params(name)
 
 
-def _seq_fixture(stream_fn, params: tuple, name: str, horizon: int, expr,
-                 exact: bool) -> LazySet:
-    count = _opt_count(params, name)
-    stream = _IncreasingStream(stream_fn())
-    if count is None:
-        members = stream.upto(horizon)
-        if exact:
-            return LazySet(expr, members, horizon, pred=stream.range_pred())
-        return LazySet(expr, members, horizon)
-    _check_count(count)
-    return LazySet.of_finite(expr, stream.take(count))
-
-
-def _fx_exgamma(params, horizon, expr):
-    return _seq_fixture(_exgamma_stream, params, "exgamma", horizon, expr, exact=True)
-
-
-def _fx_fastgrowth(params, horizon, expr):
-    return _seq_fixture(_fastgrowth_stream, params, "fastgrowth", horizon, expr, exact=True)
-
-
-def _fx_sidon(params, horizon, expr):
-    return _seq_fixture(_sidon_stream, params, "sidon", horizon, expr, exact=False)
+def _fx_stream(rule: str, exact: bool):
+    """Builder for a named sequence: its first count terms, or its terms up to the horizon."""
+    def build(params, horizon, expr):
+        count = _opt_count(params, rule)
+        stream = _IncreasingStream(_SEQ_STREAMS[rule]())
+        if count is None:
+            pred = stream.range_pred() if exact else None
+            return LazySet(expr, stream.upto(horizon), horizon, pred=pred)
+        _check_count(count)
+        return LazySet.of_finite(expr, stream.take(count))
+    return build
 
 
 def _fx_thick(params, horizon, expr):
@@ -461,7 +439,7 @@ def _fx_thick(params, horizon, expr):
 
 def _fx_equal_exponent(params, horizon, expr):
     if params:
-        raise InputError(f"bad parameters for equal_exponent; usage: {CATALOG['equal_exponent']}")
+        raise _bad_params("equal_exponent")
     members = gen_equal_exponent(horizon)
     return LazySet(expr, members, horizon, pred=equal_exponent_pred)
 
@@ -472,18 +450,18 @@ def _fx_fp_primes(params, horizon, expr):
     elif len(params) == 2 and isinstance(params[0], str) and isinstance(params[1], int):
         fx = gen_fp_prime_subset(params[0], params[1])
     else:
-        raise InputError(f"bad parameters for fp_primes; usage: {CATALOG['fp_primes']}")
+        raise _bad_params("fp_primes")
     return LazySet.of_finite(expr, fx.members)
 
 
 def _fx_prophier(params, horizon, expr):
     if not params or len(params) % 3 != 0:
-        raise InputError(f"bad parameters for prophier; usage: {CATALOG['prophier']}")
+        raise _bad_params("prophier")
     prime_sets, exps, counts = [], [], []
     for i in range(0, len(params), 3):
         blk, k, n = params[i], params[i + 1], params[i + 2]
         if not isinstance(blk, tuple) or not isinstance(k, int) or not isinstance(n, int):
-            raise InputError(f"bad parameters for prophier; usage: {CATALOG['prophier']}")
+            raise _bad_params("prophier")
         prime_sets.append(blk)
         exps.append(k)
         counts.append(n)
@@ -494,29 +472,48 @@ def _fx_prophier(params, horizon, expr):
 def _fx_levelfix(params, horizon, expr):
     if (len(params) != 3 or not isinstance(params[0], tuple)
             or not isinstance(params[1], tuple) or not isinstance(params[2], int)):
-        raise InputError(f"bad parameters for levelfix; usage: {CATALOG['levelfix']}")
+        raise _bad_params("levelfix")
     members = gen_levelfix(params[0], params[1], params[2], horizon)
     return LazySet.of_finite(expr, members)
 
 
-_BUILDERS = {
-    "exgamma": _fx_exgamma,
-    "fastgrowth": _fx_fastgrowth,
-    "sidon": _fx_sidon,
-    "thick_nonmaxstar": _fx_thick,
-    "equal_exponent": _fx_equal_exponent,
-    "fp_primes": _fx_fp_primes,
-    "prophier": _fx_prophier,
-    "levelfix": _fx_levelfix,
+def _fx_sidon_levels(params, horizon, expr):
+    """The level union itself: its LazySet carries that expression, which fe_refute_level reads."""
+    if len(params) != 2 or not all(isinstance(p, int) for p in params):
+        raise InputError("sidon_levels takes (count, side) with side 0 or 1")
+    return evaluate(sidon_level_union_expr(params[0], params[1]), horizon)
+
+
+# name -> (usage line, builder(params, horizon, expr) -> LazySet)
+FIXTURES = {
+    "exgamma": ("construct(exgamma[,count]) - sum-dominating sequence with n dividing the n-th term",
+                _fx_stream("exgamma", exact=True)),
+    "fastgrowth": ("construct(fastgrowth[,count]) - sum-dominating sequence for subset-sum sets",
+                   _fx_stream("fastgrowth", exact=True)),
+    "sidon": ("construct(sidon[,count]) - greedy distinct-difference sequence",
+              _fx_stream("sidon", exact=False)),
+    "thick_nonmaxstar": ("construct(thick_nonmaxstar[,n_max]) - runs of every length dodging one "
+                         "multiple of each n", _fx_thick),
+    "equal_exponent": ("construct(equal_exponent) - numbers whose prime exponents are all equal",
+                       _fx_equal_exponent),
+    "fp_primes": ("construct(fp_primes,odd|even|all,count) or construct(fp_primes,[i1,...]) - "
+                  "subset products of selected primes", _fx_fp_primes),
+    "prophier": ("construct(prophier,[p,...],k,n[,[p,...],k,n]...) - distinct-prime products, "
+                 "one power per block", _fx_prophier),
+    "levelfix": ("construct(levelfix,[pos,...],[prime,...],n) - sorted n-factor products with "
+                 "pinned factors", _fx_levelfix),
+    "sidon_levels": ("construct(sidon_levels,count,side) - union of levels at alternating "
+                     "distinct-difference indices", _fx_sidon_levels),
 }
+
+
+def catalog_lines() -> list[str]:
+    return [FIXTURES[name][0] for name in sorted(FIXTURES)]
 
 
 def build_fixture(name: str, params: tuple, horizon: int = DEFAULT_HORIZON,
                   expr=None) -> LazySet:
     """Resolve a construct(...) reference to its LazySet."""
-    if name == "sidon_levels":
-        raise InputError("sidon_levels denotes a level union; evaluate its expression instead")
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    if name not in FIXTURES:
         raise InputError("unknown fixture %r; catalog:\n  %s" % (name, "\n  ".join(catalog_lines())))
-    return builder(params, horizon, expr)
+    return FIXTURES[name][1](params, horizon, expr)

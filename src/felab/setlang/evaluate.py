@@ -100,11 +100,6 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
     if isinstance(expr, nodes.Construct):
         from .. import constructions
 
-        if expr.name == "sidon_levels":
-            if len(expr.params) != 2 or not all(isinstance(p, int) for p in expr.params):
-                raise InputError("sidon_levels takes (count, side) with side 0 or 1")
-            expanded = constructions.sidon_level_union_expr(expr.params[0], expr.params[1])
-            return _eval(expanded, h)
         return constructions.build_fixture(expr.name, expr.params, h, expr)
     raise InputError(f"cannot evaluate node {type(expr).__name__}")
 

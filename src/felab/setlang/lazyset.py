@@ -103,10 +103,7 @@ class LazySet:
     def describe_short(self) -> str:
         from .nodes import unparse
         if self.expr is not None:
-            try:
-                return unparse(self.expr)
-            except Exception:
-                pass
+            return unparse(self.expr)
         return f"<set with {len(self._members)} known members>"
 
     def __repr__(self) -> str:

@@ -153,6 +153,7 @@ class NamedSeq(SeqSpec):
     params: tuple
 
     def __post_init__(self):
+        from ..constructions import SEQUENCE_RULES  # a top-level import would be circular
         _need(self.rule in SEQUENCE_RULES, f"unknown sequence rule {self.rule!r}")
 
 
@@ -184,15 +185,21 @@ class Construct(SetExpr):
     params: tuple
 
     def __post_init__(self):
-        _need(self.name in CONSTRUCT_NAMES, f"unknown fixture {self.name!r}")
+        from ..constructions import FIXTURES  # a top-level import would be circular
+        _need(self.name in FIXTURES, f"unknown fixture {self.name!r}")
 
 
-# Names are validated here so the parser and evaluator agree on the catalog.
-SEQUENCE_RULES = ("exgamma", "fastgrowth", "sidon", "primeseq")
-CONSTRUCT_NAMES = (
-    "exgamma", "fastgrowth", "sidon", "thick_nonmaxstar", "equal_exponent",
-    "fp_primes", "prophier", "levelfix", "sidon_levels",
-)
+# The call syntax: each call node's fields, in declaration order, as kinds
+# nat, expr, seq, name (a bare word) or param (natural, word or [list]). A "+"
+# prefix means one or more items, a "*" prefix zero or more, each after a comma.
+# A call is written as its class name in lower case.
+SYNTAX = {
+    Level: ("nat",), Mult: ("nat",), Ap: ("nat", "nat"),
+    Union: ("+expr",), Inter: ("+expr",), Compl: ("expr",),
+    Dilate: ("nat", "expr"), Quot: ("expr", "nat"), Shift: ("expr", "nat"),
+    Up: ("expr",), Down: ("expr",), Fs: ("seq",), Fp: ("seq",),
+    Pseudo: ("nat", "*expr"), Construct: ("name", "*param"),
+}
 
 
 def unparse(node) -> str:
@@ -201,50 +208,19 @@ def unparse(node) -> str:
         return "N"
     if isinstance(node, Primes):
         return "primes"
-    if isinstance(node, Level):
-        return f"level({node.n})"
-    if isinstance(node, Mult):
-        return f"mult({node.k})"
-    if isinstance(node, Ap):
-        return f"ap({node.a},{node.d})"
     if isinstance(node, Explicit):
         return "{" + ",".join(str(e) for e in node.elems) + "}"
-    if isinstance(node, Union):
-        return "union(" + ",".join(unparse(a) for a in node.args) + ")"
-    if isinstance(node, Inter):
-        return "inter(" + ",".join(unparse(a) for a in node.args) + ")"
-    if isinstance(node, Compl):
-        return f"compl({unparse(node.arg)})"
-    if isinstance(node, Dilate):
-        return f"dilate({node.k},{unparse(node.arg)})"
-    if isinstance(node, Quot):
-        return f"quot({unparse(node.arg)},{node.n})"
-    if isinstance(node, Shift):
-        return f"shift({unparse(node.arg)},{node.t})"
-    if isinstance(node, Up):
-        return f"up({unparse(node.arg)})"
-    if isinstance(node, Down):
-        return f"down({unparse(node.arg)})"
-    if isinstance(node, Fs):
-        return f"fs({unparse(node.seq)})"
-    if isinstance(node, Fp):
-        return f"fp({unparse(node.seq)})"
-    if isinstance(node, Pseudo):
-        inner = ",".join(unparse(a) for a in node.chain)
-        return f"pseudo({node.count},{inner})"
-    if isinstance(node, Construct):
-        if node.params:
-            ps = ",".join(_unparse_param(p) for p in node.params)
-            return f"construct({node.name},{ps})"
-        return f"construct({node.name})"
     if isinstance(node, ExplicitSeq):
         return "[" + ",".join(str(v) for v in node.values) + "]"
     if isinstance(node, NamedSeq):
-        if node.params:
-            ps = ",".join(_unparse_param(p) for p in node.params)
-            return f"{node.rule}({ps})"
-        return f"{node.rule}()"
-    raise InputError(f"cannot unparse {node!r}")
+        return f"{node.rule}({','.join(_unparse_param(p) for p in node.params)})"
+    args = []
+    for field, kind in zip(node._fields, SYNTAX[type(node)]):
+        value = getattr(node, field)
+        items = value if kind[0] in "+*" else (value,)
+        write = unparse if kind.lstrip("+*") in ("expr", "seq") else _unparse_param
+        args += [write(item) for item in items]
+    return f"{type(node).__name__.lower()}({','.join(args)})"
 
 
 def _unparse_param(p) -> str:

@@ -3,13 +3,12 @@
 Grammar (whitespace-insensitive):
 
     expr    := name "(" args ")" | "N" | "primes" | "odd" | "{" natlist "}"
-    name    := mult|level|ap|union|inter|compl|dilate|quot|shift|up|down
-             | fs|fp|pseudo|construct
+    name    := a class of nodes.SYNTAX, in lower case; args follow its row
     seq     := "[" natlist "]" | rulename "(" args ")"
 
-"odd" is sugar for ap(1,2). Arities and parameter kinds are fixed per name and
-checked here, so evaluation never sees a malformed tree. Constructor calls nest
-at most 100 deep.
+"odd" is sugar for ap(1,2). Arities and parameter kinds are fixed per name by
+nodes.SYNTAX and checked here, so evaluation never sees a malformed tree.
+Constructor calls nest at most 100 deep.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ from __future__ import annotations
 import re
 
 from ..errors import InputError, ParseError
-from . import nodes
-from .nodes import (AllNat, Ap, Compl, Construct, Dilate, Explicit, ExplicitSeq,
-                    Fp, Fs, Inter, Level, Mult, NamedSeq, Primes, Pseudo, Quot,
-                    SetExpr, Shift, Union, Up, Down)
+from .nodes import SYNTAX, AllNat, Ap, Explicit, ExplicitSeq, NamedSeq, Primes, SetExpr
 
 # Deepest nesting of constructor calls; keeps parsing and every later
 # recursive walk of the tree far from Python's recursion limit.
@@ -87,8 +83,7 @@ def parse(text: str) -> SetExpr:
     return expr
 
 
-_COMBINATORS = ("mult", "level", "ap", "union", "inter", "compl", "dilate",
-                "quot", "shift", "up", "down", "fs", "fp", "pseudo", "construct")
+CALLS = {cls.__name__.lower(): cls for cls in SYNTAX}
 
 
 def _parse_expr(toks: _Tokens) -> SetExpr:
@@ -108,14 +103,15 @@ def _parse_expr(toks: _Tokens) -> SetExpr:
         return Primes()
     if val == "odd":
         return Ap(1, 2)
-    if val not in _COMBINATORS:
+    cls = CALLS.get(val)
+    if cls is None:
         toks._fail(f"unknown set constructor {val!r}", at)
     if toks.depth == _MAX_DEPTH:
         toks._fail(f"expression nested deeper than {_MAX_DEPTH} constructor calls", at)
     toks.expect_punct("(")
     toks.depth += 1
     try:
-        node = _parse_call(toks, val)
+        node = _parse_call(toks, cls)
     except InputError as exc:  # node validation errors get positions attached
         toks._fail(str(exc), at)
     toks.depth -= 1
@@ -123,64 +119,30 @@ def _parse_expr(toks: _Tokens) -> SetExpr:
     return node
 
 
-def _parse_call(toks: _Tokens, name: str) -> SetExpr:
-    if name == "mult":
-        return Mult(_parse_nat(toks))
-    if name == "level":
-        return Level(_parse_nat(toks))
-    if name == "ap":
-        a = _parse_nat(toks)
-        toks.expect_punct(",")
-        return Ap(a, _parse_nat(toks))
-    if name in ("union", "inter"):
-        args = [_parse_expr(toks)]
+def _parse_call(toks: _Tokens, cls) -> SetExpr:
+    """The arguments of one call, read by the kinds of its SYNTAX row."""
+    values = []
+    for i, kind in enumerate(SYNTAX[cls]):
+        item = _ITEMS[kind.lstrip("+*")]
+        if i and kind[0] != "*":
+            toks.expect_punct(",")
+        if kind[0] not in "+*":
+            values.append(item(toks))
+            continue
+        items = [item(toks)] if kind[0] == "+" else []
         while _at_comma(toks):
             toks.next()
-            args.append(_parse_expr(toks))
-        return (Union if name == "union" else Inter)(tuple(args))
-    if name == "compl":
-        return Compl(_parse_expr(toks))
-    if name == "dilate":
-        k = _parse_nat(toks)
-        toks.expect_punct(",")
-        return Dilate(k, _parse_expr(toks))
-    if name == "quot":
-        arg = _parse_expr(toks)
-        toks.expect_punct(",")
-        return Quot(arg, _parse_nat(toks))
-    if name == "shift":
-        arg = _parse_expr(toks)
-        toks.expect_punct(",")
-        return Shift(arg, _parse_nat(toks))
-    if name == "up":
-        return Up(_parse_expr(toks))
-    if name == "down":
-        return Down(_parse_expr(toks))
-    if name in ("fs", "fp"):
-        seq = _parse_seq(toks)
-        return (Fs if name == "fs" else Fp)(seq)
-    if name == "pseudo":
-        count = _parse_nat(toks)
-        chain = []
-        while _at_comma(toks):
-            toks.next()
-            chain.append(_parse_expr(toks))
-        return Pseudo(count, tuple(chain))
-    if name == "construct":
-        fixture = _parse_ident(toks)
-        params = []
-        while _at_comma(toks):
-            toks.next()
-            params.append(_parse_param(toks))
-        return Construct(fixture, tuple(params))
-    raise AssertionError(name)
+            items.append(item(toks))
+        values.append(tuple(items))
+    return cls(*values)
 
 
 def _parse_seq(toks: _Tokens):
     kind, val, at = toks.peek()
     if kind == "punct" and val == "[":
         return ExplicitSeq(tuple(_parse_natlist(toks, "[", "]")))
-    if kind == "ident" and val in nodes.SEQUENCE_RULES:
+    from ..constructions import SEQUENCE_RULES  # a top-level import would be circular
+    if kind == "ident" and val in SEQUENCE_RULES:
         toks.next()
         toks.expect_punct("(")
         params = []
@@ -236,3 +198,7 @@ def _parse_ident(toks: _Tokens) -> str:
 def _at_comma(toks: _Tokens) -> bool:
     kind, val, _ = toks.peek()
     return kind == "punct" and val == ","
+
+
+_ITEMS = {"nat": _parse_nat, "expr": _parse_expr, "seq": _parse_seq, "name": _parse_ident,
+          "param": _parse_param}

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from felab import arith
-from felab.constructions import (FpFixture, PseudoResult, ThickFixture,
-                                 build_fixture, catalog_lines, gen_equal_exponent,
+from felab.constructions import (FIXTURES, SEQUENCE_RULES, FpFixture, PseudoResult,
+                                 ThickFixture, build_fixture, catalog_lines, gen_equal_exponent,
                                  gen_fp_prime_subset, gen_levelfix, gen_mj_funcs,
                                  gen_prophier, gen_thick_nonmaxstar,
                                  equal_exponent_pred, pseudointersection,
@@ -360,12 +360,21 @@ def test_build_fixture_thick_auto():
 
 
 def test_build_fixture_rejects():
-    with pytest.raises(InputError):
-        build_fixture("sidon_levels", (4, 0))
+    levels = sidon_level_union_expr(4, 0)
+    A = build_fixture("sidon_levels", (4, 0))
+    assert A.expr == levels == nodes.Union((nodes.Level(1), nodes.Level(4)))
+    assert A.elements() == evaluate(levels).elements()
     with pytest.raises(InputError) as exc:
         build_fixture("no_such_fixture", ())
     assert "catalog" in str(exc.value)
     assert len(catalog_lines()) == 9
+
+
+def test_every_catalog_name_and_sequence_rule_parses():
+    for name in FIXTURES:
+        assert parse(f"construct({name})") == nodes.Construct(name, ())
+    for rule in SEQUENCE_RULES:
+        assert parse(f"fs({rule}())") == nodes.Fs(nodes.NamedSeq(rule, ()))
 
 
 def test_fixture_evaluates_through_expressions():

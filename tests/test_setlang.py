@@ -74,6 +74,33 @@ def test_parse_error_carries_position():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("text, col, msg", [
+    ("pseudo(3)", 1, "pseudo needs at least one chain member"),
+    ("union()", 7, "expected a set expression, found ')'"),
+    ("mult(2,3)", 7, "expected ')', found ','"),
+    ("fs(foo())", 4, "expected a sequence: [n1,n2,...] or a named rule, found 'foo'"),
+    ("construct(nope)", 1, "unknown fixture 'nope'"),
+])
+def test_parse_error_text_and_column(text, col, msg):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert str(exc.value) == f"line 1, col {col}: {msg}"
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("fs(sidon(x))", "sequence sidon takes at most one count parameter, got ('x',)"),
+    ("construct(exgamma,x)", "bad parameters for exgamma; usage: construct(exgamma[,count])"
+                             " - sum-dominating sequence with n dividing the n-th term"),
+    ("construct(sidon_levels,3)", "sidon_levels takes (count, side) with side 0 or 1"),
+])
+def test_parameters_are_checked_when_evaluated(text, msg):
+    assert unparse(parse(text)) == text
+    with pytest.raises(InputError) as exc:
+        ev(text)
+    assert str(exc.value) == msg
+
+
 # unparse/parse round trip over random trees ---------------------------------
 
 _scalars = st.integers(min_value=1, max_value=50)

@@ -20,7 +20,9 @@ The battery, read from this checkout:
   horizon 20000,
 - ``parse`` of nested expressions over every kind of syntax-tree node, as a
   table and as JSON,
-- a few error paths of ``check``, ``diagram`` and ``chain``.
+- ``construct`` of every catalog fixture with valid parameters, at horizon 2000,
+- ``parse`` and ``check max`` of malformed expressions, and a few other error
+  paths of ``check``, ``diagram`` and ``chain``.
 
 Standard library only.
 """
@@ -47,6 +49,15 @@ PARSE_EXPRS = ("pseudo(3,N,mult(2),mult(4))", "fs([1,2,4])", "fp(primeseq(odd))"
                "construct(sidon_levels,6,1)", "shift(quot(level(2),2),3)",
                "union(inter(compl(primes),ap(1,2)),dilate(2,{3,5}),up(level(0)))",
                "down(fp(exgamma()))")
+# rejected by the parser, or parsed and rejected when evaluated
+BAD_EXPRS = ("pseudo(3)", "union()", "mult(2,3)", "fs(foo())", "fs(sidon(x))", "construct(nope)",
+             "construct(exgamma,x)", "construct(sidon_levels,3)")
+CONSTRUCT_ARGS = (("exgamma", "8"), ("fastgrowth",), ("sidon", "10"), ("sidon",),
+                  ("thick_nonmaxstar",), ("thick_nonmaxstar", "5"), ("equal_exponent",),
+                  ("fp_primes", "odd", "4"), ("fp_primes", "[1,3,5]"),
+                  ("prophier", "[2,3,5]", "2", "1", "[7,11]", "1", "2"),
+                  ("levelfix", "[1]", "[2]", "3"), ("sidon_levels", "6", "1"))
+CONSTRUCT_HORIZON = "2000"
 
 
 def c10_battery() -> list[list[str]]:
@@ -59,11 +70,12 @@ def c10_battery() -> list[list[str]]:
     raise SystemExit("C10_BATTERY not found in tests/test_acceptance.py")
 
 
-def property_names(tree: Path) -> list[str]:
-    code = "from felab.largeness import CHECKERS; print(' '.join(CHECKERS))"
+def table_keys(tree: Path, module: str, table: str) -> list[str]:
+    """The keys of a name table of the tree, read in a child process."""
+    code = f"from {module} import {table}; print(' '.join({table}))"
     proc = subprocess.run([sys.executable, "-c", code], env=felab_env(tree, "1"),
                           capture_output=True, text=True, check=True)
-    return [name.lower() for name in proc.stdout.split()]
+    return proc.stdout.split()
 
 
 def battery(new: Path, scratch: Path) -> list[list[str]]:
@@ -82,7 +94,7 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         "eval_batch.txt", map(wl.text, wl.round_inputs("eval_batch", 1, 0)))))
     cmds += c10_battery()
     exprs = batch_file("check_exprs.txt", CHECK_EXPRS)
-    for prop in property_names(new):
+    for prop in map(str.lower, table_keys(new, "felab.largeness", "CHECKERS")):
         for expr in CHECK_EXPRS:
             cmds.append(["check", prop, expr, "--horizon", CHECK_HORIZON, "--json"])
         cmds.append(["check", prop, "odd", "--horizon", CHECK_HORIZON])
@@ -91,6 +103,14 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         cmds.append(["check", "a-thick", expr, "--horizon", CLOSURE_HORIZON, "--json"])
     for expr in PARSE_EXPRS:
         cmds += [["parse", expr], ["parse", expr, "--json"]]
+    missing = set(table_keys(new, "felab.constructions", "FIXTURES")) - {a[0] for a in CONSTRUCT_ARGS}
+    if missing:
+        raise SystemExit(f"CONSTRUCT_ARGS has no parameters for {sorted(missing)}")
+    for args in CONSTRUCT_ARGS:
+        cmds += [["construct", *args, "--horizon", CONSTRUCT_HORIZON],
+                 ["construct", *args, "--horizon", CONSTRUCT_HORIZON, "--json"]]
+    for expr in BAD_EXPRS:
+        cmds += [["parse", expr], ["check", "max", expr, "--horizon", CHECK_HORIZON]]
     cmds += [
         ["check", "a-ip*", "inter(compl(mult(4)),ap(1,2))", "--horizon", CLOSURE_HORIZON,
          "--json"],
