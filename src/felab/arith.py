@@ -15,8 +15,13 @@ from .errors import InputError, ResourceError
 
 DEFAULT_SIEVE_CAP = 20_000_000
 
-# Witness bases making Miller-Rabin exact below 3.3e24; covers every 64-bit value.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witness bases, and after each the least odd composite that passes it and
+# every base before it (OEIS A014233): below that bound, the bases so far settle n.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PASSED_BY = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                 341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+                 3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+_MR_EXACT_BELOW = _MR_PASSED_BY[-1]  # where all the bases together stop being enough
 
 # candidates one antichain search may try before it gives up
 _ANTICHAIN_STEP_CAP = 1_000_000
@@ -129,23 +134,24 @@ def ensure_sieve(limit: int) -> Sieve:
 def _mr_is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a, passed_by in zip(_MR_BASES, _MR_PASSED_BY):
         x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x not in (1, n - 1):
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < passed_by:
+            return True
     return True
 
 
@@ -161,8 +167,6 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int) -> int:
     """Deterministic Brent cycle-finding; returns a nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -190,60 +194,71 @@ def _brent_rho(n: int) -> int:
         c += 1  # rare: retry with the next polynomial
 
 
-def _factor_large(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
+def _factor_large(n: int, out: dict[int, int]) -> dict[int, int]:
+    """out with the prime factors of n > 1, which has none below 101, counted in."""
     if _mr_is_prime(n):
         out[n] = out.get(n, 0) + 1
-        return
+        return out
     d = _brent_rho(n)
     _factor_large(d, out)
-    _factor_large(n // d, out)
+    return _factor_large(n // d, out)
 
 
-# Miller-Rabin with the fixed base set is proven exact below this bound.
-_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-
-# Stripping these before Brent-rho keeps the common smooth cases cheap.
+# What these leave above the sieve has no prime factor below 101.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization as sorted (prime, exponent) pairs; factorize(1) == []."""
-    if n < 1:
-        raise InputError(f"factorize expects n >= 1, got {n}")
-    if n >= _MR_EXACT_BELOW:
-        raise ResourceError(f"{n} lies beyond the deterministic primality range")
-    sieve = ensure_sieve(min(max(n, 2), 100_000))
-    if n <= sieve.limit:
-        # the smallest prime factor of what is left never decreases
-        t = sieve.table
-        pairs = []
-        while n > 1:
-            p = t[n]
+def _strip_small_primes(n: int) -> tuple[list[tuple[int, int]], int]:
+    """Divide the primes of _SMALL_PRIMES out of n in order until what is left fits
+    the shared sieve; return the (prime, exponent) pairs taken and what is left."""
+    if _sieve is None or not 1 <= n <= _sieve.limit:
+        if n < 1:
+            raise InputError(f"factorize expects n >= 1, got {n}")
+        if n >= _MR_EXACT_BELOW:
+            raise ResourceError(f"{n} lies beyond the deterministic primality range")
+        ensure_sieve(min(n, 100_000))
+    limit, pairs = _sieve.limit, []
+    for p in _SMALL_PRIMES:
+        if n <= limit:
+            break
+        if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             pairs.append((p, e))
-        return pairs
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    return pairs, n
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization as sorted (prime, exponent) pairs; factorize(1) == []."""
+    pairs, n = _strip_small_primes(n)
+    if n > _sieve.limit:
+        return pairs + sorted(_factor_large(n, {}).items())
+    # the smallest prime factor of what is left never decreases
+    t = _sieve.table
+    while n > 1:
+        p = t[n]
+        e = 0
         while n % p == 0:
-            out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:
-        _factor_large(n, out)
-    return sorted(out.items())
+            e += 1
+        pairs.append((p, e))
+    return pairs
 
 
 def omega(n: int) -> int:
     """Number of prime factors counted with multiplicity; omega(1) == 0."""
-    if _sieve is None or not 1 <= n <= _sieve.limit:
-        return sum(e for _, e in factorize(n))
-    t = _sieve.table
     count = 0
+    if _sieve is None or not 1 <= n <= _sieve.limit:
+        pairs, n = _strip_small_primes(n)
+        count = sum(e for _, e in pairs)
+        if n > _sieve.limit:
+            if n < 101 ** 3:  # its prime factors are at least 101, so it has one or two
+                return count + (1 if _mr_is_prime(n) else 2)
+            return count + sum(_factor_large(n, {}).values())
+    t = _sieve.table
     while n > 1:
         n //= t[n]
         count += 1

@@ -11,6 +11,7 @@ guessing in either direction.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 
 from . import arith
@@ -255,18 +256,22 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
     return Verdict.proved({"divides_into": table}, {"horizon": horizon, "m": 1})
 
 
+@functools.lru_cache(maxsize=64)  # one target often meets many families in a row
+def _level_cover(expr: nodes.SetExpr) -> tuple[frozenset[int] | None, frozenset[int] | None]:
+    cover = analysis.levels_of(expr)
+    return cover, None if cover is None else analysis.level_deltas(cover)
+
+
 def fe_refute_level(A: LazySet, B: LazySet, H: int = DEFAULT_HORIZON) -> FeRefutation | None:
     """Exact refutation from factor-count bookkeeping, for level-covered targets."""
     if B.expr is None:
         raise InapplicableError("target has no expression to analyze")
-    cover = analysis.levels_of(B.expr)
+    cover, deltas = _level_cover(B.expr)
     if cover is None:
         raise InapplicableError(
             f"target {B.describe_short()} is not covered by finitely many levels")
-    deltas = analysis.level_deltas(cover)
-    elems = A.elements(H)
     by_level: dict[int, int] = {}
-    for c in elems:
+    for c in A.elements(H):
         o = arith.omega(c)
         if o not in by_level:
             by_level[o] = c
@@ -278,8 +283,7 @@ def fe_refute_level(A: LazySet, B: LazySet, H: int = DEFAULT_HORIZON) -> FeRefut
                 return FeRefutation(
                     "level-certificate", (ci, cj),
                     {"pair": [ci, cj], "delta": oj - oi,
-                     "target_levels": sorted(cover),
-                     "achievable_deltas": sorted(deltas)})
+                     "target_levels": sorted(cover), "achievable_deltas": sorted(deltas)})
     return None
 
 

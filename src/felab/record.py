@@ -8,6 +8,7 @@ _MISSING = object()
 
 def record(cls):
     cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+    cls._post_init = getattr(cls, "__post_init__", None)
     cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = _init, _eq, _hash, _repr
     cls.__setattr__ = cls.__delattr__ = _frozen
     return cls
@@ -15,14 +16,15 @@ def record(cls):
 
 def _init(self, *args, **kwargs):
     cls = type(self)
-    args += tuple(kwargs.pop(f) if f in kwargs else vars(cls).get(f, _MISSING)
-                  for f in cls._fields[len(args):])
-    if kwargs or len(args) > len(cls._fields) or _MISSING in args:
-        raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
+    if kwargs or len(args) != len(cls._fields):  # every field given by position needs no filling
+        args += tuple(kwargs.pop(f) if f in kwargs else vars(cls).get(f, _MISSING)
+                      for f in cls._fields[len(args):])
+        if kwargs or len(args) > len(cls._fields) or _MISSING in args:
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}")
     # object.__setattr__ keeps the compact instance layout, so field reads stay fast
     for name, value in zip(cls._fields, args):
         object.__setattr__(self, name, value)
-    if hasattr(cls, "__post_init__"):
+    if cls._post_init is not None:
         self.__post_init__()
 
 
@@ -35,7 +37,10 @@ def _eq(self, other):
 
 
 def _hash(self):
-    return hash(_values(self))
+    # the fields never change, so a record (a cache key, say) is hashed only once
+    if getattr(self, "_hash_value", None) is None:
+        object.__setattr__(self, "_hash_value", hash(_values(self)))
+    return self._hash_value
 
 
 def _repr(self):

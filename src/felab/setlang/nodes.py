@@ -71,7 +71,7 @@ class Explicit(SetExpr):
 
     def __post_init__(self):
         _need(len(self.elems) >= 1, "explicit set must be nonempty")
-        _need(all(e >= 1 for e in self.elems), "explicit set elements must be >= 1")
+        _need(min(self.elems) >= 1, "explicit set elements must be >= 1")
         _need(list(self.elems) == sorted(set(self.elems)),
               "explicit set elements must be strictly increasing")
 
@@ -142,7 +142,7 @@ class ExplicitSeq(SeqSpec):
 
     def __post_init__(self):
         _need(len(self.values) >= 1, "sequence must be nonempty")
-        _need(all(v >= 1 for v in self.values), "sequence terms must be >= 1")
+        _need(min(self.values) >= 1, "sequence terms must be >= 1")
         _need(list(self.values) == sorted(set(self.values)),
               "sequence terms must be strictly increasing")
 

@@ -1,6 +1,7 @@
 """Number-theory helpers: sieve, factorization, closures, antichains, CRT."""
 
 import hashlib
+import itertools
 import math
 import struct
 from array import array
@@ -24,14 +25,21 @@ def _trial_spf(limit):
                      for n in range(2, limit + 1)]
 
 
-def _naive_omega(n):
-    count, d = 0, 2
+def _naive_factorize(n):
+    pairs, d = [], 2
     while d * d <= n:
+        e = 0
         while n % d == 0:
             n //= d
-            count += 1
+            e += 1
+        if e:
+            pairs.append((d, e))
         d += 1
-    return count + (n > 1)
+    return pairs + [(n, 1)] * (n > 1)
+
+
+def _naive_omega(n):
+    return sum(e for _, e in _naive_factorize(n))
 
 
 def _naive_divisors(n):
@@ -97,6 +105,20 @@ def test_factorize_beyond_sieve_uses_rho():
 def test_factorize_rejects_beyond_deterministic_range():
     with pytest.raises(ResourceError):
         arith.factorize(arith._MR_EXACT_BELOW)
+
+
+def test_miller_rabin_rejects_the_least_strong_pseudoprimes():
+    """Each bound of _MR_PASSED_BY below the last is composite and passes the bases
+    before it, so the test must reach a further base; 318665857834031151167461 passes
+    every prime base up to 37."""
+    psi12 = 318665857834031151167461
+    assert not arith.is_prime(psi12)
+    assert arith.factorize(psi12) == [(399165290221, 1), (798330580441, 1)]
+    assert arith.omega(psi12) == 2
+    for psi in arith._MR_PASSED_BY[:-1]:
+        assert not arith._mr_is_prime(psi), psi
+    s = arith.Sieve(200_000)
+    assert all(arith._mr_is_prime(n) == s.is_prime(n) for n in range(200_001))
 
 
 def test_is_prime_agrees_with_sieve():
@@ -197,6 +219,34 @@ def test_divisors_and_omega_match_naive_around_the_sieve(monkeypatch):
     assert arith.omega(p * q) == 2 and arith.omega(4 * p * q * q) == 5
     assert arith.divisors(p * q) == [1, p, q, p * q]
     assert arith.divisors(2 * p * p) == [1, 2, p, 2 * p, p * p, 2 * p * p]
+
+
+def test_omega_above_the_sieve_matches_naive(monkeypatch):
+    """Each way omega finishes above the sieve: on the table after the small-prime
+    strip, with one primality test below 101**3, and with Brent rho at or above it."""
+    def next_prime(n):
+        return next(m for m in itertools.count(n + 1) if _naive_omega(m) == 1)
+
+    cube = 101 ** 3
+    p, q = 1_000_003, 1_000_033
+    for limit in (65536, 100_000, 131072):
+        monkeypatch.setattr(arith, "_sieve", None)
+        assert arith.ensure_sieve(limit).limit == limit
+        hand = [cube, 101 * 103 * 107, 99991 * 99989,
+                next(m for m in range(cube - 1, 0, -1) if _naive_omega(m) == 1),
+                2 * next_prime(limit), 97 ** 4 * 101, p * q, 4 * p * q * q]
+        # s*s*r lies above the limit and below 101**3 with r prime: every small prime s
+        # must be stripped, or what is left goes to the primality test as two factors
+        hand += [s * s * next_prime(max(100, limit // (s * s))) for s in arith._SMALL_PRIMES]
+        for n in [*range(limit + 1, limit + 2001), *hand]:
+            assert arith.omega(n) == _naive_omega(n), (limit, n)
+            assert arith.factorize(n) == _naive_factorize(n), (limit, n)
+        # only the first call above 65536 grows the sieve, to the size factorize asks for
+        assert arith._sieve.limit == max(limit, 131072 if limit < 100_000 else limit)
+    with pytest.raises(InputError, match="factorize expects n >= 1, got 0"):
+        arith.omega(0)
+    with pytest.raises(ResourceError, match="beyond the deterministic primality range"):
+        arith.omega(arith._MR_EXACT_BELOW)
 
 
 def _closure(kind: str, S, H: int) -> list[int]:

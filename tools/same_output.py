@@ -22,7 +22,9 @@ The battery, read from this checkout:
   table and as JSON,
 - ``construct`` of every catalog fixture with valid parameters, at horizon 2000,
 - ``parse`` and ``check max`` of malformed expressions, and a few other error
-  paths of ``check``, ``diagram`` and ``chain``.
+  paths of ``check``, ``diagram`` and ``chain``,
+- ``fe``, ``check`` and ``diagram`` commands that count prime factors of
+  numbers above the shared sieve (``arith.omega`` past 100000).
 
 Standard library only.
 """
@@ -124,6 +126,11 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         ["check", "a-pcws", "N", "--t", "0"],
         ["diagram", "N", "--n", "0"],
         ["chain", "5", "8", "--verify", "--kmax", "1"],
+        # Omega above the sieve
+        ["fe", "mult(5)", "level(3)", "--json"],
+        ["fe", "primes", "union(level(2),level(4))", "--kmax", "20000", "--json"],
+        ["check", "a-thick", "shift(quot(level(2),2),3)", "--n", "3", "--json"],
+        ["diagram", "level(2)", "--horizon", "20000", "--json"],
     ]
     return cmds
 
