@@ -245,30 +245,28 @@ def cmd_fe(args) -> int:
     rc = _run_config(args)
     node_a, A = _eval_expr(args.expr_a, rc)
     node_b, B = _eval_expr(args.expr_b, rc)
-    fam = embed.prefix_of(A, args.prefix, rc.horizon)
-    verdict = embed.fe_prefix_check(A, B, args.prefix, args.kmax, rc.horizon, fam)
+    verdict, found = embed.fe_prefix_check(A, B, args.prefix, args.kmax, rc.horizon)
 
     # cross-check the two decision routes; cap the probe so a certificate
     # refutation is not followed by a full-length scan, and treat matching
-    # errors as agreement
+    # errors as agreement. The decider's own scan, if it ran to the probe's
+    # k_max, is the witness route.
     probe_kmax = min(args.kmax, rc.horizon)
 
     def _route(fn):
         try:
-            return ("witness", fn(fam, B, probe_kmax).to_json())
+            return ("witness", fn(found["family"], B, probe_kmax).to_json())
         except FelabError as exc:
             return (type(exc).__name__, str(exc))
 
-    agreement = _route(embed.fe_witness) == _route(embed.fe_fip_oracle)
+    reuse = "witness" in found and probe_kmax == args.kmax
+    witness_route = ("witness", found["witness"].to_json()) if reuse else _route(embed.fe_witness)
+    agreement = witness_route == _route(embed.fe_fip_oracle)
 
-    refuters: dict[str, object] = {}
-    try:
-        hit = embed.fe_refute_level(A, B, rc.horizon)
-        refuters["level"] = hit.to_json() if hit is not None else None
-    except InapplicableError as exc:
-        refuters["level"] = {"inapplicable": str(exc)}
-    hit = embed.fe_refute_residue(fam, B)
-    refuters["residue"] = hit.to_json() if hit is not None else None
+    level, residue = found["level"], found["residue"]
+    refuters = {"level": {"inapplicable": str(level)} if isinstance(level, InapplicableError)
+                else level and level.to_json(),
+                "residue": residue and residue.to_json()}
 
     payload = {
         "command": "fe",

@@ -149,27 +149,32 @@ def fe_fip_oracle(F, B: LazySet, k_max: int) -> FeWitness | FeRefutation:
 
 
 def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
-                    horizon: int = DEFAULT_HORIZON, fam: tuple[int, ...] | None = None
-                    ) -> Verdict:
-    """Embed A's first p elements (`fam`, their prefix_of) into B, refuting exactly when possible."""
-    if fam is None:
-        fam = prefix_of(A, p, horizon)
-    # sound structural refuters are cheap; consult them before scanning dilations
+                    horizon: int = DEFAULT_HORIZON) -> tuple[Verdict, dict]:
+    """Embed A's first p elements into B, refuting exactly when possible.
+
+    Also returns what it found: the prefix `family`, the `level` certificate (or
+    the InapplicableError), the `residue` one and, if it scanned k, fe_witness's result.
+    """
+    if k_max < 1:
+        raise InputError(f"k_max must be >= 1, got {k_max}")
+    fam = prefix_of(A, p, horizon)
+    found: dict = {"family": fam}
     try:
-        cert = fe_refute_level(A, B, horizon)
-    except InapplicableError:
-        cert = None
-    if cert is None:
-        cert = fe_refute_residue(fam, B)
-    if cert is not None:
-        return Verdict.refuted({"refutation": cert.to_json()}, {"prefix": p, "k_max": k_max})
-    res = fe_witness(fam, B, k_max)
+        found["level"] = fe_refute_level(A, B, horizon)
+    except InapplicableError as exc:
+        found["level"] = exc
+    found["residue"] = fe_refute_residue(fam, B)
+    bounds = {"prefix": p, "k_max": k_max}
+    # sound structural refuters are cheap; consult them before scanning dilations
+    for cert in (found["level"], found["residue"]):
+        if isinstance(cert, FeRefutation):
+            return Verdict.refuted({"refutation": cert.to_json()}, bounds), found
+    res = found["witness"] = fe_witness(fam, B, k_max)
     if isinstance(res, FeWitness):
-        return Verdict.proved({"witness": res.to_json()}, {"prefix": p, "k_max": k_max})
+        return Verdict.proved({"witness": res.to_json()}, bounds), found
     if res.exact:
-        return Verdict.refuted({"refutation": res.to_json()}, {"prefix": p, "k_max": k_max})
-    return Verdict.bounded("against", {"prefix": p, "k_max": k_max},
-                           {"refutation": res.to_json()})
+        return Verdict.refuted({"refutation": res.to_json()}, bounds), found
+    return Verdict.bounded("against", bounds, {"refutation": res.to_json()}), found
 
 
 def prefix_of(A: LazySet, p: int, horizon: int = DEFAULT_HORIZON) -> tuple[int, ...]:
@@ -199,6 +204,8 @@ def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
     """All m-subsets of A within the horizon embed into B."""
     if m < 1:
         raise InputError(f"subset cardinality must be >= 1, got {m}")
+    if k_max < 1:
+        raise InputError(f"k_max must be >= 1, got {k_max}")
     pool = A.complete_elements(H) if not A.finite else A.elements(H)
     if len(pool) < m:
         raise InputError(

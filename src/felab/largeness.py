@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from . import arith
 from .constructions import gen_mj_funcs
-from .embed import mthick_check
+from .embed import _least_dilation, _one_by_one, mthick_check
 from .errors import InapplicableError, InputError, ResourceError
 from .record import record
 from .setlang import analysis, nodes
@@ -152,17 +152,16 @@ def m_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
     bounds = {"horizon": horizon, "t_max": t_max, "n": n}
     divisors = range(1, t_max + 1)
     k_top = horizon // n
-    for k in range(1, k_top + 1):
-        table: dict[int, int] = {}
-        for i in range(1, n + 1):
-            t = next((t for t in divisors if A.contains(t * k * i) is True), None)
-            if t is None:
-                break
-            table[i] = t
-        else:
-            return Verdict.proved(
-                {"F": list(divisors), "k": k, "shift_for": table}, bounds)
-    return Verdict.bounded("against", bounds, {"exhausted_k": k_top})
+
+    def divisor_for(v: int) -> int | None:
+        return next((t for t in divisors if A.contains(t * v) is True), None)
+
+    k = _least_dilation(range(1, n + 1), lambda v: divisor_for(v) is not None,
+                        _one_by_one(range(1, k_top + 1)))
+    if k is None:
+        return Verdict.bounded("against", bounds, {"exhausted_k": k_top})
+    table = {i: divisor_for(k * i) for i in range(1, n + 1)}
+    return Verdict.proved({"F": list(divisors), "k": k, "shift_for": table}, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +295,9 @@ def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
     elems = A.elements()
     witnesses: dict[int, int] = {}
     for m in range(1, N + 1):
-        w = None
-        steps = 0
-        for v in range(m, horizon + 1, m):
-            steps += 1
-            if steps > _MULT_WALK_CAP:
-                break
-            if A.contains(v) is True:
-                w = v
-                break
-        if w is None:
-            w = next((e for e in elems if e % m == 0), None)
+        k = _least_dilation((m,), A.contains,
+                            _one_by_one(range(1, min(horizon // m, _MULT_WALK_CAP) + 1)))
+        w = k * m if k is not None else next((e for e in elems if e % m == 0), None)
         if w is None:
             if A.finite and all(e % m for e in A.elements()):
                 return Verdict.refuted(

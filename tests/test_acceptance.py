@@ -137,7 +137,7 @@ def test_c03_quotient_embeds_into_source():
         if not known:
             continue
         p = min(4, len(known))
-        v = embed.fe_prefix_check(A, B, p, 12)
+        v, _ = embed.fe_prefix_check(A, B, p, 12)
         assert v.status == "proved", (text, n, v)
         w = v.certificate["witness"]["k"]
         assert w <= n, (text, n, w)

@@ -17,7 +17,7 @@ import pytest
 from referencing import Registry, Resource
 
 import conftest
-from felab import arith, cli
+from felab import arith, cli, embed
 from felab.largeness import CHECKERS
 
 
@@ -266,6 +266,46 @@ def test_fe_precision_exit(capsys):
     code, out, err = run(["fe", "{1,704}", "fs(exgamma())",
                           "--kmax", "10", "--horizon", "2000"], capsys)
     assert code == 5 and "error:" in err
+
+
+@pytest.mark.parametrize("argv, witness_kmax, level", [
+    # a refuter decides, so only the cross-check scans
+    (["fe", "{6,8}", "union(level(2),level(5))", "--horizon", "5000"], [5000], "certificate"),
+    # the decider's scan runs to the probe's k_max and serves as the witness route
+    (["fe", "{2,3}", "mult(6)", "--kmax", "1000"], [1000], "inapplicable"),
+    # the probe stops at the horizon, below --kmax
+    (["fe", "{2,3}", "mult(6)", "--horizon", "50", "--kmax", "100"], [100, 50], "inapplicable"),
+], ids=["refuter", "witness-route", "probe-below-kmax"])
+def test_fe_asks_each_question_once(argv, witness_kmax, level, monkeypatch, capsys):
+    calls = []
+    for name in ("prefix_of", "fe_refute_level", "fe_refute_residue", "fe_witness"):
+        def counted(*args, _fn=getattr(embed, name), _name=name):
+            calls.append((_name, args[2]) if _name == "fe_witness" else _name)
+            return _fn(*args)
+        monkeypatch.setattr(embed, name, counted)
+    code, payload = run_json(argv, capsys)
+    for name in ("prefix_of", "fe_refute_level", "fe_refute_residue"):
+        assert calls.count(name) == 1, (name, calls)
+    assert [c[1] for c in calls if isinstance(c, tuple)] == witness_kmax
+    assert payload["oracle_agreement"] is True
+    refuters = payload["refuters"]
+    assert refuters["residue"] is None
+    if level == "certificate":
+        assert code == 1 and refuters["level"]["kind"] == "level-certificate"
+        assert payload["verdict"]["certificate"]["refutation"] == refuters["level"]
+    else:
+        assert code == 0 and set(refuters["level"]) == {"inapplicable"}
+        assert payload["verdict"]["certificate"]["witness"]["k"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["fe", "primes", "compl(mult(2))", "--kmax", "-3"],
+    ["me", "{2,3}", "mult(6)", "--m", "1", "--kmax", "0"],
+], ids=["fe", "me"])
+def test_kmax_below_one_exits_3(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3 and out == ""
+    assert "k_max must be >= 1" in err
 
 
 def test_me_proved(registry, capsys):

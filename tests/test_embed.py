@@ -183,33 +183,33 @@ def test_residue_refuter():
 # ---------------------------------------------------------------------------
 
 def test_prefix_check_proved():
-    v = fe_prefix_check(ev("mult(2)"), ev("mult(6)"))
+    v, _ = fe_prefix_check(ev("mult(2)"), ev("mult(6)"))
     assert v.status == "proved"
     assert v.certificate["witness"]["k"] == 3
     assert v.bounds == {"prefix": 16, "k_max": 1_000_000}
 
 
 def test_prefix_check_residue_refuted():
-    v = fe_prefix_check(ev("N"), ev("ap(1,2)"), k_max=1000)
+    v, _ = fe_prefix_check(ev("N"), ev("ap(1,2)"), k_max=1000)
     assert v.status == "refuted"
     assert v.certificate["refutation"]["kind"] == "residue-certificate"
     assert v.exit_code == 1
 
 
 def test_prefix_check_level_refuted():
-    v = fe_prefix_check(ev("N"), ev("primes"), k_max=500)
+    v, _ = fe_prefix_check(ev("N"), ev("primes"), k_max=500)
     assert v.status == "refuted"
     assert v.certificate["refutation"]["kind"] == "level-certificate"
 
 
 def test_prefix_check_finite_refuted():
-    v = fe_prefix_check(ev("{3,5}"), ev("fp([2,5,11])"), k_max=20)
+    v, _ = fe_prefix_check(ev("{3,5}"), ev("fp([2,5,11])"), k_max=20)
     assert v.status == "refuted"
     assert v.certificate["refutation"]["kind"] == "finite-target"
 
 
 def test_prefix_check_bounded(fs_exgamma):
-    v = fe_prefix_check(ev("{1,704}"), fs_exgamma, k_max=2)
+    v, _ = fe_prefix_check(ev("{1,704}"), fs_exgamma, k_max=2)
     assert v.status == "bounded" and v.direction == "against"
     assert v.bounds == {"prefix": 16, "k_max": 2}
     assert v.certificate["refutation"]["kind"] == "exhausted"

@@ -95,6 +95,10 @@ def test_m_pcws(N):
     v = m_pcws_check(ev("level(2)"), 4, 2)
     assert v.is_proved and v.certificate["k"] == 1
     assert v.certificate["shift_for"] == {1: 4, 2: 2}
+    # known to 100 only: unknown answers above it are skipped, not taken as members
+    v = m_pcws_check(ev("union(fp(fastgrowth()),{300,900,1200})", 100), 2, 3, 1000)
+    assert v.is_proved and v.certificate["k"] == 150
+    assert v.certificate["shift_for"] == {1: 2, 2: 1, 3: 2}
 
 
 def test_m_pcws_certificate_verifies():
@@ -190,6 +194,10 @@ def test_max_check(N, odds):
     assert v.status == "refuted" and v.certificate["n0"] == 2
     v = max_check(N, 50)
     assert v.is_proved
+    # known to 100 only: the multiples of 5 from 105 to 495 are unknown, 500 is a member
+    v = max_check(ev("union(fp(fastgrowth()),{500})", 100), 6, 1000)
+    assert v.is_proved
+    assert v.certificate["witnesses"] == {1: 1, 2: 4, 3: 9, 4: 4, 5: 500, 6: 36}
 
 
 def test_max_witnesses_verify():

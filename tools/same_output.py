@@ -24,7 +24,9 @@ The battery, read from this checkout:
 - ``parse`` and ``check max`` of malformed expressions, and a few other error
   paths of ``check``, ``diagram`` and ``chain``,
 - ``fe``, ``check`` and ``diagram`` commands that count prime factors of
-  numbers above the shared sieve (``arith.omega`` past 100000).
+  numbers above the shared sieve (``arith.omega`` past 100000),
+- ``fe`` cross-checks decided by a refuter, by the witness route, and with
+  ``--horizon`` below ``--kmax``, and ``fe``/``me`` with a ``--kmax`` below 1.
 
 Standard library only.
 """
@@ -131,6 +133,12 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         ["fe", "primes", "union(level(2),level(4))", "--kmax", "20000", "--json"],
         ["check", "a-thick", "shift(quot(level(2),2),3)", "--n", "3", "--json"],
         ["diagram", "level(2)", "--horizon", "20000", "--json"],
+        # the fe cross-check, and k_max below 1
+        ["fe", "{6,8}", "union(level(2),level(5))", "--horizon", "5000", "--json"],
+        ["fe", "{2,3}", "mult(6)", "--kmax", "1000", "--json"],
+        ["fe", "{2,3}", "mult(6)", "--horizon", "50", "--kmax", "100", "--json"],
+        ["fe", "primes", "compl(mult(2))", "--kmax", "-3", "--json"],
+        ["me", "{2,3}", "mult(6)", "--m", "1", "--kmax", "0", "--json"],
     ]
     return cmds
 
