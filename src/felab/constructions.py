@@ -105,31 +105,33 @@ _SEQ_STREAMS = {
     "fastgrowth": _fastgrowth_stream,
     "sidon": _sidon_stream,
 }
-# the rules a named sequence fs(rule(...)) / fp(rule(...)) may use
-SEQUENCE_RULES = (*_SEQ_STREAMS, "primeseq")
+# rule -> (usage, parameter kinds) of a named sequence fs(rule(...)) / fp(rule(...));
+# the kinds pattern is checked by nodes.NamedSeq, as FIXTURES' is by nodes.Construct
+SEQUENCE_RULES = {
+    "exgamma": ("exgamma([count])", "n?"),
+    "fastgrowth": ("fastgrowth([count])", "n?"),
+    "sidon": ("sidon([count])", "n?"),
+    "primeseq": ("primeseq(all|odd|even[,count])", "wn?"),
+}
 
 
 def sequence_terms(rule: str, params: tuple, horizon: int) -> tuple[list[int], bool]:
     """Terms of a named sequence: (prefix of length count, True) or (terms <= horizon, False)."""
-    if rule == "primeseq":
-        if not params or params[0] not in ("all", "odd", "even"):
-            raise InputError("primeseq needs a variant: all, odd or even")
-        variant = params[0]
-        rest = params[1:]
-        if len(rest) > 1 or (rest and not isinstance(rest[0], int)):
-            raise InputError(f"primeseq takes (variant) or (variant, count), got {params!r}")
-        stride = 1 if variant == "all" else 2
-        offset = 1 if variant == "even" else 0
-        if rest:
-            count = rest[0]
-            _check_count(count)
-            return arith.first_primes(stride * count)[offset::stride][:count], True
-        return arith.primes_upto(horizon)[offset::stride], False
-    if rule not in _SEQ_STREAMS:
-        raise InputError(f"unknown sequence rule {rule!r}")
-    if len(params) > 1 or (params and not isinstance(params[0], int)):
-        raise InputError(f"sequence {rule} takes at most one count parameter, got {params!r}")
-    stream = _IncreasingStream(_SEQ_STREAMS[rule]())
+    if rule != "primeseq":
+        return _stream_terms(_IncreasingStream(_SEQ_STREAMS[rule]()), params, horizon)
+    variant, *count = params
+    if variant not in ("all", "odd", "even"):
+        raise InputError("primeseq needs a variant: all, odd or even")
+    stride = 1 if variant == "all" else 2
+    offset = 1 if variant == "even" else 0
+    if count:
+        _check_count(count[0])
+        return arith.first_primes(stride * count[0])[offset::stride][:count[0]], True
+    return arith.primes_upto(horizon)[offset::stride], False
+
+
+def _stream_terms(stream: _IncreasingStream, params: tuple, horizon: int) -> tuple[list[int], bool]:
+    """A stream's first count terms (params == (count,)), or its terms up to the horizon."""
     if params:
         _check_count(params[0])
         return stream.take(params[0]), True
@@ -404,106 +406,58 @@ def pseudointersection(chain: Sequence[LazySet], count: int, H: int) -> PseudoRe
     return PseudoResult(tuple(values), False, H)
 
 
-def _bad_params(name: str) -> InputError:
-    return InputError(f"bad parameters for {name}; usage: {FIXTURES[name][0]}")
-
-
-def _opt_count(params: tuple, name: str) -> int | None:
-    if not params:
-        return None
-    if len(params) == 1 and isinstance(params[0], int):
-        return params[0]
-    raise _bad_params(name)
-
-
 def _fx_stream(rule: str, exact: bool):
     """Builder for a named sequence: its first count terms, or its terms up to the horizon."""
     def build(params, horizon, expr):
-        count = _opt_count(params, rule)
         stream = _IncreasingStream(_SEQ_STREAMS[rule]())
-        if count is None:
-            pred = stream.range_pred() if exact else None
-            return LazySet(expr, stream.upto(horizon), horizon, pred=pred)
-        _check_count(count)
-        return LazySet.of_finite(expr, stream.take(count))
+        terms, pinned = _stream_terms(stream, params, horizon)
+        if pinned:
+            return LazySet.of_finite(expr, terms)
+        return LazySet(expr, terms, horizon, pred=stream.range_pred() if exact else None)
     return build
 
 
 def _fx_thick(params, horizon, expr):
-    n_max = _opt_count(params, "thick_nonmaxstar")
-    if n_max is None:
-        n_max = thick_auto_nmax(horizon)
-    fx = gen_thick_nonmaxstar(n_max)
-    return LazySet.of_finite(expr, fx.members)
-
-
-def _fx_equal_exponent(params, horizon, expr):
-    if params:
-        raise _bad_params("equal_exponent")
-    members = gen_equal_exponent(horizon)
-    return LazySet(expr, members, horizon, pred=equal_exponent_pred)
-
-
-def _fx_fp_primes(params, horizon, expr):
-    if len(params) == 1 and isinstance(params[0], tuple):
-        fx = gen_fp_prime_subset(params[0], None)
-    elif len(params) == 2 and isinstance(params[0], str) and isinstance(params[1], int):
-        fx = gen_fp_prime_subset(params[0], params[1])
-    else:
-        raise _bad_params("fp_primes")
-    return LazySet.of_finite(expr, fx.members)
-
-
-def _fx_prophier(params, horizon, expr):
-    if not params or len(params) % 3 != 0:
-        raise _bad_params("prophier")
-    prime_sets, exps, counts = [], [], []
-    for i in range(0, len(params), 3):
-        blk, k, n = params[i], params[i + 1], params[i + 2]
-        if not isinstance(blk, tuple) or not isinstance(k, int) or not isinstance(n, int):
-            raise _bad_params("prophier")
-        prime_sets.append(blk)
-        exps.append(k)
-        counts.append(n)
-    members = gen_prophier(prime_sets, exps, counts, horizon)
-    return LazySet.of_finite(expr, members)
-
-
-def _fx_levelfix(params, horizon, expr):
-    if (len(params) != 3 or not isinstance(params[0], tuple)
-            or not isinstance(params[1], tuple) or not isinstance(params[2], int)):
-        raise _bad_params("levelfix")
-    members = gen_levelfix(params[0], params[1], params[2], horizon)
-    return LazySet.of_finite(expr, members)
+    n_max = params[0] if params else thick_auto_nmax(horizon)
+    return LazySet.of_finite(expr, gen_thick_nonmaxstar(n_max).members)
 
 
 def _fx_sidon_levels(params, horizon, expr):
     """The level union itself: its LazySet carries that expression, which fe_refute_level reads."""
-    if len(params) != 2 or not all(isinstance(p, int) for p in params):
-        raise InputError("sidon_levels takes (count, side) with side 0 or 1")
-    return evaluate(sidon_level_union_expr(params[0], params[1]), horizon)
+    return evaluate(sidon_level_union_expr(*params), horizon)
 
 
-# name -> (usage line, builder(params, horizon, expr) -> LazySet)
+# name -> (usage line, parameter kinds, builder(params, horizon, expr) -> LazySet).
+# The kinds are a regular expression over one letter per parameter (n natural,
+# w word, l [list]); nodes.Construct rejects any other shape, so a builder only
+# checks values. Builders call generators by module-level name at call time, so
+# a wrapper installed on the module attribute (a tracer, a profiler) sees them.
 FIXTURES = {
     "exgamma": ("construct(exgamma[,count]) - sum-dominating sequence with n dividing the n-th term",
-                _fx_stream("exgamma", exact=True)),
+                "n?", _fx_stream("exgamma", exact=True)),
     "fastgrowth": ("construct(fastgrowth[,count]) - sum-dominating sequence for subset-sum sets",
-                   _fx_stream("fastgrowth", exact=True)),
+                   "n?", _fx_stream("fastgrowth", exact=True)),
     "sidon": ("construct(sidon[,count]) - greedy distinct-difference sequence",
-              _fx_stream("sidon", exact=False)),
+              "n?", _fx_stream("sidon", exact=False)),
     "thick_nonmaxstar": ("construct(thick_nonmaxstar[,n_max]) - runs of every length dodging one "
-                         "multiple of each n", _fx_thick),
+                         "multiple of each n", "n?", _fx_thick),
     "equal_exponent": ("construct(equal_exponent) - numbers whose prime exponents are all equal",
-                       _fx_equal_exponent),
+                       "", lambda params, horizon, expr: LazySet(
+                           expr, gen_equal_exponent(horizon), horizon, pred=equal_exponent_pred)),
     "fp_primes": ("construct(fp_primes,odd|even|all,count) or construct(fp_primes,[i1,...]) - "
-                  "subset products of selected primes", _fx_fp_primes),
+                  "subset products of selected primes", "l|wn",
+                  lambda params, horizon, expr: LazySet.of_finite(
+                      expr, gen_fp_prime_subset(*params).members)),
     "prophier": ("construct(prophier,[p,...],k,n[,[p,...],k,n]...) - distinct-prime products, "
-                 "one power per block", _fx_prophier),
+                 "one power per block", "(lnn)+",
+                 lambda params, horizon, expr: LazySet.of_finite(expr, gen_prophier(
+                     params[0::3], params[1::3], params[2::3], horizon))),
     "levelfix": ("construct(levelfix,[pos,...],[prime,...],n) - sorted n-factor products with "
-                 "pinned factors", _fx_levelfix),
+                 "pinned factors", "lln",
+                 lambda params, horizon, expr: LazySet.of_finite(
+                     expr, gen_levelfix(*params, horizon))),
     "sidon_levels": ("construct(sidon_levels,count,side) - union of levels at alternating "
-                     "distinct-difference indices", _fx_sidon_levels),
+                     "distinct-difference indices", "nn", _fx_sidon_levels),
 }
 
 
@@ -516,4 +470,4 @@ def build_fixture(name: str, params: tuple, horizon: int = DEFAULT_HORIZON,
     """Resolve a construct(...) reference to its LazySet."""
     if name not in FIXTURES:
         raise InputError("unknown fixture %r; catalog:\n  %s" % (name, "\n  ".join(catalog_lines())))
-    return FIXTURES[name][1](params, horizon, expr)
+    return FIXTURES[name][2](params, horizon, expr)

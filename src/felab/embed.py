@@ -160,7 +160,7 @@ def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
     fam = prefix_of(A, p, horizon)
     found: dict = {"family": fam}
     try:
-        found["level"] = fe_refute_level(A, B, horizon)
+        found["level"] = fe_refute_level(A.elements(horizon), B)
     except InapplicableError as exc:
         found["level"] = exc
     found["residue"] = fe_refute_residue(fam, B)
@@ -222,14 +222,11 @@ def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
     worst: FeWitness | None = None
     exhausted: FeRefutation | None = None
     for sub in itertools.combinations(pool, m):
-        res = fe_witness(sub, B, k_max)
+        # the cheap sound refuter first, as in fe_prefix_check
+        res = fe_refute_residue(sub, B) or fe_witness(sub, B, k_max)
         if isinstance(res, FeRefutation):
             if res.exact:
                 return Verdict.refuted({"refutation": res.to_json()},
-                                       {"horizon": H, "k_max": k_max, "m": m})
-            cert = fe_refute_residue(sub, B)
-            if cert is not None:
-                return Verdict.refuted({"refutation": cert.to_json()},
                                        {"horizon": H, "k_max": k_max, "m": m})
             exhausted = exhausted or res
         elif worst is None or res.k > worst.k:
@@ -245,6 +242,10 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
     """Each single element must divide something in B (shadow of the closure test)."""
     table = {}
     for a in pool:
+        if B.expr is not None and analysis.empty_meet_mult(B.expr, a) is True:
+            return Verdict.refuted(
+                {"element": a, "reason": f"target provably misses every multiple of {a}"},
+                {"horizon": horizon, "m": 1})
         ks, closed = _k_candidates(B, (a,), k_max)
         k = _least_dilation((a,), B.contains, _one_by_one(ks))
         if k is not None:
@@ -252,10 +253,6 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
         elif closed:
             return Verdict.refuted(
                 {"element": a, "reason": "no multiple in the finite target"},
-                {"horizon": horizon, "m": 1})
-        elif B.expr is not None and analysis.empty_meet_mult(B.expr, a) is True:
-            return Verdict.refuted(
-                {"element": a, "reason": f"target provably misses every multiple of {a}"},
                 {"horizon": horizon, "m": 1})
         else:
             return Verdict.bounded("against", {"horizon": horizon, "m": 1, "k_max": k_max},
@@ -269,8 +266,9 @@ def _level_cover(expr: nodes.SetExpr) -> tuple[frozenset[int] | None, frozenset[
     return cover, None if cover is None else analysis.level_deltas(cover)
 
 
-def fe_refute_level(A: LazySet, B: LazySet, H: int = DEFAULT_HORIZON) -> FeRefutation | None:
-    """Exact refutation from factor-count bookkeeping, for level-covered targets."""
+def fe_refute_level(members, B: LazySet) -> FeRefutation | None:
+    """Exact refutation from factor-count bookkeeping, for level-covered targets:
+    two of the members whose levels differ by no difference of target levels."""
     if B.expr is None:
         raise InapplicableError("target has no expression to analyze")
     cover, deltas = _level_cover(B.expr)
@@ -278,7 +276,7 @@ def fe_refute_level(A: LazySet, B: LazySet, H: int = DEFAULT_HORIZON) -> FeRefut
         raise InapplicableError(
             f"target {B.describe_short()} is not covered by finitely many levels")
     by_level: dict[int, int] = {}
-    for c in A.elements(H):
+    for c in members:
         o = arith.omega(c)
         if o not in by_level:
             by_level[o] = c
@@ -347,7 +345,7 @@ class _Level:
         return self.items[i]
 
 
-def decreasing_chain(depth: int, per_level: int, scan_cap: int = _CHAIN_SCAN_CAP) -> ChainResult:
+def decreasing_chain(depth: int, per_level: int) -> ChainResult:
     """Build the shrinking chain; every dodged pair is exactly refuted against the next level."""
     if per_level < 3:
         raise InputError(f"per_level must be >= 3, got {per_level}")
@@ -370,9 +368,9 @@ def decreasing_chain(depth: int, per_level: int, scan_cap: int = _CHAIN_SCAN_CAP
                 x = parent.get(idx)
                 idx += 1
                 scanned += 1
-                if scanned > scan_cap:
+                if scanned > _CHAIN_SCAN_CAP:
                     raise ResourceError(
-                        f"chain level scanned {scan_cap} candidates without "
+                        f"chain level scanned {_CHAIN_SCAN_CAP} candidates without "
                         f"filling {per_level} slots")
                 tail = accepted + [x]
                 inside = (aset | {x}).__contains__

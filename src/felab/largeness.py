@@ -602,8 +602,7 @@ class AtlasReport:
         return {f: getattr(self, f) for f in self._fields} | {"violations": list(self.violations)}
 
 
-def poset_atlas(n: int, sample_cap: int = _ATLAS_SAMPLE,
-                exhaustive: bool | None = None) -> AtlasReport:
+def poset_atlas(n: int, exhaustive: bool | None = None) -> AtlasReport:
     """Enumerate the up/down-closed subsets of the divisor poset and verify
     the finite characterizations of the dilation properties on every subset
     (exhaustively for small n or on request, on a deterministic sample above)."""
@@ -686,7 +685,7 @@ def poset_atlas(n: int, sample_cap: int = _ATLAS_SAMPLE,
     if exhaustive:
         masks = range(full + 1)
     else:
-        stride = max(1, (full + 1) // sample_cap)
+        stride = max(1, (full + 1) // _ATLAS_SAMPLE)
         masks = sorted(set(range(0, full + 1, stride)) | {0, full})
     checked = 0
     for A_mask in masks:

@@ -66,10 +66,8 @@ def _pinned_prime_count(seq) -> int | None:
         if all(arith.is_prime(v) for v in seq.values):
             return len(seq.values)
         return None
-    if isinstance(seq, nodes.NamedSeq) and seq.rule == "primeseq":
-        params = seq.params
-        if len(params) == 2 and isinstance(params[1], int):
-            return params[1]
+    if isinstance(seq, nodes.NamedSeq) and seq.rule == "primeseq" and len(seq.params) == 2:
+        return seq.params[1]  # the parser admits (variant, count) only with a count
     return None
 
 

@@ -6,6 +6,8 @@ survive round-tripping through unparse/parse unchanged.
 
 from __future__ import annotations
 
+import re
+
 from ..errors import InputError
 from ..record import record
 
@@ -25,6 +27,14 @@ class SeqSpec:
 def _need(cond: bool, msg: str) -> None:
     if not cond:
         raise InputError(msg)
+
+
+def _check_params(name: str, params: tuple, table: dict) -> None:
+    """Match the params' kinds (n natural, w word, l list) to the pattern of table[name]."""
+    usage, kinds = table[name][:2]
+    shape = "".join("l" if isinstance(p, tuple) else "w" if isinstance(p, str) else "n"
+                    for p in params)
+    _need(re.fullmatch(kinds, shape) is not None, f"bad parameters for {name}; usage: {usage}")
 
 
 @record
@@ -155,6 +165,7 @@ class NamedSeq(SeqSpec):
     def __post_init__(self):
         from ..constructions import SEQUENCE_RULES  # a top-level import would be circular
         _need(self.rule in SEQUENCE_RULES, f"unknown sequence rule {self.rule!r}")
+        _check_params(self.rule, self.params, SEQUENCE_RULES)
 
 
 @record
@@ -187,6 +198,7 @@ class Construct(SetExpr):
     def __post_init__(self):
         from ..constructions import FIXTURES  # a top-level import would be circular
         _need(self.name in FIXTURES, f"unknown fixture {self.name!r}")
+        _check_params(self.name, self.params, FIXTURES)
 
 
 # The call syntax: each call node's fields, in declaration order, as kinds

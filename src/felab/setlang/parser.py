@@ -6,9 +6,11 @@ Grammar (whitespace-insensitive):
     name    := a class of nodes.SYNTAX, in lower case; args follow its row
     seq     := "[" natlist "]" | rulename "(" args ")"
 
-"odd" is sugar for ap(1,2). Arities and parameter kinds are fixed per name by
-nodes.SYNTAX and checked here, so evaluation never sees a malformed tree.
-Constructor calls nest at most 100 deep.
+"odd" is sugar for ap(1,2). Arities and argument kinds are fixed per name by
+nodes.SYNTAX, and the parameter kinds of each fixture and sequence rule by
+constructions.FIXTURES and SEQUENCE_RULES. Shapes are checked here, as the tree
+is built, so evaluation never sees a malformed tree; it checks only values
+(counts, words, primality). Constructor calls nest at most 100 deep.
 """
 
 from __future__ import annotations

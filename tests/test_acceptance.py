@@ -213,7 +213,7 @@ def test_c05_sidon_level_unions_cross_refuted():
             for a in members[la]:
                 for b in members[lb]:
                     pair = (a, b) if a < b else (b, a)
-                    r = embed.fe_refute_level(evaluate(Explicit(pair), H), target, H)
+                    r = embed.fe_refute_level(pair, target)
                     if r is None or not r.exact:
                         pytest.fail("pair %s not refuted" % (pair,))
                     count += 1

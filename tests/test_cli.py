@@ -536,6 +536,14 @@ def test_cli_import_stays_light_and_loads_every_layer():
     assert set(tracer.LAYER_MODULES) <= loaded
 
 
+def test_src_defines_no_unused_names():
+    """tools/unused_names.py exits 0: every name src defines is used in src or kept
+    for a stated reason, so a helper left behind by a change fails the suite."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "unused_names.py"
+    proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_exits_141(unbuffered, tmp_path):
     """A reader that closed stdout gets the SIGPIPE status and no traceback."""

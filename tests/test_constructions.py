@@ -12,7 +12,7 @@ from felab.constructions import (FIXTURES, SEQUENCE_RULES, FpFixture, PseudoResu
                                  equal_exponent_pred, pseudointersection,
                                  sequence_terms, sidon_level_union_expr,
                                  sidon_sequence, thick_auto_nmax)
-from felab.errors import InputError
+from felab.errors import InputError, ParseError
 from felab.setlang import evaluate, parse
 from felab.setlang import nodes
 
@@ -81,8 +81,17 @@ def test_sequence_terms_named_rules():
     ("exgamma", (3, 4)), ("exgamma", ("x",)), ("sidon", (0,)),
 ])
 def test_sequence_terms_rejects(rule, params):
-    with pytest.raises(InputError):
-        sequence_terms(rule, params, 100)
+    # an unknown rule or a malformed shape is refused by the parser (its error
+    # texts are in test_setlang); the values of primeseq(prime) and sidon(0)
+    # parse and are refused here
+    text = f"fs({rule}({','.join(map(str, params))}))"
+    if params in (("prime",), (0,)):
+        seq = parse(text).seq
+        with pytest.raises(InputError):
+            sequence_terms(seq.rule, seq.params, 100)
+    else:
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 def test_count_cap():
@@ -371,10 +380,17 @@ def test_build_fixture_rejects():
 
 
 def test_every_catalog_name_and_sequence_rule_parses():
-    for name in FIXTURES:
-        assert parse(f"construct({name})") == nodes.Construct(name, ())
-    for rule in SEQUENCE_RULES:
-        assert parse(f"fs({rule}())") == nodes.Fs(nodes.NamedSeq(rule, ()))
+    valid = {"exgamma": "8", "fastgrowth": "", "sidon": "10", "thick_nonmaxstar": "5",
+             "equal_exponent": "", "fp_primes": "odd,4", "prophier": "[2,3,5],2,1,[7,11],1,2",
+             "levelfix": "[1],[2],3", "sidon_levels": "6,1"}
+    assert set(valid) == set(FIXTURES)
+    for name, params in valid.items():
+        text = f"construct({name}{',' if params else ''}{params})"
+        assert nodes.unparse(parse(text)) == text
+    rules = {"exgamma": "", "fastgrowth": "3", "sidon": "", "primeseq": "odd,5"}
+    assert set(rules) == set(SEQUENCE_RULES)
+    for rule, params in rules.items():
+        assert nodes.unparse(parse(f"fp({rule}({params}))")) == f"fp({rule}({params}))"
 
 
 def test_fixture_evaluates_through_expressions():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from felab import embed
 from felab.embed import (ChainResult, FeRefutation, FeWitness, decreasing_chain,
                          fe_fip_oracle, fe_prefix_check, fe_refute_level,
                          fe_refute_residue, fe_witness, me_check, mthick_check)
@@ -155,7 +156,7 @@ def test_mthick_proves_the_least_witness_of_the_run(text, n, H):
 # ---------------------------------------------------------------------------
 
 def test_level_refuter_certificate():
-    c = fe_refute_level(ev("N"), ev("level(2)"), 100)
+    c = fe_refute_level(range(1, 101), ev("level(2)"))
     assert c is not None and c.kind == "level-certificate"
     assert c.detail["pair"] == [1, 2]
     assert c.detail["delta"] == 1 and c.detail["target_levels"] == [2]
@@ -163,12 +164,12 @@ def test_level_refuter_certificate():
 
 def test_level_refuter_needs_a_level_cover(fs_exgamma):
     with pytest.raises(InapplicableError):
-        fe_refute_level(ev("N"), fs_exgamma, 100)
+        fe_refute_level(range(1, 101), fs_exgamma)
 
 
 def test_level_refuter_none_when_deltas_match():
     # both sides sit in a single level, dilation by a prime bridges them
-    assert fe_refute_level(ev("level(2)"), ev("level(2)"), 100) is None
+    assert fe_refute_level(ev("level(2)").elements(100), ev("level(2)")) is None
 
 
 def test_residue_refuter():
@@ -244,10 +245,24 @@ def test_me_check_divisibility_shadow():
     assert me_check(ev("{2}"), ev("{3}"), 1, k_max=1).status == "refuted"
 
 
-def test_me_check_residue_reason():
-    v = me_check(ev("{2}"), ev("ap(1,2)"), 1)
-    assert v.status == "refuted"
-    assert "misses every multiple" in v.certificate["reason"]
+def test_me_check_residue_reason(monkeypatch):
+    scans = []
+    scan = embed._least_dilation
+    monkeypatch.setattr(embed, "_least_dilation",
+                        lambda fam, *args: scans.append(tuple(fam)) or scan(fam, *args))
+    for A, B in (("{2}", "ap(1,2)"), ("{2}", "{5,7,9}")):
+        v = me_check(ev(A), ev(B), 1)
+        assert v.status == "refuted"
+        assert v.certificate["reason"] == "target provably misses every multiple of 2"
+    # the residue certificate comes before any k scan, on a finite or a PREFIX target too
+    for A, B in (("{2,3,5,7}", "compl(mult(2))"), ("{2,3}", "{5,7,9}"),
+                 ("{2,4}", "inter(fs(sidon()),ap(1,2))")):
+        v = me_check(ev(A), ev(B), 2)
+        assert v.status == "refuted"
+        assert v.certificate["refutation"] == {
+            "kind": "residue-certificate", "family": list(ev(A).elements()[:2]),
+            "detail": {"modulus": 2}}
+    assert scans == []
 
 
 def test_me_check_bounded(fs_exgamma):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from felab.constructions import FIXTURES
 from felab.errors import InputError, ParseError, PrecisionError, ResourceError
 from felab.setlang.lazyset import MAX_ELEMENTS
 from felab.setlang import evaluate, nodes, parse, unparse
@@ -74,12 +75,31 @@ def test_parse_error_carries_position():
     assert exc.value.line == 1
 
 
+_USAGE = {name: row[0] for name, row in FIXTURES.items()}
+
+
 @pytest.mark.parametrize("text, col, msg", [
     ("pseudo(3)", 1, "pseudo needs at least one chain member"),
     ("union()", 7, "expected a set expression, found ')'"),
     ("mult(2,3)", 7, "expected ')', found ','"),
     ("fs(foo())", 4, "expected a sequence: [n1,n2,...] or a named rule, found 'foo'"),
     ("construct(nope)", 1, "unknown fixture 'nope'"),
+    # one malformed parameter shape for each fixture and sequence rule
+    ("construct(exgamma,x)", 1, "bad parameters for exgamma; usage: " + _USAGE["exgamma"]),
+    ("construct(sidon_levels,3)", 1,
+     "bad parameters for sidon_levels; usage: " + _USAGE["sidon_levels"]),
+    ("construct(thick_nonmaxstar,x)", 1,
+     "bad parameters for thick_nonmaxstar; usage: " + _USAGE["thick_nonmaxstar"]),
+    ("construct(equal_exponent,2)", 1,
+     "bad parameters for equal_exponent; usage: " + _USAGE["equal_exponent"]),
+    ("construct(fp_primes,3)", 1, "bad parameters for fp_primes; usage: " + _USAGE["fp_primes"]),
+    ("construct(prophier,[2,3],1)", 1, "bad parameters for prophier; usage: " + _USAGE["prophier"]),
+    ("construct(levelfix,[1],3)", 1, "bad parameters for levelfix; usage: " + _USAGE["levelfix"]),
+    ("fs(sidon(x))", 1, "bad parameters for sidon; usage: sidon([count])"),
+    ("fs(exgamma(3,4))", 1, "bad parameters for exgamma; usage: exgamma([count])"),
+    ("fs(primeseq())", 1, "bad parameters for primeseq; usage: primeseq(all|odd|even[,count])"),
+    ("up(fp(primeseq(odd,x)))", 4,
+     "bad parameters for primeseq; usage: primeseq(all|odd|even[,count])"),
 ])
 def test_parse_error_text_and_column(text, col, msg):
     with pytest.raises(ParseError) as exc:
@@ -89,10 +109,9 @@ def test_parse_error_text_and_column(text, col, msg):
 
 
 @pytest.mark.parametrize("text, msg", [
-    ("fs(sidon(x))", "sequence sidon takes at most one count parameter, got ('x',)"),
-    ("construct(exgamma,x)", "bad parameters for exgamma; usage: construct(exgamma[,count])"
-                             " - sum-dominating sequence with n dividing the n-th term"),
-    ("construct(sidon_levels,3)", "sidon_levels takes (count, side) with side 0 or 1"),
+    ("construct(exgamma,0)", "count must be >= 1, got 0"),
+    ("fs(primeseq(prime))", "primeseq needs a variant: all, odd or even"),
+    ("construct(sidon_levels,4,3)", "side must be 0 or 1, got 3"),
 ])
 def test_parameters_are_checked_when_evaluated(text, msg):
     assert unparse(parse(text)) == text

@@ -21,8 +21,10 @@ The battery, read from this checkout:
 - ``parse`` of nested expressions over every kind of syntax-tree node, as a
   table and as JSON,
 - ``construct`` of every catalog fixture with valid parameters, at horizon 2000,
-- ``parse`` and ``check max`` of malformed expressions, and a few other error
-  paths of ``check``, ``diagram`` and ``chain``,
+- ``parse`` and ``check max`` of malformed expressions (one malformed parameter
+  shape for each fixture and sequence rule among them) and of parameters whose
+  values are refused, and a few other error paths of ``check``, ``diagram`` and
+  ``chain``,
 - ``fe``, ``check`` and ``diagram`` commands that count prime factors of
   numbers above the shared sieve (``arith.omega`` past 100000),
 - ``fe`` cross-checks decided by a refuter, by the witness route, and with
@@ -53,9 +55,15 @@ PARSE_EXPRS = ("pseudo(3,N,mult(2),mult(4))", "fs([1,2,4])", "fp(primeseq(odd))"
                "construct(sidon_levels,6,1)", "shift(quot(level(2),2),3)",
                "union(inter(compl(primes),ap(1,2)),dilate(2,{3,5}),up(level(0)))",
                "down(fp(exgamma()))")
-# rejected by the parser, or parsed and rejected when evaluated
-BAD_EXPRS = ("pseudo(3)", "union()", "mult(2,3)", "fs(foo())", "fs(sidon(x))", "construct(nope)",
-             "construct(exgamma,x)", "construct(sidon_levels,3)")
+# rejected by the parser: bad syntax, unknown names, and a malformed parameter
+# shape for every fixture and sequence rule
+BAD_EXPRS = ("pseudo(3)", "union()", "mult(2,3)", "fs(foo())", "construct(nope)",
+             "construct(exgamma,x)", "construct(sidon_levels,3)", "construct(thick_nonmaxstar,x)",
+             "construct(equal_exponent,2)", "construct(fp_primes,3)", "construct(prophier,[2,3],1)",
+             "construct(levelfix,[1],3)", "fs(sidon(x))", "fs(exgamma(3,4))", "fs(primeseq())",
+             "fp(primeseq(odd,x))",
+             # parsed, and rejected for their values when evaluated
+             "construct(exgamma,0)", "fs(primeseq(prime))", "construct(sidon_levels,4,3)")
 CONSTRUCT_ARGS = (("exgamma", "8"), ("fastgrowth",), ("sidon", "10"), ("sidon",),
                   ("thick_nonmaxstar",), ("thick_nonmaxstar", "5"), ("equal_exponent",),
                   ("fp_primes", "odd", "4"), ("fp_primes", "[1,3,5]"),
