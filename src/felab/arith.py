@@ -330,35 +330,68 @@ def is_strong_antichain(S) -> bool:
 def extract_strong_antichain(A, s: int, H: int) -> list[int] | None:
     """Lexicographically least size-s pairwise-coprime subset of A within [2, H], or None.
 
-    Raises a resource error once the search has tried _ANTICHAIN_STEP_CAP candidates.
+    The search walks bit sets of pool indices: one per prime, marking the members
+    it divides, and one per node, marking the candidates coprime to every member
+    chosen so far, so it never tests a candidate that shares a prime with one.
+    It still counts a step for every candidate a plain scan would test, coprime or
+    not, and raises a resource error once the count passes _ANTICHAIN_STEP_CAP.
     """
     if s < 1:
         raise InputError(f"antichain size must be >= 1, got {s}")
     pool = sorted(x for x in set(A) if 2 <= x <= H)
+    primes = [[p for p, _ in factorize(x)] for x in pool]
+    multiples: dict[int, list[int]] = {}  # prime -> indices of the members it divides
+    for i, ps in enumerate(primes):
+        for p in ps:
+            multiples.setdefault(p, []).append(i)
+    divides: dict[int, int] = {}  # prime -> bit i set when it divides pool[i]
+
+    def bits(p: int) -> int:
+        # built on first use from a byte array, so a large pool costs linear time
+        if p not in divides:
+            table = bytearray(multiples[p][-1] // 8 + 1)
+            for i in multiples[p]:
+                table[i >> 3] |= 1 << (i & 7)
+            divides[p] = int.from_bytes(table, "little")
+        return divides[p]
+
     chosen: list[int] = []
     steps = 0
 
-    def rec(start: int) -> bool:
+    def count(more: int) -> None:
+        # the plain scan's count only grows, so a check after a bulk add raises
+        # exactly when the scan would have raised somewhere inside it
         nonlocal steps
+        steps += more
+        if steps > _ANTICHAIN_STEP_CAP:
+            raise ResourceError(
+                f"antichain search over {len(pool)} candidates exceeds the step cap "
+                f"{_ANTICHAIN_STEP_CAP}")
+
+    def rec(free: int, pos: int) -> bool:
+        # free: the indices from pos on that are coprime to every chosen member
         if len(chosen) == s:
             return True
-        for idx in range(start, len(pool)):
-            if len(pool) - idx < s - len(chosen):
-                return False
-            steps += 1
-            if steps > _ANTICHAIN_STEP_CAP:
-                raise ResourceError(
-                    f"antichain search over {len(pool)} candidates exceeds the step cap "
-                    f"{_ANTICHAIN_STEP_CAP}")
-            c = pool[idx]
-            if all(math.gcd(c, x) == 1 for x in chosen):
-                chosen.append(c)
-                if rec(idx + 1):
-                    return True
-                chosen.pop()
+        last = len(pool) - (s - len(chosen))  # the scan tests no index past this
+        while free:
+            j = (free & -free).bit_length() - 1
+            if j > last:
+                break
+            count(j - pos + 1)
+            chosen.append(pool[j])
+            shared = 0
+            for p in primes[j]:
+                shared |= bits(p)
+            if rec(free & ~shared, j + 1):
+                return True
+            chosen.pop()
+            free &= free - 1
+            pos = j + 1
+        if pos <= last:
+            count(last - pos + 1)
         return False
 
-    return chosen if rec(0) else None
+    return chosen if rec((1 << len(pool)) - 1, 0) else None
 
 
 def crt_solve(congruences) -> int | None:

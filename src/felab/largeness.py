@@ -388,8 +388,9 @@ def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     def valid(c: int) -> bool:
         return all(A.contains(v) is True for v in range(c, horizon + 1, c))
 
-    # Generators are collected in ascending order, so a successful search over
-    # a prefix of them already yields the lexicographically least antichain.
+    # Generators are collected in ascending order and searched in growing
+    # prefixes, so a proof gives the lexicographically least antichain among the
+    # generators collected so far; a smaller one may use a later generator.
     # The cap at horizon//2 keeps the evidence honest: every accepted generator
     # has at least two of its dilations verified, never just itself.
     # A search that hits its step cap ends the check with bounded evidence.

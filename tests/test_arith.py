@@ -300,6 +300,51 @@ def test_extract_strong_antichain_step_cap():
         arith.extract_strong_antichain(range(2, 3002, 2), 2, 3002)
 
 
+def _plain_antichain_scan(A, s, H, cap):
+    """The search as a plain scan: every candidate from the start index on is one
+    step, coprime or not, tested by gcd against the members chosen so far.
+    Returns the antichain, None, or "cap" where the scan would raise."""
+    pool = sorted(x for x in set(A) if 2 <= x <= H)
+    chosen, steps = [], 0
+
+    def rec(start):
+        nonlocal steps
+        if len(chosen) == s:
+            return True
+        for idx in range(start, len(pool)):
+            if len(pool) - idx < s - len(chosen):
+                return False
+            steps += 1
+            if steps > cap:
+                raise ResourceError("step cap")
+            if all(math.gcd(pool[idx], x) == 1 for x in chosen):
+                chosen.append(pool[idx])
+                if rec(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    try:
+        return chosen if rec(0) else None
+    except ResourceError:
+        return "cap"
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(min_value=2, max_value=4999), max_size=30),
+       st.integers(min_value=1, max_value=5), st.sampled_from([5, 20, 100, 1000]))
+def test_extract_strong_antichain_matches_the_plain_scan(pool, s, cap):
+    """Same antichain, and a step-cap error on exactly the inputs where the plain
+    scan would raise one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_ANTICHAIN_STEP_CAP", cap)
+        try:
+            got = arith.extract_strong_antichain(pool, s, 5000)
+        except ResourceError:
+            got = "cap"
+    assert got == _plain_antichain_scan(pool, s, 5000, cap)
+
+
 @given(st.sets(st.integers(min_value=2, max_value=120), min_size=1, max_size=14),
        st.integers(min_value=1, max_value=4))
 def test_extract_antichain_result_is_valid_and_least(pool, s):

@@ -19,6 +19,7 @@ from referencing import Registry, Resource
 import conftest
 from felab import arith, cli, embed
 from felab.largeness import CHECKERS
+from felab.setlang import evaluate, parse
 
 
 @pytest.fixture(autouse=True)
@@ -571,6 +572,19 @@ def test_nmaxstar_antichain_search_capped(capsys):
     assert time.perf_counter() - start < 10
     assert code == 2
     assert payload["verdict"]["certificate"]["antichain_search_capped"] is True
+
+
+def test_nmaxstar_proof_is_valid_though_not_least_overall(capsys):
+    """The proved antichain is least among the generators collected so far only:
+    [6, 385] is smaller but 385 lies past the first 64 generators. What it proves
+    still holds: pairwise coprime, and every dilation up to H inside A."""
+    expr, H = "up({6,10,21,385})", 5000
+    code, payload = run_json(["check", "nmax*", expr, "--horizon", str(H), "--s", "2"], capsys)
+    assert code == 0
+    C = payload["verdict"]["certificate"]["antichain"]
+    assert C == [10, 21] and arith.is_strong_antichain(C)
+    A = evaluate(parse(expr), H)
+    assert all(A.contains(v) is True for c in C for v in range(c, H + 1, c))
 
 
 def test_json_flag_matches_format_option(capsys):

@@ -1,12 +1,12 @@
 """Generators for the named families and fixtures: pinned prefixes and defining laws."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from felab import arith
-from felab.constructions import (FIXTURES, SEQUENCE_RULES, FpFixture, PseudoResult,
-                                 ThickFixture, build_fixture, catalog_lines, gen_equal_exponent,
+from felab.constructions import (FIXTURES, SEQUENCE_RULES, PseudoResult, build_fixture,
+                                 catalog_lines, gen_equal_exponent,
                                  gen_fp_prime_subset, gen_levelfix, gen_mj_funcs,
                                  gen_prophier, gen_thick_nonmaxstar,
                                  equal_exponent_pred, pseudointersection,

@@ -1,14 +1,13 @@
 """Dilation embeddings: witness search, the quotient oracle, refuters, chains."""
 
 import json
-import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from felab import embed
-from felab.embed import (ChainResult, FeRefutation, FeWitness, decreasing_chain,
+from felab.embed import (FeRefutation, FeWitness, decreasing_chain,
                          fe_fip_oracle, fe_prefix_check, fe_refute_level,
                          fe_refute_residue, fe_witness, me_check, mthick_check)
 from felab.errors import InapplicableError, InputError, PrecisionError

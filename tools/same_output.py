@@ -28,7 +28,9 @@ The battery, read from this checkout:
 - ``fe``, ``check`` and ``diagram`` commands that count prime factors of
   numbers above the shared sieve (``arith.omega`` past 100000),
 - ``fe`` cross-checks decided by a refuter, by the witness route, and with
-  ``--horizon`` below ``--kmax``, and ``fe``/``me`` with a ``--kmax`` below 1.
+  ``--horizon`` below ``--kmax``, and ``fe``/``me`` with a ``--kmax`` below 1,
+- ``check nmax*`` at horizon 5000 on the sets whose coprime-antichain searches
+  cost most, on one that ends at the search's step cap, and with ``--s`` 2 and 6.
 
 Standard library only.
 """
@@ -70,6 +72,9 @@ CONSTRUCT_ARGS = (("exgamma", "8"), ("fastgrowth",), ("sidon", "10"), ("sidon",)
                   ("prophier", "[2,3,5]", "2", "1", "[7,11]", "1", "2"),
                   ("levelfix", "[1]", "[2]", "3"), ("sidon_levels", "6", "1"))
 CONSTRUCT_HORIZON = "2000"
+NMAXSTAR_EXPRS = ("up({6,10,15})", "quot(mult(10),2)", "inter(mult(6),compl(level(3)))",
+                  "mult(2)", "union(up({3,5}),{4,9,49})")
+NMAXSTAR_HORIZON = "5000"
 
 
 def c10_battery() -> list[list[str]]:
@@ -147,6 +152,12 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         ["fe", "{2,3}", "mult(6)", "--horizon", "50", "--kmax", "100", "--json"],
         ["fe", "primes", "compl(mult(2))", "--kmax", "-3", "--json"],
         ["me", "{2,3}", "mult(6)", "--m", "1", "--kmax", "0", "--json"],
+        # the coprime-antichain search: costly, capped, and s other than 4
+        *(["check", "nmax*", expr, "--horizon", NMAXSTAR_HORIZON, "--json"]
+          for expr in NMAXSTAR_EXPRS),
+        ["check", "nmax*", "up({6,10,21,385})", "--horizon", NMAXSTAR_HORIZON, "--s", "2",
+         "--json"],
+        ["check", "nmax*", "N", "--horizon", NMAXSTAR_HORIZON, "--s", "6", "--json"],
     ]
     return cmds
 

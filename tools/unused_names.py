@@ -11,8 +11,11 @@ their bare spelling, so an attribute ``x.contains`` uses every method called
 ``contains``. Next to each unused name the script prints the
 files under ``tests/``, ``tools/`` and ``perfbench/`` that use it.
 
+It then lists the names that a module under ``tests/`` or ``tools/`` imports
+and never reads (as a ``Name``, in that module).
+
 Names in ``KEEP`` are listed with their reason. The exit code is 1 if any other
-name is listed, else 0. Standard library only.
+name or any unread import is listed, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "felab"
 OUTSIDE = ("tests", "tools", "perfbench")
+IMPORTS_CHECKED = ("tests", "tools")
 
 # name -> why it stays although nothing in src uses it
 KEEP = {
@@ -72,6 +76,21 @@ def read_count(counts: tuple[Counter, Counter], name: str, method: bool) -> int:
     return attrs[name] + (0 if method else names[name])
 
 
+def unread_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of each name the module imports and never reads."""
+    names, _ = reads(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if names[bound] == 0:
+                    out.append((node.lineno, bound))
+    return out
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
@@ -99,7 +118,14 @@ def main() -> int:
             print(f"{module}.{qualname}: {note}; outside src used by {where}")
             unkept += name not in KEEP
     print(f"{unkept} unused names outside KEEP")
-    return 1 if unkept else 0
+    unread = 0
+    for top in IMPORTS_CHECKED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for line, name in unread_imports(parse(path)):
+                print(f"{path.relative_to(ROOT)}:{line}: imports {name}, never read")
+                unread += 1
+    print(f"{unread} unread imports in {', '.join(IMPORTS_CHECKED)}")
+    return 1 if unkept or unread else 0
 
 
 if __name__ == "__main__":
