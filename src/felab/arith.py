@@ -209,16 +209,17 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-def _strip_small_primes(n: int) -> tuple[list[tuple[int, int]], int]:
-    """Divide the primes of _SMALL_PRIMES out of n in order until what is left fits
-    the shared sieve; return the (prime, exponent) pairs taken and what is left."""
+def _strip_small_primes(n: int, pairs: list | None = None) -> tuple[int, int]:
+    """Divide _SMALL_PRIMES out of n in order until what is left fits the sieve; return
+    how many prime factors that took and what is left, appending (p, e) to pairs if given."""
     if _sieve is None or not 1 <= n <= _sieve.limit:
         if n < 1:
             raise InputError(f"factorize expects n >= 1, got {n}")
         if n >= _MR_EXACT_BELOW:
             raise ResourceError(f"{n} lies beyond the deterministic primality range")
-        ensure_sieve(min(n, 100_000))
-    limit, pairs = _sieve.limit, []
+        if _sieve is None or _sieve.limit < 100_000:  # past that, ensure_sieve is a no-op
+            ensure_sieve(min(n, 100_000))
+    limit, count = _sieve.limit, 0
     for p in _SMALL_PRIMES:
         if n <= limit:
             break
@@ -227,13 +228,15 @@ def _strip_small_primes(n: int) -> tuple[list[tuple[int, int]], int]:
             while n % p == 0:
                 n //= p
                 e += 1
-            pairs.append((p, e))
-    return pairs, n
+            count += e
+            if pairs is not None:
+                pairs.append((p, e))
+    return count, n
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization as sorted (prime, exponent) pairs; factorize(1) == []."""
-    pairs, n = _strip_small_primes(n)
+    _, n = _strip_small_primes(n, pairs := [])
     if n > _sieve.limit:
         return pairs + sorted(_factor_large(n, {}).items())
     # the smallest prime factor of what is left never decreases
@@ -252,8 +255,7 @@ def omega(n: int) -> int:
     """Number of prime factors counted with multiplicity; omega(1) == 0."""
     count = 0
     if _sieve is None or not 1 <= n <= _sieve.limit:
-        pairs, n = _strip_small_primes(n)
-        count = sum(e for _, e in pairs)
+        count, n = _strip_small_primes(n)
         if n > _sieve.limit:
             if n < 101 ** 3:  # its prime factors are at least 101, so it has one or two
                 return count + (1 if _mr_is_prime(n) else 2)

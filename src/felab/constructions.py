@@ -82,22 +82,23 @@ def _fastgrowth_stream() -> Iterator[int]:
 
 
 def _sidon_stream() -> Iterator[int]:
-    terms: list[int] = []
-    diffs: set[int] = set()
-    cand = 1
+    # Bit sets, relative to the newest term c: bit i of back is set when c - i is a
+    # term, of diffs when i is a difference of two terms (0 too), of bad when c + i
+    # cannot join. The candidates above c that c excludes are exactly c + diffs.
+    back, diffs, bad, c = 1, 0, 0, 1
     while True:
-        while any(cand - t in diffs for t in terms):
-            cand += 1
-        diffs.update(cand - t for t in terms)
-        terms.append(cand)
-        yield cand
-        cand += 1
+        yield c
+        diffs |= back
+        bad |= diffs
+        step = (~bad & (bad + 1)).bit_length() - 1  # bad's lowest clear bit
+        back = back << step | 1
+        bad >>= step
+        c += step
 
 
 def sidon_sequence(length: int) -> list[int]:
     """Greedy minimal increasing sequence whose pairwise differences are all distinct."""
-    _check_count(length)
-    return _IncreasingStream(_sidon_stream()).take(length)
+    return sequence_terms("sidon", (length,), 0)[0]
 
 
 _SEQ_STREAMS = {
@@ -115,10 +116,12 @@ SEQUENCE_RULES = {
 }
 
 
-def sequence_terms(rule: str, params: tuple, horizon: int) -> tuple[list[int], bool]:
-    """Terms of a named sequence: (prefix of length count, True) or (terms <= horizon, False)."""
+def sequence_terms(rule: str, params: tuple, horizon: int,
+                   vet=lambda count: None) -> tuple[list[int], bool]:
+    """Terms of a named sequence: (prefix of length count, True) or (terms <= horizon,
+    False). A count passes _check_count, then vet, before any term is generated."""
     if rule != "primeseq":
-        return _stream_terms(_IncreasingStream(_SEQ_STREAMS[rule]()), params, horizon)
+        return _stream_terms(_IncreasingStream(_SEQ_STREAMS[rule]()), params, horizon, vet)
     variant, *count = params
     if variant not in ("all", "odd", "even"):
         raise InputError("primeseq needs a variant: all, odd or even")
@@ -126,14 +129,17 @@ def sequence_terms(rule: str, params: tuple, horizon: int) -> tuple[list[int], b
     offset = 1 if variant == "even" else 0
     if count:
         _check_count(count[0])
+        vet(count[0])
         return arith.first_primes(stride * count[0])[offset::stride][:count[0]], True
     return arith.primes_upto(horizon)[offset::stride], False
 
 
-def _stream_terms(stream: _IncreasingStream, params: tuple, horizon: int) -> tuple[list[int], bool]:
+def _stream_terms(stream: _IncreasingStream, params: tuple, horizon: int,
+                  vet=lambda count: None) -> tuple[list[int], bool]:
     """A stream's first count terms (params == (count,)), or its terms up to the horizon."""
     if params:
         _check_count(params[0])
+        vet(params[0])
         return stream.take(params[0]), True
     return stream.upto(horizon), False
 

@@ -204,20 +204,22 @@ def _eval_fsfp(expr, h: int) -> LazySet:
     additive = isinstance(expr, nodes.Fs)
     seq = expr.seq
     if isinstance(seq, nodes.ExplicitSeq):
+        _check_pinned(len(seq.values))
         terms, pinned = list(seq.values), True
     else:
-        terms, pinned = constructions.sequence_terms(seq.rule, seq.params, h)
+        terms, pinned = constructions.sequence_terms(seq.rule, seq.params, h, _check_pinned)
     if pinned:
-        if len(terms) > FS_MAX_LEN or 2 ** len(terms) > SUBSET_CAP:
-            raise ResourceError(
-                f"closure of {len(terms)} pinned terms exceeds the subset cap "
-                f"{SUBSET_CAP}; use an unpinned sequence or fewer terms"
-            )
         closure = _sums_all(terms) if additive else _prods_all(terms)
         members = _capped(sorted(closure))
         return LazySet.of_finite(expr, members)
     members = _closure_upto(terms, h, additive)
     return LazySet(expr, _capped(members), h)
+
+
+def _check_pinned(count: int) -> None:
+    if count > FS_MAX_LEN or 2 ** count > SUBSET_CAP:
+        raise ResourceError(f"closure of {count} pinned terms exceeds the subset cap "
+                            f"{SUBSET_CAP}; use an unpinned sequence or fewer terms")
 
 
 def _sums_all(terms) -> set[int]:

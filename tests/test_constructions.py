@@ -1,12 +1,14 @@
 """Generators for the named families and fixtures: pinned prefixes and defining laws."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from felab import arith
 from felab.constructions import (FIXTURES, SEQUENCE_RULES, PseudoResult, build_fixture,
-                                 catalog_lines, gen_equal_exponent,
+                                 _sidon_stream, catalog_lines, gen_equal_exponent,
                                  gen_fp_prime_subset, gen_levelfix, gen_mj_funcs,
                                  gen_prophier, gen_thick_nonmaxstar,
                                  equal_exponent_pred, pseudointersection,
@@ -63,6 +65,23 @@ def test_sidon_is_greedy_minimal():
         for cand in range(lo, a):
             assert any(cand - t in diffs for t in prior)
         diffs.update(a - t for t in prior)
+
+
+def _plain_sidon_scan(bound):
+    """The greedy distinct-difference sequence as a plain scan: each candidate is
+    tested against every earlier term."""
+    terms, diffs = [], set()
+    for cand in range(1, bound + 1):
+        if not any(cand - t in diffs for t in terms):
+            diffs.update(cand - t for t in terms)
+            terms.append(cand)
+    return terms
+
+
+def test_sidon_stream_matches_the_plain_scan():
+    # the first 161 terms are those <= 100000; islice stops a stream that stalls
+    got = list(itertools.islice(_sidon_stream(), 162))
+    assert got[:161] == _plain_sidon_scan(100_000) and got[161] > 100_000
 
 
 def test_sequence_terms_named_rules():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from felab import arith, constructions
 from felab.constructions import FIXTURES
 from felab.errors import InputError, ParseError, PrecisionError, ResourceError
 from felab.setlang.lazyset import MAX_ELEMENTS
@@ -322,6 +323,30 @@ def test_unpinned_fp_holds_one_only_as_a_term():
 def test_unpinned_fp_subset_cap():
     with pytest.raises(ResourceError, match="product closure exceeds the subset cap"):
         ev("fp(primeseq(all))", horizon=400_000)
+
+
+_PINNED_CAP = "exceeds the subset cap 200000; use an unpinned sequence or fewer terms"
+
+
+@pytest.mark.parametrize("text, error, msg", [
+    ("fs(sidon(20000))", ResourceError, "count 20000 exceeds the generator cap 10000"),
+    ("fs(primeseq(prime,600))", InputError, "primeseq needs a variant: all, odd or even"),
+    ("fs(sidon(600))", ResourceError, "closure of 600 pinned terms " + _PINNED_CAP),
+    ("fp(primeseq(odd,18))", ResourceError, "closure of 18 pinned terms " + _PINNED_CAP),
+    ("fs([" + ",".join(map(str, range(1, 19))) + "])", ResourceError,
+     "closure of 18 pinned terms " + _PINNED_CAP),
+])
+def test_pinned_closure_cap_comes_before_generation(monkeypatch, text, error, msg):
+    """A pinned count passes the generator's own checks, then the subset cap, and
+    only then are its terms generated."""
+    def generate(*args):
+        raise AssertionError("terms generated before the count was checked")
+
+    monkeypatch.setattr(constructions._IncreasingStream, "take", generate)
+    monkeypatch.setattr(arith, "first_primes", generate)
+    with pytest.raises(error) as exc:
+        ev(text)
+    assert str(exc.value) == msg
 
 
 @pytest.mark.parametrize("depth", [99, 98])

@@ -30,7 +30,12 @@ The battery, read from this checkout:
 - ``fe`` cross-checks decided by a refuter, by the witness route, and with
   ``--horizon`` below ``--kmax``, and ``fe``/``me`` with a ``--kmax`` below 1,
 - ``check nmax*`` at horizon 5000 on the sets whose coprime-antichain searches
-  cost most, on one that ends at the search's step cap, and with ``--s`` 2 and 6.
+  cost most, on one that ends at the search's step cap, and with ``--s`` 2 and 6,
+- the greedy Sidon sequence: ``check a-thick fs(sidon())`` at horizons 100000
+  and 1000000, ``construct sidon 300``, and the closure of 600 pinned terms,
+  refused at the subset cap,
+- ``check a-thick`` on a shifted quotient of a level at the default horizon,
+  which counts prime factors of every n in (100000, 200012].
 
 Standard library only.
 """
@@ -158,6 +163,13 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         ["check", "nmax*", "up({6,10,21,385})", "--horizon", NMAXSTAR_HORIZON, "--s", "2",
          "--json"],
         ["check", "nmax*", "N", "--horizon", NMAXSTAR_HORIZON, "--s", "6", "--json"],
+        # the greedy Sidon stream, and a pinned closure refused before its terms exist
+        *(["check", "a-thick", "fs(sidon())", "--horizon", h, "--json"]
+          for h in ("100000", "1000000")),
+        ["construct", "sidon", "300"],
+        ["check", "a-thick", "fs(sidon(600))"],
+        # Omega over (100000, 200012] at the default horizon
+        ["check", "a-thick", "shift(quot(level(2),2),6)", "--json"],
     ]
     return cmds
 
