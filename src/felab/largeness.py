@@ -18,6 +18,8 @@ and verifies the finite characterizations of the dilation properties exactly.
 
 from __future__ import annotations
 
+import bisect
+
 from . import arith
 from .constructions import gen_mj_funcs
 from .embed import _least_dilation, _one_by_one, mthick_check
@@ -123,17 +125,21 @@ def a_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
         raise InputError(f"bounds (t_max={t_max}, n={n}) exceed horizon {horizon}")
     bounds = {"horizon": horizon, "t_max": t_max, "n": n}
     shifts = range(t_max + 1)
+    contains = A.contains
     run = best = best_end = 0
     for x in range(1, horizon + 1):
-        if any(A.contains(x + t) is True for t in shifts):
-            run += 1
-            if run > best:
-                best, best_end = run, x
-            if run >= n:
-                return Verdict.proved(
-                    {"F": list(shifts), "m": x - n, "run": [x - n + 1, x]}, bounds)
+        for t in shifts:
+            if contains(x + t) is True:
+                break
         else:
             run = 0
+            continue
+        run += 1
+        if run > best:
+            best, best_end = run, x
+        if run >= n:
+            return Verdict.proved(
+                {"F": list(shifts), "m": x - n, "run": [x - n + 1, x]}, bounds)
     detail = {"max_run": best}
     if best:
         detail["at"] = best_end - best
@@ -175,7 +181,7 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
         raise InputError(f"mode must be additive or multiplicative, got {mode!r}")
     if L < 1:
         raise InputError(f"sequence length must be >= 1, got {L}")
-    if (1 << L) - 1 > SUBSET_CAP:
+    if L > SUBSET_CAP.bit_length() or (1 << L) - 1 > SUBSET_CAP:
         raise ResourceError(
             f"2^{L}-1 combinations exceed the subset cap {SUBSET_CAP}")
     horizon = _check_horizon(H)
@@ -185,6 +191,7 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
     else:
         elems = A.elements(horizon)
     additive = mode == "additive"
+    contains = A.contains
     attempts = 0
     truncated = False
     chosen: list[int] = []
@@ -193,20 +200,25 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
         nonlocal attempts, truncated
         if len(chosen) == L:
             return True
-        top = max(vals, default=0)
-        for idx in range(start, len(elems)):
-            x = elems[idx]
-            # the largest fresh combination only grows along the candidate list
-            if vals and (top + x if additive else top * x) > horizon:
-                break
+        end = len(elems)
+        if vals:
+            # the largest fresh combination, top+x or top*x, grows along the
+            # candidate list: stop at the first x that takes it past the horizon
+            top = max(vals)
+            end = bisect.bisect_right(
+                elems, horizon - top if additive else horizon // top, start)
+        for idx in range(start, end):
             if attempts >= SUBSET_CAP:
                 truncated = True
                 return False
             attempts += 1
-            fresh = [v + x if additive else v * x for v in vals]
-            if all(f <= horizon and A.contains(f) is True for f in fresh):
+            x = elems[idx]
+            for v in vals:
+                if contains(v + x if additive else v * x) is not True:
+                    break
+            else:
                 chosen.append(x)
-                if rec(idx + 1, vals + fresh + [x]):
+                if rec(idx + 1, vals + [v + x if additive else v * x for v in vals] + [x]):
                     return True
                 chosen.pop()
                 if truncated:
@@ -247,8 +259,12 @@ def j_check(A: LazySet, funcs, a_max: int, h_max: int,
         raise InputError(f"mode must be additive or multiplicative, got {mode!r}")
     if a_max < 1 or h_max < 1:
         raise InputError(f"caps must be >= 1, got a_max={a_max}, h_max={h_max}")
-    if 1 << h_max > _J_MASK_CAP:
+    if h_max > _J_MASK_CAP.bit_length() or 1 << h_max > _J_MASK_CAP:
         raise ResourceError(f"2^{h_max} index subsets exceed the cap {_J_MASK_CAP}")
+    size = 1 << h_max
+    if a_max * (size - 1) > SUBSET_CAP:
+        raise ResourceError(f"{a_max} base values times {size - 1} index subsets "
+                            f"exceed the search-step cap {SUBSET_CAP}")
     tables = [tuple(int(v) for v in f[:h_max]) for f in funcs]
     if not tables:
         raise InputError("at least one function table is required")
@@ -258,7 +274,6 @@ def j_check(A: LazySet, funcs, a_max: int, h_max: int,
         if any(v < 1 for v in f):
             raise InputError(f"table values must be >= 1, got {f}")
     additive = mode == "additive"
-    size = 1 << h_max
     combo = []
     for f in tables:
         acc = [0 if additive else 1] * size
@@ -269,11 +284,17 @@ def j_check(A: LazySet, funcs, a_max: int, h_max: int,
             acc[mask] = prev + v if additive else prev * v
         combo.append(acc)
     bounds = {"a_max": a_max, "h_max": h_max, "mode": mode, "tables": len(tables)}
+    contains = A.contains
+    # columns[mask]: each table's combination over the index set mask
+    columns = list(zip(*combo))
     for a in range(1, a_max + 1):
         for mask in range(1, size):
-            landing = [a + c[mask] if additive else a * c[mask] for c in combo]
-            if all(A.contains(v) is True for v in landing):
+            for c in columns[mask]:
+                if contains(a + c if additive else a * c) is not True:
+                    break
+            else:
                 indices = [i + 1 for i in range(h_max) if mask >> i & 1]
+                landing = [a + c if additive else a * c for c in columns[mask]]
                 return Verdict.proved(
                     {"a": a, "indices": indices, "values": landing}, bounds)
     return Verdict.bounded("against", bounds, {"exhausted_a": a_max})
@@ -384,9 +405,13 @@ def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
         raise InputError(f"antichain strength must be >= 2, got {s}")
     horizon = _check_horizon(H)
     bounds = {"horizon": horizon, "s": s}
+    contains = A.contains
 
     def valid(c: int) -> bool:
-        return all(A.contains(v) is True for v in range(c, horizon + 1, c))
+        for v in range(c, horizon + 1, c):
+            if contains(v) is not True:
+                return False
+        return True
 
     # Generators are collected in ascending order and searched in growing
     # prefixes, so a proof gives the lexicographically least antichain among the
@@ -457,9 +482,9 @@ class PropertyParams:
         return {f: getattr(self, f) for f in self._fields}
 
 
-def _add_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The additive J tables f(i) = i and g(i) = 2i for i <= h_max."""
-    return (tuple(range(1, h_max + 1)), tuple(2 * i for i in range(1, h_max + 1)))
+def _add_funcs(h_max: int) -> tuple[range, range]:
+    """The additive J tables f(i) = i and g(i) = 2i for i <= h_max, lazy for j_check's caps."""
+    return range(1, h_max + 1), range(2, 2 * h_max + 1, 2)
 
 
 # Each entry calls its checker by module-level name at call time, so a wrapper

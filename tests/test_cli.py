@@ -465,6 +465,19 @@ def test_atlas_resource_cap(capsys):
     assert code == 4 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "a-ip", "N", "--L", "100000000000000"],
+    ["diagram", "N", "--L", "100000000000000"],
+    ["check", "a-j", "N", "--h-max", "100000000000000"],
+    ["check", "a-j", "{5}", "--a-max", "100000000000000"],
+], ids=["a-ip-L", "diagram-L", "a-j-h-max", "a-j-a-max"])
+def test_huge_search_bounds_exit_4(argv, capsys):
+    """L, h_max and the J step count meet their caps before anything of that size is built."""
+    code, out, err = run(argv, capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_parse_ast(registry, capsys):
     code, payload = run_json(["parse", "union(mult(2),level(3))"], capsys)
     assert code == 0

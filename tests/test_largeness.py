@@ -1,16 +1,20 @@
 """Largeness-property deciders, the implication diagram, and the poset atlas."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from felab import arith, largeness
 from felab.constructions import gen_mj_funcs
 from felab.errors import InapplicableError, InputError, ResourceError
-from felab.largeness import (CHECKERS, PropertyParams, a_pcws_check,
+from felab.largeness import (CHECKERS, PropertyParams, _add_funcs, a_pcws_check,
                              a_thick_check, crt_thickness_demo, diagram_report,
                              ip_search, ip_star_check, j_check, m_pcws_check,
                              max_check, maxstar_check, nmax_refute,
                              nmaxstar_check, poset_atlas)
 from felab.setlang import evaluate, parse
-from felab.setlang.lazyset import DEFAULT_HORIZON
+from felab.setlang.lazyset import DEFAULT_HORIZON, LazySet
+from felab.verdicts import Verdict
 
 
 def ev(text, horizon=DEFAULT_HORIZON):
@@ -396,3 +400,213 @@ def test_atlas_caps_support():
 def test_atlas_rejects_bad_support():
     with pytest.raises(InputError):
         poset_atlas(0)
+
+
+# ---------------------------------------------------------------------------
+# the candidate loops against their plain forms: one list or generator per
+# candidate, as the checkers were first written
+# ---------------------------------------------------------------------------
+
+class _Recorded(LazySet):
+    """A LazySet that records the argument of every contains call, in order."""
+
+    __slots__ = ("calls",)
+
+    def contains(self, n):
+        self.calls.append(n)
+        return super().contains(n)
+
+
+def _recorded(A):
+    R = _Recorded(A.expr, A.elements(), A.complete_below, A.pred, A.finite)
+    R.calls = []
+    return R
+
+
+def _plain_ip_search(A, L, horizon, mode):
+    elems = A.complete_elements(horizon) if A.is_exact else A.elements(horizon)
+    additive = mode == "additive"
+    attempts, truncated, chosen = 0, False, []
+
+    def rec(start, vals):
+        nonlocal attempts, truncated
+        if len(chosen) == L:
+            return True
+        top = max(vals, default=0)
+        for idx in range(start, len(elems)):
+            x = elems[idx]
+            if vals and (top + x if additive else top * x) > horizon:
+                break
+            if attempts >= largeness.SUBSET_CAP:
+                truncated = True
+                return False
+            attempts += 1
+            fresh = [v + x if additive else v * x for v in vals]
+            if all(f <= horizon and A.contains(f) is True for f in fresh):
+                chosen.append(x)
+                if rec(idx + 1, vals + fresh + [x]):
+                    return True
+                chosen.pop()
+                if truncated:
+                    return False
+        return False
+
+    bounds = {"horizon": horizon, "L": L, "mode": mode}
+    if rec(0, []):
+        values = [chosen[0]]
+        for x in chosen[1:]:
+            values += [v + x if additive else v * x for v in values] + [x]
+        return Verdict.proved({"sequence": list(chosen), "values": sorted(set(values))}, bounds)
+    return Verdict.bounded("against", bounds, {"candidates": len(elems), "attempts": attempts,
+                                               "exhausted": not truncated})
+
+
+def _plain_j_check(A, funcs, a_max, h_max, mode):
+    tables = [tuple(f[:h_max]) for f in funcs]
+    additive = mode == "additive"
+    size = 1 << h_max
+    combo = []
+    for f in tables:
+        acc = [0 if additive else 1] * size
+        for mask in range(1, size):
+            low = mask & -mask
+            acc[mask] = acc[mask ^ low] + f[low.bit_length() - 1] if additive \
+                else acc[mask ^ low] * f[low.bit_length() - 1]
+        combo.append(acc)
+    bounds = {"a_max": a_max, "h_max": h_max, "mode": mode, "tables": len(tables)}
+    for a in range(1, a_max + 1):
+        for mask in range(1, size):
+            landing = [a + c[mask] if additive else a * c[mask] for c in combo]
+            if all(A.contains(v) is True for v in landing):
+                indices = [i + 1 for i in range(h_max) if mask >> i & 1]
+                return Verdict.proved({"a": a, "indices": indices, "values": landing}, bounds)
+    return Verdict.bounded("against", bounds, {"exhausted_a": a_max})
+
+
+def _plain_a_pcws(A, t_max, n, horizon):
+    bounds = {"horizon": horizon, "t_max": t_max, "n": n}
+    shifts = range(t_max + 1)
+    run = best = best_end = 0
+    for x in range(1, horizon + 1):
+        if any(A.contains(x + t) is True for t in shifts):
+            run += 1
+            if run > best:
+                best, best_end = run, x
+            if run >= n:
+                return Verdict.proved(
+                    {"F": list(shifts), "m": x - n, "run": [x - n + 1, x]}, bounds)
+        else:
+            run = 0
+    detail = {"max_run": best}
+    if best:
+        detail["at"] = best_end - best
+    return Verdict.bounded("against", bounds, detail)
+
+
+def _plain_nmaxstar(A, s, horizon):
+    bounds = {"horizon": horizon, "s": s}
+    pool, target, top = [], max(64, 8 * s), horizon // 2
+    for c in range(2, top + 1):
+        if all(A.contains(v) is True for v in range(c, horizon + 1, c)):
+            pool.append(c)
+        if len(pool) >= target or (c == top and len(pool) >= s):
+            try:
+                C = arith.extract_strong_antichain(pool, s, horizon)
+            except ResourceError:
+                return Verdict.bounded("against", bounds, {
+                    "dilation_generators": pool[:32], "antichain_search_capped": True})
+            if C is not None:
+                return Verdict.proved({"antichain": C, "strength": s}, bounds)
+            target *= 2
+    return Verdict.bounded("against", bounds, {"dilation_generators": pool[:32]})
+
+
+# finite, periodic and prefix-only sets (an unpinned closure answers None above
+# its enumeration), evaluated at 60 or 400
+_LOOP_SETS = st.tuples(st.one_of(
+    st.sampled_from(["N", "primes", "level(2)", "up({6,10,15})"]),
+    st.sampled_from(["fs(fastgrowth())", "fp(primeseq(odd))", "fs(sidon())"]),
+    st.sets(st.integers(1, 300), min_size=1, max_size=40).map(
+        lambda s: "{" + ",".join(map(str, sorted(s))) + "}"),
+    st.builds("mult({})".format, st.integers(1, 12)),
+    st.builds("compl(mult({}))".format, st.integers(2, 12)),
+    st.builds("union(mult({}),ap({},{}))".format, st.integers(2, 12), st.integers(1, 20),
+              st.integers(2, 12)),
+), st.sampled_from([60, 400]))
+
+
+def _both(A, new, plain):
+    """Run the checker and its plain form on recorded copies of A: (json, calls) each."""
+    results = []
+    for run in (new, plain):
+        R = _recorded(A)
+        try:
+            out = run(R).to_json()
+        except ResourceError as exc:
+            out = f"cap: {exc}"
+        results.append((out, R.calls))
+    return results
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOOP_SETS, st.integers(1, 4), st.sampled_from(["additive", "multiplicative"]),
+       st.integers(20, 400), st.integers(15, 400))
+# 2 + 59 = 61 lies above the enumeration: unknown, so 59 is refused and [5, 17] proved
+@example(("fp(primeseq(odd))", 60), 2, "additive", 400, 400)
+def test_ip_search_matches_the_plain_scan(set_at, L, mode, H, cap):
+    # a cap of at least 2^4 - 1 lets every L run, and a low one truncates the search
+    A = ev(*set_at)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(largeness, "SUBSET_CAP", cap)
+        new, plain = _both(A, lambda R: ip_search(R, L, H, mode),
+                           lambda R: _plain_ip_search(R, L, H, mode))
+    assert new == plain
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOOP_SETS, st.sampled_from(["additive", "multiplicative"]), st.integers(1, 4),
+       st.integers(1, 30), st.integers(1, 400), st.data())
+def test_j_check_matches_the_plain_scan(set_at, mode, h_max, a_max, cap, data):
+    A = ev(*set_at)
+    tables = data.draw(st.one_of(
+        st.just(_add_funcs(h_max)), st.just(gen_mj_funcs(h_max)),
+        st.lists(st.lists(st.integers(1, 40), min_size=h_max, max_size=h_max),
+                 min_size=1, max_size=3)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(largeness, "SUBSET_CAP", cap)
+        if a_max * ((1 << h_max) - 1) > cap:
+            with pytest.raises(ResourceError, match="search-step cap"):
+                j_check(A, tables, a_max, h_max, mode)
+            return
+        new, plain = _both(A, lambda R: j_check(R, tables, a_max, h_max, mode),
+                           lambda R: _plain_j_check(R, tables, a_max, h_max, mode))
+    assert new == plain
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOOP_SETS, st.integers(0, 4), st.integers(1, 12), st.integers(12, 400))
+def test_a_pcws_matches_the_plain_scan(set_at, t_max, n, H):
+    A = ev(*set_at)
+    new, plain = _both(A, lambda R: a_pcws_check(R, t_max, n, H),
+                       lambda R: _plain_a_pcws(R, t_max, n, H))
+    assert new == plain
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LOOP_SETS, st.integers(2, 4), st.integers(4, 400))
+def test_nmaxstar_matches_the_plain_scan(set_at, s, H):
+    A = ev(*set_at)
+    new, plain = _both(A, lambda R: nmaxstar_check(R, s, H),
+                       lambda R: _plain_nmaxstar(R, s, H))
+    assert new == plain
+
+
+def test_j_search_steps_are_capped_before_any_table(N):
+    # the default bounds take 500 * 15 steps, well inside the cap
+    assert j_check(N, _add_funcs(4), 500, 4).is_proved
+    with pytest.raises(ResourceError, match="search-step cap"):
+        j_check(N, _add_funcs(4), 10 ** 14, 4)
+    with pytest.raises(ResourceError, match="index subsets exceed the cap"):
+        j_check(N, _add_funcs(10 ** 14), 1, 10 ** 14)
+    with pytest.raises(ResourceError, match="combinations exceed the subset cap"):
+        ip_search(N, 10 ** 14)

@@ -35,7 +35,10 @@ The battery, read from this checkout:
   and 1000000, ``construct sidon 300``, and the closure of 600 pinned terms,
   refused at the subset cap,
 - ``check a-thick`` on a shifted quotient of a level at the default horizon,
-  which counts prime factors of every n in (100000, 200012].
+  which counts prime factors of every n in (100000, 200012],
+- the candidate loops of A-IP, M-IP, A-IP*, A-J, M-J, A-pcws and NMAX* at
+  horizon 5000 on the sets whose searches run longest or to the step cap, and
+  the three combination searches again with ``--L`` 2 and 5.
 
 Standard library only.
 """
@@ -80,6 +83,10 @@ CONSTRUCT_HORIZON = "2000"
 NMAXSTAR_EXPRS = ("up({6,10,15})", "quot(mult(10),2)", "inter(mult(6),compl(level(3)))",
                   "mult(2)", "union(up({3,5}),{4,9,49})")
 NMAXSTAR_HORIZON = "5000"
+LOOP_EXPRS = ("dilate(2,odd)", "shift(mult(3),2)", "fp(primeseq(odd))", "level(2)",
+              "construct(sidon)")
+LOOP_PROPS = ("a-ip", "m-ip", "a-ip*", "a-j", "m-j", "a-pcws", "nmax*")
+LOOP_HORIZON = "5000"
 
 
 def c10_battery() -> list[list[str]]:
@@ -171,6 +178,12 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         # Omega over (100000, 200012] at the default horizon
         ["check", "a-thick", "shift(quot(level(2),2),6)", "--json"],
     ]
+    for expr in LOOP_EXPRS:
+        for prop in LOOP_PROPS:
+            cmds.append(["check", prop, expr, "--horizon", LOOP_HORIZON, "--json"])
+        for prop in LOOP_PROPS[:3]:
+            cmds += [["check", prop, expr, "--horizon", LOOP_HORIZON, "--L", L, "--json"]
+                     for L in ("2", "5")]
     return cmds
 
 
