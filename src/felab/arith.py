@@ -124,8 +124,11 @@ def ensure_sieve(limit: int) -> Sieve:
         if loaded is None:
             loaded = Sieve(target)
             if cache_path is not None:
-                os.makedirs(_cache_dir, exist_ok=True)
-                loaded.save(cache_path)
+                try:
+                    os.makedirs(_cache_dir, exist_ok=True)
+                    loaded.save(cache_path)
+                except OSError as exc:
+                    raise InputError(f"cannot use cache directory {_cache_dir}: {exc}") from exc
         if _sieve is None or loaded.limit > _sieve.limit:
             _sieve = loaded
     return _sieve

@@ -16,54 +16,37 @@ import sys
 
 from . import arith, constructions, embed, largeness
 from .errors import FelabError, InapplicableError, InputError
-from .record import record
 from .setlang import LazySet, evaluate, parse, unparse
 from .setlang import nodes
 from .setlang.lazyset import DEFAULT_HORIZON
-
-
-@record
-class RunConfig:
-    """Resolved invocation settings shared by every subcommand."""
-
-    horizon: int = DEFAULT_HORIZON
-    fmt: str = "table"
-    cache: str | None = None
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise InputError(f"horizon must be >= 1, got {self.horizon}")
-
-
-def _run_config(args) -> RunConfig:
-    horizon = args.horizon if args.horizon is not None else DEFAULT_HORIZON
-    fmt = "json" if getattr(args, "json", False) else args.fmt
-    cache = args.cache if args.cache is not None else os.environ.get("FELAB_CACHE")
-    rc = RunConfig(horizon, fmt, cache or None)
-    if rc.cache:
-        arith.set_cache_dir(rc.cache)
-    return rc
 
 
 # ---------------------------------------------------------------------------
 # expression input, including @file explicit-set loading
 # ---------------------------------------------------------------------------
 
-def read_set_file(path: str) -> tuple[int, ...]:
-    """Explicit set file: one decimal natural per line, sorted, '#' comments."""
+def _read_lines(path: str, kind: str) -> list[str]:
+    """The lines of a UTF-8 set or batch file; one that cannot be read is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"cannot read set file {path}: {exc}") from exc
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
+def read_set_file(path: str) -> tuple[int, ...]:
+    """Explicit set file: one decimal natural per line, sorted, '#' comments."""
     values: list[int] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_lines(path, "set"), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
-        if not text.isdigit():
+        if not text.isdecimal():
             raise InputError(f"{path}:{lineno}: expected a decimal natural, got {text!r}")
-        values.append(int(text))
+        try:
+            values.append(int(text))
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"{path}:{lineno}: {len(text)} digits are too many") from exc
     if not values:
         raise InputError(f"set file {path} holds no values")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -80,9 +63,9 @@ def _expr_node(text: str) -> nodes.SetExpr:
     return parse(text)
 
 
-def _eval_expr(text: str, rc: RunConfig) -> tuple[nodes.SetExpr, LazySet]:
+def _eval_expr(text: str, horizon: int) -> tuple[nodes.SetExpr, LazySet]:
     node = _expr_node(text)
-    return node, evaluate(node, rc.horizon)
+    return node, evaluate(node, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -159,25 +142,21 @@ _BOUND_FLAGS = (
 )
 
 
-def _property_params(args, horizon: int, star_a_max: int | None) -> largeness.PropertyParams:
+def _property_params(args, star_a_max: int | None) -> largeness.PropertyParams:
     """The bound flags over PropertyParams' defaults, validated before any evaluation."""
     given = {field: getattr(args, flag[2:].replace("-", "_")) for flag, field, _ in _BOUND_FLAGS}
     given["star_a_max"] = star_a_max
+    given["horizon"] = args.horizon
     return largeness.PropertyParams(
-        horizon=horizon, **{field: value for field, value in given.items() if value is not None})
+        **{field: value for field, value in given.items() if value is not None})
 
 
 def _batch_lines(path: str) -> list[str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise InputError(f"cannot read batch file {path}: {exc}") from exc
-    lines = [ln.strip() for ln in raw]
+    lines = [ln.strip() for ln in _read_lines(path, "batch")]
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def _run_expressions(args, rc: RunConfig, run_one, print_table) -> int:
+def _run_expressions(args, run_one, print_table) -> int:
     """Run one expression (table or JSON) or every line of --batch (JSON lines).
 
     run_one(text) returns (payload, exit_code); a batch line that raises prints
@@ -199,7 +178,7 @@ def _run_expressions(args, rc: RunConfig, run_one, print_table) -> int:
     if args.expression is None:
         raise InputError("an expression is required (or use --batch FILE)")
     payload, code = run_one(args.expression)
-    if rc.fmt == "json":
+    if args.fmt == "json":
         _print_json(payload)
     else:
         print_table(payload)
@@ -207,9 +186,8 @@ def _run_expressions(args, rc: RunConfig, run_one, print_table) -> int:
 
 
 def cmd_check(args) -> int:
-    rc = _run_config(args)
     # --a-max caps both the J base values and the MAX* generators here
-    params = _property_params(args, rc.horizon, args.a_max)
+    params = _property_params(args, args.a_max)
     names = {name.lower(): name for name in largeness.CHECKERS}
     prop = args.property.lower()
     if prop not in names:
@@ -218,13 +196,13 @@ def cmd_check(args) -> int:
     check = largeness.CHECKERS[names[prop]]
 
     def run_one(text: str) -> tuple[dict, int]:
-        node, A = _eval_expr(text, rc)
-        verdict = check(A, params, rc.horizon)
+        node, A = _eval_expr(text, args.horizon)
+        verdict = check(A, params, args.horizon)
         payload = {
             "command": "check",
             "property": prop,
             "expression": unparse(node),
-            "horizon": rc.horizon,
+            "horizon": args.horizon,
             "verdict": verdict.to_json(),
             "exit": verdict.exit_code,
         }
@@ -234,7 +212,7 @@ def cmd_check(args) -> int:
         _print_verdict_table(
             [f"property: {prop}", f"expression: {payload['expression']}"], payload["verdict"])
 
-    return _run_expressions(args, rc, run_one, print_table)
+    return _run_expressions(args, run_one, print_table)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +220,15 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fe(args) -> int:
-    rc = _run_config(args)
-    node_a, A = _eval_expr(args.expr_a, rc)
-    node_b, B = _eval_expr(args.expr_b, rc)
-    verdict, found = embed.fe_prefix_check(A, B, args.prefix, args.kmax, rc.horizon)
+    node_a, A = _eval_expr(args.expr_a, args.horizon)
+    node_b, B = _eval_expr(args.expr_b, args.horizon)
+    verdict, found = embed.fe_prefix_check(A, B, args.prefix, args.kmax, args.horizon)
 
     # cross-check the two decision routes; cap the probe so a certificate
     # refutation is not followed by a full-length scan, and treat matching
     # errors as agreement. The decider's own scan, if it ran to the probe's
     # k_max, is the witness route.
-    probe_kmax = min(args.kmax, rc.horizon)
+    probe_kmax = min(args.kmax, args.horizon)
 
     def _route(fn):
         try:
@@ -272,13 +249,13 @@ def cmd_fe(args) -> int:
         "command": "fe",
         "A": unparse(node_a),
         "B": unparse(node_b),
-        "horizon": rc.horizon,
+        "horizon": args.horizon,
         "verdict": verdict.to_json(),
         "oracle_agreement": agreement,
         "refuters": refuters,
         "exit": verdict.exit_code,
     }
-    if rc.fmt == "json":
+    if args.fmt == "json":
         _print_json(payload)
     else:
         _print_verdict_table([f"A: {payload['A']}", f"B: {payload['B']}"], payload["verdict"])
@@ -290,20 +267,19 @@ def cmd_fe(args) -> int:
 
 
 def cmd_me(args) -> int:
-    rc = _run_config(args)
-    node_a, A = _eval_expr(args.expr_a, rc)
-    node_b, B = _eval_expr(args.expr_b, rc)
-    verdict = embed.me_check(A, B, args.m, rc.horizon, args.kmax)
+    node_a, A = _eval_expr(args.expr_a, args.horizon)
+    node_b, B = _eval_expr(args.expr_b, args.horizon)
+    verdict = embed.me_check(A, B, args.m, args.horizon, args.kmax)
     payload = {
         "command": "me",
         "A": unparse(node_a),
         "B": unparse(node_b),
         "m": args.m,
-        "horizon": rc.horizon,
+        "horizon": args.horizon,
         "verdict": verdict.to_json(),
         "exit": verdict.exit_code,
     }
-    if rc.fmt == "json":
+    if args.fmt == "json":
         _print_json(payload)
     else:
         _print_verdict_table(
@@ -316,11 +292,10 @@ def cmd_me(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_diagram(args) -> int:
-    rc = _run_config(args)
-    params = _property_params(args, rc.horizon, args.star_a_max)
+    params = _property_params(args, args.star_a_max)
 
     def run_one(text: str) -> tuple[dict, int]:
-        node, A = _eval_expr(text, rc)
+        node, A = _eval_expr(text, args.horizon)
         report = largeness.diagram_report(A, params)
         payload = {
             "command": "diagram",
@@ -346,7 +321,7 @@ def cmd_diagram(args) -> int:
             print(f"audit [{audit['implication']}]: {audit['status']} "
                   + json.dumps(audit["detail"], sort_keys=True, separators=(",", ":")))
 
-    return _run_expressions(args, rc, run_one, print_table)
+    return _run_expressions(args, run_one, print_table)
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +329,18 @@ def cmd_diagram(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _emit_set_file(path: str, expr_text: str, horizon: int, values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {expr_text} horizon={horizon}\n")
-        for v in values:
-            fh.write(f"{v}\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"# {expr_text} horizon={horizon}\n")
+            for v in values:
+                fh.write(f"{v}\n")
+    except OSError as exc:
+        raise InputError(f"cannot write set file {path}: {exc}") from exc
 
 
 def cmd_construct(args) -> int:
-    rc = _run_config(args)
     expr_text = "construct(%s)" % ",".join([args.name] + list(args.params))
-    node, A = _eval_expr(expr_text, rc)
+    node, A = _eval_expr(expr_text, args.horizon)
     members = A.elements()
     payload: dict[str, object] = {
         "command": "construct",
@@ -375,14 +352,14 @@ def cmd_construct(args) -> int:
         "exit": 0,
     }
     if args.name == "thick_nonmaxstar":
-        n_max = int(args.params[0]) if args.params else constructions.thick_auto_nmax(rc.horizon)
+        n_max = int(args.params[0]) if args.params else constructions.thick_auto_nmax(args.horizon)
         fx = constructions.gen_thick_nonmaxstar(n_max)
         payload["blocks"] = [list(b) for b in fx.blocks]
         payload["avoided"] = list(fx.avoided)
     if args.emit is not None:
-        _emit_set_file(args.emit, payload["expression"], rc.horizon, members)
+        _emit_set_file(args.emit, payload["expression"], args.horizon, members)
         payload["emitted"] = args.emit
-    if rc.fmt == "json":
+    if args.fmt == "json":
         _print_json(payload)
     else:
         if args.emit is not None:
@@ -397,13 +374,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    rc = _run_config(args)
     result = embed.decreasing_chain(args.depth, args.per_level)
     verified = None
     if args.verify:
         verified = 0
         for level, ref in zip(result.levels[1:], result.refutations):
-            target = evaluate(nodes.Explicit(tuple(level)), rc.horizon)
+            target = evaluate(nodes.Explicit(tuple(level)), args.horizon)
             res = embed.fe_witness(ref.family, target, target.max_known())
             if not isinstance(res, embed.FeRefutation) or not res.exact:
                 print(f"re-check failed for pair {list(ref.family)} at level "
@@ -418,7 +394,7 @@ def cmd_chain(args) -> int:
         "verified_refutations": verified,
         "exit": 0,
     }
-    if rc.fmt == "json":
+    if args.fmt == "json":
         _print_json(payload)
     else:
         for n, level in enumerate(result.levels):
@@ -432,11 +408,10 @@ def cmd_chain(args) -> int:
 
 
 def cmd_atlas(args) -> int:
-    rc = _run_config(args)
     report = largeness.poset_atlas(args.n, exhaustive=True if args.exhaustive else None)
     payload = {"command": "atlas", "report": report.to_json(),
                "exit": 0 if not report.violations else 1}
-    if rc.fmt == "json":
+    if args.fmt == "json":
         _print_json(payload)
     else:
         for line in _kv_lines(report.to_json()):
@@ -475,10 +450,9 @@ def _ast_lines(node, indent: int = 0):
 
 
 def cmd_parse(args) -> int:
-    rc = _run_config(args)
     node = _expr_node(args.expression)
     payload = {"command": "parse", "text": unparse(node), "ast": _ast_json(node), "exit": 0}
-    if rc.fmt == "json":
+    if args.fmt == "json":
         _print_json(payload)
     else:
         print(f"text: {payload['text']}")
@@ -499,7 +473,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--horizon", type=int, default=None,
+    common.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                         help=f"evaluation horizon (default {DEFAULT_HORIZON})")
     common.add_argument("--format", dest="fmt", choices=("table", "json"),
                         default="table", help="output format")
@@ -584,6 +558,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
+            # the invocation settings are validated and resolved here, once
+            if args.horizon < 1:
+                raise InputError(f"horizon must be >= 1, got {args.horizon}")
+            if args.json:
+                args.fmt = "json"
+            cache = args.cache if args.cache is not None else os.environ.get("FELAB_CACHE")
+            if cache:
+                arith.set_cache_dir(cache)
             code = args.func(args)
         except FelabError as exc:
             print(f"error: {exc}", file=sys.stderr)

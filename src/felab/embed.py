@@ -400,8 +400,6 @@ def decreasing_chain(depth: int, per_level: int) -> ChainResult:
 
 def mthick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Search a dilation k with k*{1..n} inside A, k*n within the horizon."""
-    if n < 1:
-        raise InputError(f"run length must be >= 1, got {n}")
     k_top = H // n
     k = _least_dilation(range(1, n + 1), A.contains, _one_by_one(range(1, k_top + 1)))
     if k is not None:

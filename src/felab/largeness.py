@@ -6,7 +6,8 @@ found and checked. Refuted is only issued when membership is decidable over
 the whole region the claim quantifies over: an exact periodic structure, a
 finite set whose members are all known, or a residue argument on the
 expression. Everything else is BoundedEvidence with the search bounds spelled
-out.
+out. The checkers take their bounds as given: PropertyParams validates them,
+and a checker refuses only bounds that exceed the horizon or a search cap.
 
 diagram_report bundles thirteen property checkers over one set, records the
 dual (*) checks, marks the order-theoretic properties that have no finite
@@ -39,27 +40,18 @@ _ATLAS_SAMPLE = 4_096
 _ATLAS_FAMILY_CAP = 2_000_000
 
 
-def _check_horizon(H: int) -> int:
-    if H < 1:
-        raise InputError(f"horizon must be >= 1, got {H}")
-    return H
-
-
 # ---------------------------------------------------------------------------
 # interval properties (runs of consecutive integers and their shifted covers)
 # ---------------------------------------------------------------------------
 
 def a_thick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find n consecutive members; refute only when periodic structure decides it."""
-    if n < 1:
-        raise InputError(f"run length must be >= 1, got {n}")
-    horizon = _check_horizon(H)
-    if n > horizon:
-        raise InputError(f"run length {n} exceeds horizon {horizon}")
-    bounds = {"horizon": horizon, "n": n}
+    if n > H:
+        raise InputError(f"run length {n} exceeds horizon {H}")
+    bounds = {"horizon": H, "n": n}
     run = best = best_end = 0
     undecided = False
-    for x in range(1, horizon + 1):
+    for x in range(1, H + 1):
         c = A.contains(x)
         if c is True:
             run += 1
@@ -116,18 +108,13 @@ def a_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
     The union grows with the shift family, so searching with the full family
     {0..t_max} decides the existence question for every subfamily bound.
     """
-    if t_max < 0:
-        raise InputError(f"shift cap must be >= 0, got {t_max}")
-    if n < 1:
-        raise InputError(f"run length must be >= 1, got {n}")
-    horizon = _check_horizon(H)
-    if n > horizon or t_max > horizon:
-        raise InputError(f"bounds (t_max={t_max}, n={n}) exceed horizon {horizon}")
-    bounds = {"horizon": horizon, "t_max": t_max, "n": n}
+    if n > H or t_max > H:
+        raise InputError(f"bounds (t_max={t_max}, n={n}) exceed horizon {H}")
+    bounds = {"horizon": H, "t_max": t_max, "n": n}
     shifts = range(t_max + 1)
     contains = A.contains
     run = best = best_end = 0
-    for x in range(1, horizon + 1):
+    for x in range(1, H + 1):
         for t in shifts:
             if contains(x + t) is True:
                 break
@@ -148,16 +135,11 @@ def a_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
 
 def m_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find k with k*{1..n} inside the union of the quotients A/t, t = 1..t_max."""
-    if t_max < 1:
-        raise InputError(f"divisor cap must be >= 1, got {t_max}")
-    if n < 1:
-        raise InputError(f"run length must be >= 1, got {n}")
-    horizon = _check_horizon(H)
-    if n > horizon or t_max > horizon:
-        raise InputError(f"bounds (t_max={t_max}, n={n}) exceed horizon {horizon}")
-    bounds = {"horizon": horizon, "t_max": t_max, "n": n}
+    if n > H or t_max > H:
+        raise InputError(f"bounds (t_max={t_max}, n={n}) exceed horizon {H}")
+    bounds = {"horizon": H, "t_max": t_max, "n": n}
     divisors = range(1, t_max + 1)
-    k_top = horizon // n
+    k_top = H // n
 
     def divisor_for(v: int) -> int | None:
         return next((t for t in divisors if A.contains(t * v) is True), None)
@@ -177,19 +159,14 @@ def m_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
 def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
               mode: str = "additive") -> Verdict:
     """Lexicographically least x_1 < ... < x_L whose nonempty combinations stay in A."""
-    if mode not in ("additive", "multiplicative"):
-        raise InputError(f"mode must be additive or multiplicative, got {mode!r}")
-    if L < 1:
-        raise InputError(f"sequence length must be >= 1, got {L}")
     if L > SUBSET_CAP.bit_length() or (1 << L) - 1 > SUBSET_CAP:
         raise ResourceError(
             f"2^{L}-1 combinations exceed the subset cap {SUBSET_CAP}")
-    horizon = _check_horizon(H)
-    bounds = {"horizon": horizon, "L": L, "mode": mode}
+    bounds = {"horizon": H, "L": L, "mode": mode}
     if A.is_exact:
-        elems = A.complete_elements(horizon)
+        elems = A.complete_elements(H)
     else:
-        elems = A.elements(horizon)
+        elems = A.elements(H)
     additive = mode == "additive"
     contains = A.contains
     attempts = 0
@@ -206,7 +183,7 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
             # candidate list: stop at the first x that takes it past the horizon
             top = max(vals)
             end = bisect.bisect_right(
-                elems, horizon - top if additive else horizon // top, start)
+                elems, H - top if additive else H // top, start)
         for idx in range(start, end):
             if attempts >= SUBSET_CAP:
                 truncated = True
@@ -242,11 +219,10 @@ def ip_star_check(A: LazySet, L: int, H: int = DEFAULT_HORIZON) -> Verdict:
     if not A.is_exact:
         raise InapplicableError(
             "the dual check needs a total membership predicate for the complement")
-    horizon = _check_horizon(H)
     comp_expr = nodes.Compl(A.expr) if A.expr is not None else None
-    comp = complement(A, comp_expr, horizon)
-    r = ip_search(comp, L, horizon, "additive")
-    bounds = {"horizon": horizon, "L": L}
+    comp = complement(A, comp_expr, H)
+    r = ip_search(comp, L, H, "additive")
+    bounds = {"horizon": H, "L": L}
     if r.is_proved:
         return Verdict.refuted({"complement_witness": r.certificate}, bounds)
     return Verdict.bounded("for", bounds, {"complement_search": r.certificate})
@@ -254,28 +230,16 @@ def ip_star_check(A: LazySet, L: int, H: int = DEFAULT_HORIZON) -> Verdict:
 
 def j_check(A: LazySet, funcs, a_max: int, h_max: int,
             mode: str = "additive") -> Verdict:
-    """Find a and a nonempty index set H' landing every table in A simultaneously."""
-    if mode not in ("additive", "multiplicative"):
-        raise InputError(f"mode must be additive or multiplicative, got {mode!r}")
-    if a_max < 1 or h_max < 1:
-        raise InputError(f"caps must be >= 1, got a_max={a_max}, h_max={h_max}")
+    """Find a and a nonempty H' in 1..h_max landing every table of funcs in A simultaneously."""
     if h_max > _J_MASK_CAP.bit_length() or 1 << h_max > _J_MASK_CAP:
         raise ResourceError(f"2^{h_max} index subsets exceed the cap {_J_MASK_CAP}")
     size = 1 << h_max
     if a_max * (size - 1) > SUBSET_CAP:
         raise ResourceError(f"{a_max} base values times {size - 1} index subsets "
                             f"exceed the search-step cap {SUBSET_CAP}")
-    tables = [tuple(int(v) for v in f[:h_max]) for f in funcs]
-    if not tables:
-        raise InputError("at least one function table is required")
-    for f in tables:
-        if len(f) < h_max:
-            raise InputError(f"every table must cover 1..{h_max}, got {f}")
-        if any(v < 1 for v in f):
-            raise InputError(f"table values must be >= 1, got {f}")
     additive = mode == "additive"
     combo = []
-    for f in tables:
+    for f in funcs:
         acc = [0 if additive else 1] * size
         for mask in range(1, size):
             low = mask & -mask
@@ -283,7 +247,7 @@ def j_check(A: LazySet, funcs, a_max: int, h_max: int,
             prev = acc[mask ^ low]
             acc[mask] = prev + v if additive else prev * v
         combo.append(acc)
-    bounds = {"a_max": a_max, "h_max": h_max, "mode": mode, "tables": len(tables)}
+    bounds = {"a_max": a_max, "h_max": h_max, "mode": mode, "tables": len(funcs)}
     contains = A.contains
     # columns[mask]: each table's combination over the index set mask
     columns = list(zip(*combo))
@@ -306,18 +270,15 @@ def j_check(A: LazySet, funcs, a_max: int, h_max: int,
 
 def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Every n <= N must divide some member; refute only with provable emptiness."""
-    if N < 1:
-        raise InputError(f"divisor bound must be >= 1, got {N}")
-    horizon = _check_horizon(H)
-    if N > horizon:
-        raise InputError(f"divisor bound {N} exceeds horizon {horizon}")
-    bounds = {"N": N, "horizon": horizon}
+    if N > H:
+        raise InputError(f"divisor bound {N} exceeds horizon {H}")
+    bounds = {"N": N, "horizon": H}
     # known members above the horizon (generated fixtures) are still sound witnesses
     elems = A.elements()
     witnesses: dict[int, int] = {}
     for m in range(1, N + 1):
         k = _least_dilation((m,), A.contains,
-                            _one_by_one(range(1, min(horizon // m, _MULT_WALK_CAP) + 1)))
+                            _one_by_one(range(1, min(H // m, _MULT_WALK_CAP) + 1)))
         w = k * m if k is not None else next((e for e in elems if e % m == 0), None)
         if w is None:
             if A.finite and all(e % m for e in A.elements()):
@@ -334,24 +295,21 @@ def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
 
 def maxstar_check(A: LazySet, a_max: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find a whose every multiple up to the horizon belongs to A."""
-    if a_max < 1:
-        raise InputError(f"dilation cap must be >= 1, got {a_max}")
-    horizon = _check_horizon(H)
-    if a_max > horizon:
-        raise InputError(f"dilation cap {a_max} exceeds horizon {horizon}")
-    bounds = {"a_max": a_max, "horizon": horizon}
+    if a_max > H:
+        raise InputError(f"dilation cap {a_max} exceeds horizon {H}")
+    bounds = {"a_max": a_max, "horizon": H}
     missing: dict[int, int] = {}
     undecided: dict[int, int] = {}
     for a in range(1, a_max + 1):
         verdict_point = None
-        for v in range(a, horizon + 1, a):
+        for v in range(a, H + 1, a):
             c = A.contains(v)
             if c is not True:
                 verdict_point = (v, c)
                 break
         if verdict_point is None:
             return Verdict.proved(
-                {"a": a, "multiples_checked": horizon // a}, bounds)
+                {"a": a, "multiples_checked": H // a}, bounds)
         v, c = verdict_point
         if c is False:
             missing[a] = v
@@ -366,23 +324,20 @@ def maxstar_check(A: LazySet, a_max: int, H: int = DEFAULT_HORIZON) -> Verdict:
 
 def nmax_refute(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Seek s pairwise-coprime numbers none of which divides any member."""
-    if s < 2:
-        raise InputError(f"antichain strength must be >= 2, got {s}")
-    horizon = _check_horizon(H)
     if A.is_exact:
-        members = A.complete_elements(horizon)
-        complete_to = horizon
+        members = A.complete_elements(H)
+        complete_to = H
     else:
-        complete_to = min(horizon, A.complete_below)
+        complete_to = min(H, A.complete_below)
         members = A.elements(complete_to)
-    bounds = {"horizon": horizon, "s": s, "members_complete_below": complete_to}
+    bounds = {"horizon": H, "s": s, "members_complete_below": complete_to}
     used: set[int] = set()
     for e in members:
         if e > 1:
             for p, _ in arith.factorize(e):
                 used.add(p)
     absent = []
-    for p in arith.primes_upto(horizon):
+    for p in arith.primes_upto(H):
         if p not in used:
             absent.append(p)
             if len(absent) == s:
@@ -401,14 +356,11 @@ def nmax_refute(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
 
 def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Seek a pairwise-coprime C whose dilations up to the horizon all lie in A."""
-    if s < 2:
-        raise InputError(f"antichain strength must be >= 2, got {s}")
-    horizon = _check_horizon(H)
-    bounds = {"horizon": horizon, "s": s}
+    bounds = {"horizon": H, "s": s}
     contains = A.contains
 
     def valid(c: int) -> bool:
-        for v in range(c, horizon + 1, c):
+        for v in range(c, H + 1, c):
             if contains(v) is not True:
                 return False
         return True
@@ -421,13 +373,13 @@ def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     # A search that hits its step cap ends the check with bounded evidence.
     pool: list[int] = []
     target = max(64, 8 * s)
-    top = horizon // 2
+    top = H // 2
     for c in range(2, top + 1):
         if valid(c):
             pool.append(c)
         if len(pool) >= target or (c == top and len(pool) >= s):
             try:
-                C = arith.extract_strong_antichain(pool, s, horizon)
+                C = arith.extract_strong_antichain(pool, s, H)
             except ResourceError:
                 return Verdict.bounded("against", bounds, {
                     "dilation_generators": pool[:32], "antichain_search_capped": True})
@@ -460,7 +412,8 @@ def crt_thickness_demo(C, n: int) -> int:
 
 @record
 class PropertyParams:
-    """Bounds for one report run; horizon None defers to the evaluator default."""
+    """Bounds for one report run, the one place they are validated; horizon None
+    defers to the evaluator default."""
 
     horizon: int | None = None
     run_length: int = 10

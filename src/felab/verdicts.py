@@ -34,8 +34,6 @@ class Verdict:
     @classmethod
     def bounded(cls, direction: str, bounds: Mapping[str, Any],
                 certificate: Mapping[str, Any] | None = None) -> "Verdict":
-        if direction not in ("for", "against"):
-            raise ValueError(f"direction must be 'for' or 'against', got {direction!r}")
         return cls(BOUNDED, direction, dict(certificate or {}), dict(bounds))
 
     @property

@@ -138,9 +138,20 @@ def test_check_batch_worst_exit(tmp_path, capsys):
     assert all("\n" not in json.dumps(l) for l in lines)
 
 
+# each bound flag one below its least value, and --horizon 0 on every subcommand:
+# PropertyParams and cli.main reject them before any expression is evaluated
+_BELOW_LEAST = [[flag, "1" if flag == "--s" else "0"] for flag, _, _ in cli._BOUND_FLAGS]
+_SUBCOMMANDS = (["check", "max", "N"], ["fe", "N", "N"], ["me", "N", "N", "--m", "1"],
+                ["diagram", "N"], ["construct", "exgamma"], ["chain", "3", "4"], ["atlas", "3"],
+                ["parse", "N"])
+
+
 @pytest.mark.parametrize("argv", [
-    ["check", "max", "N", "--n", "0"],
     ["check", "a-thick", "--batch", "{batch}", "--s", "1"],
+    *(["check", "max", "N", *bad] for bad in _BELOW_LEAST),
+    *(["diagram", "N", *bad] for bad in _BELOW_LEAST),
+    ["diagram", "N", "--star-a-max", "0"],
+    *([*cmd, "--horizon", "0"] for cmd in _SUBCOMMANDS),
 ])
 def test_check_bound_flags_fail_before_any_expression(argv, tmp_path, capsys):
     batch = tmp_path / "exprs.txt"
@@ -402,6 +413,27 @@ def test_construct_emit_roundtrip(tmp_path, registry, capsys):
     assert parsed["ast"]["kind"] == "Explicit"
     assert parsed["ast"]["elems"] == payload["members"]
     assert len(payload["members"]) == 63
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["parse", "@{path}"], b"2\n\xb2\n"),
+    (["check", "max", "--batch", "{path}"], b"N\n\xff\n"),
+    (["parse", "@{path}"], "2\n\u00b2\n".encode()),
+    (["parse", "@{path}"], b"1" * 5000 + b"\n"),
+    (["construct", "exgamma", "3", "--emit", "{path}"], None),
+    (["check", "a-ip", "primes", "--L", "2", "--horizon", "2000", "--cache", "{path}"], b""),
+], ids=["set-file-not-utf8", "batch-file-not-utf8", "set-file-superscript-digit",
+        "set-file-5000-digits", "emit-into-missing-dir", "cache-is-a-file"])
+def test_unreadable_and_unwritable_paths_exit_3(argv, content, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "input"
+    if content is None:
+        path = tmp_path / "missing" / "x.txt"
+    else:
+        path.write_bytes(content)
+    monkeypatch.setattr(arith, "_sieve", None)  # so the cache case builds and saves a sieve
+    code, out, err = run([a.format(path=path) for a in argv], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and str(path) in err
 
 
 def test_set_file_rejects_unsorted(tmp_path, capsys):

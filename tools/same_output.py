@@ -38,7 +38,11 @@ The battery, read from this checkout:
   which counts prime factors of every n in (100000, 200012],
 - the candidate loops of A-IP, M-IP, A-IP*, A-J, M-J, A-pcws and NMAX* at
   horizon 5000 on the sets whose searches run longest or to the step cap, and
-  the three combination searches again with ``--L`` 2 and 5.
+  the three combination searches again with ``--L`` 2 and 5,
+- the two places that validate bounds: every bound flag (``cli._BOUND_FLAGS``
+  of NEW) at 0 on ``check`` and ``diagram``, ``--horizon 0`` on every
+  subcommand, ``--json`` over ``--format table``, and a run length past the
+  horizon, which the A-thick checker itself refuses.
 
 Standard library only.
 """
@@ -100,8 +104,10 @@ def c10_battery() -> list[list[str]]:
 
 
 def table_keys(tree: Path, module: str, table: str) -> list[str]:
-    """The keys of a name table of the tree, read in a child process."""
-    code = f"from {module} import {table}; print(' '.join({table}))"
+    """The keys of a name table of the tree (a dict's keys, or the first item of
+    each row of a tuple), read in a child process."""
+    code = (f"from {module} import {table}; "
+            f"print(' '.join(k if isinstance(k, str) else k[0] for k in {table}))")
     proc = subprocess.run([sys.executable, "-c", code], env=felab_env(tree, "1"),
                           capture_output=True, text=True, check=True)
     return proc.stdout.split()
@@ -149,9 +155,7 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         ["check", "max", "N", "--batch", exprs],
         ["check", "max"],
         ["diagram", "--batch", exprs + ".missing"],
-        ["check", "max", "N", "--n", "0"],
         ["check", "a-pcws", "N", "--t", "0"],
-        ["diagram", "N", "--n", "0"],
         ["chain", "5", "8", "--verify", "--kmax", "1"],
         # Omega above the sieve
         ["fe", "mult(5)", "level(3)", "--json"],
@@ -184,6 +188,16 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         for prop in LOOP_PROPS[:3]:
             cmds += [["check", prop, expr, "--horizon", LOOP_HORIZON, "--L", L, "--json"]
                      for L in ("2", "5")]
+    for flag in table_keys(new, "felab.cli", "_BOUND_FLAGS"):
+        cmds += [["check", "max", "N", flag, "0"], ["diagram", "N", flag, "0"]]
+    cmds.append(["diagram", "N", "--star-a-max", "0"])
+    for cmd in (["check", "max", "N"], ["fe", "N", "N"], ["me", "N", "N", "--m", "1"],
+                ["diagram", "N"], ["construct", "exgamma"], ["chain", "3", "4"],
+                ["atlas", "3"], ["parse", "N"]):
+        cmds.append([*cmd, "--horizon", "0"])
+    cmds += [["check", "max", "ap(1,2)", "--json", "--format", "table"],
+             ["diagram", "odd", "--horizon", CHECK_HORIZON, "--format", "table", "--json"],
+             ["check", "a-thick", "N", "--n", "20", "--horizon", "10"]]
     return cmds
 
 
