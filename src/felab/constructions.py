@@ -16,7 +16,7 @@ from . import arith
 from .errors import InputError, ResourceError
 from .record import record
 from .setlang import nodes
-from .setlang.evaluate import evaluate
+from .setlang.evaluate import _closure_all, evaluate
 from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 
 _COUNT_CAP = 10_000
@@ -234,17 +234,9 @@ def gen_mj_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return f, g
 
 
-@record
-class FpFixture:
-    """Selected primes, the unselected complement, and the subset-product closure."""
-
-    base: tuple[int, ...]
-    complement: tuple[int, ...]
-    members: tuple[int, ...]
-
-
-def gen_fp_prime_subset(index_rule="odd", count: int | None = None) -> FpFixture:
-    """Subset-product closure of a prime subsequence chosen by index parity or explicit indices."""
+def gen_fp_prime_subset(index_rule="odd", count: int | None = None) -> tuple[int, ...]:
+    """The primes chosen by index parity or explicit indices, whose subset products are
+    construct(fp_primes, ...)."""
     if isinstance(index_rule, (tuple, list)):
         sel = sorted(set(index_rule))
         if not sel:
@@ -266,15 +258,8 @@ def gen_fp_prime_subset(index_rule="odd", count: int | None = None) -> FpFixture
     k = len(sel)
     if (1 << k) - 1 > SUBSET_CAP:
         raise ResourceError(f"closure of {k} primes exceeds the subset cap {SUBSET_CAP}")
-    ps = arith.first_primes(sel[-1] + 2 * k + 2)
-    base = tuple(ps[i - 1] for i in sel)
-    selset = set(sel)
-    complement = tuple(ps[i - 1] for i in range(1, len(ps) + 1) if i not in selset)[:k]
-    prods: set[int] = {1}
-    for p in base:
-        prods |= {q * p for q in prods}
-    prods.discard(1)
-    return FpFixture(base, complement, tuple(sorted(prods)))
+    ps = arith.first_primes(sel[-1])
+    return tuple(ps[i - 1] for i in sel)
 
 
 def gen_prophier(prime_sets: Sequence[Sequence[int]], exponents: Sequence[int],
@@ -453,7 +438,7 @@ FIXTURES = {
     "fp_primes": ("construct(fp_primes,odd|even|all,count) or construct(fp_primes,[i1,...]) - "
                   "subset products of selected primes", "l|wn",
                   lambda params, horizon, expr: LazySet.of_finite(
-                      expr, gen_fp_prime_subset(*params).members)),
+                      expr, _closure_all(gen_fp_prime_subset(*params), additive=False))),
     "prophier": ("construct(prophier,[p,...],k,n[,[p,...],k,n]...) - distinct-prime products, "
                  "one power per block", "(lnn)+",
                  lambda params, horizon, expr: LazySet.of_finite(expr, gen_prophier(
@@ -467,13 +452,6 @@ FIXTURES = {
 }
 
 
-def catalog_lines() -> list[str]:
-    return [FIXTURES[name][0] for name in sorted(FIXTURES)]
-
-
-def build_fixture(name: str, params: tuple, horizon: int = DEFAULT_HORIZON,
-                  expr=None) -> LazySet:
-    """Resolve a construct(...) reference to its LazySet."""
-    if name not in FIXTURES:
-        raise InputError("unknown fixture %r; catalog:\n  %s" % (name, "\n  ".join(catalog_lines())))
-    return FIXTURES[name][2](params, horizon, expr)
+def build_fixture(expr: nodes.Construct, horizon: int = DEFAULT_HORIZON) -> LazySet:
+    """Resolve a construct(...) node, whose name nodes.Construct has checked, to its LazySet."""
+    return FIXTURES[expr.name][2](expr.params, horizon, expr)

@@ -22,6 +22,8 @@ from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 from .verdicts import Verdict
 
 _CHAIN_SCAN_CAP = 200_000
+# a chain's cost grows faster than depth**3: depth 100 takes 2-3 s on a 2-core host
+_CHAIN_DEPTH_CAP = 100
 
 
 @record
@@ -206,7 +208,7 @@ def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
         raise InputError(f"subset cardinality must be >= 1, got {m}")
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    pool = A.complete_elements(H) if not A.finite else A.elements(H)
+    pool = A.complete_elements(H)
     if len(pool) < m:
         raise InputError(
             f"A has only {len(pool)} elements within horizon {H}, need {m}")
@@ -242,7 +244,7 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
     """Each single element must divide something in B (shadow of the closure test)."""
     table = {}
     for a in pool:
-        if B.expr is not None and analysis.empty_meet_mult(B.expr, a) is True:
+        if analysis.empty_meet_mult(B.expr, a) is True:
             return Verdict.refuted(
                 {"element": a, "reason": f"target provably misses every multiple of {a}"},
                 {"horizon": horizon, "m": 1})
@@ -269,8 +271,6 @@ def _level_cover(expr: nodes.SetExpr) -> tuple[frozenset[int] | None, frozenset[
 def fe_refute_level(members, B: LazySet) -> FeRefutation | None:
     """Exact refutation from factor-count bookkeeping, for level-covered targets:
     two of the members whose levels differ by no difference of target levels."""
-    if B.expr is None:
-        raise InapplicableError("target has no expression to analyze")
     cover, deltas = _level_cover(B.expr)
     if cover is None:
         raise InapplicableError(
@@ -295,8 +295,6 @@ def fe_refute_level(members, B: LazySet) -> FeRefutation | None:
 def fe_refute_residue(F, B: LazySet) -> FeRefutation | None:
     """Exact refutation when the target provably misses every multiple of some member."""
     fam = _check_family(F)
-    if B.expr is None:
-        return None
     for m in fam:
         if analysis.empty_meet_mult(B.expr, m) is True:
             return FeRefutation("residue-certificate", fam, {"modulus": m})
@@ -351,6 +349,8 @@ def decreasing_chain(depth: int, per_level: int) -> ChainResult:
         raise InputError(f"per_level must be >= 3, got {per_level}")
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
+    if depth > _CHAIN_DEPTH_CAP:
+        raise ResourceError(f"depth {depth} exceeds the chain cap {_CHAIN_DEPTH_CAP}")
     pairs = _colex_pairs(depth) if depth else []
     levels: list[_Level] = [_Level(iter(itertools.count(1)))]
     for n in range(depth):

@@ -75,7 +75,7 @@ def a_thick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
         return Verdict.refuted(
             {"reason": "finite set", "members": len(elems)}, bounds)
     # periodic exact sets admit a genuine refutation
-    if A.is_exact and A.expr is not None:
+    if A.is_exact:
         period = analysis.period_of(A.expr)
         if period is not None:
             pre, per = period
@@ -219,8 +219,7 @@ def ip_star_check(A: LazySet, L: int, H: int = DEFAULT_HORIZON) -> Verdict:
     if not A.is_exact:
         raise InapplicableError(
             "the dual check needs a total membership predicate for the complement")
-    comp_expr = nodes.Compl(A.expr) if A.expr is not None else None
-    comp = complement(A, comp_expr, H)
+    comp = complement(A, nodes.Compl(A.expr), H)
     r = ip_search(comp, L, H, "additive")
     bounds = {"horizon": H, "L": L}
     if r.is_proved:
@@ -281,10 +280,10 @@ def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
                             _one_by_one(range(1, min(H // m, _MULT_WALK_CAP) + 1)))
         w = k * m if k is not None else next((e for e in elems if e % m == 0), None)
         if w is None:
-            if A.finite and all(e % m for e in A.elements()):
+            if A.finite:
                 return Verdict.refuted(
                     {"n0": m, "reason": "finite set has no multiple"}, bounds)
-            if A.expr is not None and analysis.empty_meet_mult(A.expr, m) is True:
+            if analysis.empty_meet_mult(A.expr, m) is True:
                 return Verdict.refuted(
                     {"n0": m, "reason": "set provably misses every multiple"}, bounds)
             return Verdict.bounded(

@@ -8,12 +8,17 @@ child bound, and divisor closures of unbounded sets promise nothing.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress, filterfalse, islice
 
 from .. import arith
 from ..errors import InputError, ResourceError
 from . import nodes
-from .lazyset import DEFAULT_HORIZON, FS_MAX_LEN, MAX_ELEMENTS, SUBSET_CAP, LazySet
+from .lazyset import DEFAULT_HORIZON, FS_MAX_LEN, MAX_ELEMENTS, SUBSET_CAP, LazySet, over_cap
+
+# an unpinned closure is built up to this window first. Within it fs(exgamma())
+# has 5173054 members, fs(fastgrowth()) 3200003 and fs(sidon()) all 8000000,
+# so each exceeds MAX_ELEMENTS there (fs of primeseq meets the sieve cap first)
+_CLOSURE_WINDOW = 4 * MAX_ELEMENTS
 
 
 def evaluate(expr: nodes.SetExpr, horizon: int = DEFAULT_HORIZON) -> LazySet:
@@ -23,25 +28,19 @@ def evaluate(expr: nodes.SetExpr, horizon: int = DEFAULT_HORIZON) -> LazySet:
     return _eval(expr, horizon)
 
 
-def _capped(members):
-    if len(members) > MAX_ELEMENTS:
-        raise ResourceError(
-            f"evaluation produced {len(members)} elements, over the cap "
-            f"{MAX_ELEMENTS}; lower the horizon"
-        )
-    return members
-
-
 def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
     if isinstance(expr, nodes.AllNat):
-        return LazySet(expr, _capped(range(1, h + 1)), h, pred=lambda n: True)
+        return LazySet(expr, range(1, h + 1), h, pred=lambda n: True)
     if isinstance(expr, nodes.Primes):
         return LazySet(expr, arith.primes_upto(h), h, pred=arith.is_prime)
     if isinstance(expr, nodes.Level):
+        if expr.n == 0:
+            # {1} needs no table, but a horizon past the sieve cap is refused as for any level
+            arith.ensure_sieve(h)
+            return LazySet.of_finite(expr, (1,))
         om = arith.omega_upto(h)
         members = [i for i in range(1, h + 1) if om[i] == expr.n]
-        pred = lambda m, k=expr.n: arith.omega(m) == k
-        return LazySet(expr, _capped(members), h, pred=pred, finite=expr.n == 0)
+        return LazySet(expr, members, h, pred=lambda m, k=expr.n: arith.omega(m) == k)
     if isinstance(expr, nodes.Mult):
         k = expr.k
         return LazySet(expr, range(k, h + 1, k), h, pred=lambda n: n % k == 0)
@@ -61,10 +60,12 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
         kid = _eval(expr.arg, h)
         k = expr.k
         members = [k * m for m in kid.elements()]
+        if kid.finite:
+            return LazySet.of_finite(expr, members)
         pred = None
         if kid.pred is not None:
             pred = lambda n, p=kid.pred: n % k == 0 and p(n // k)
-        return LazySet(expr, members, k * kid.complete_below + k - 1, pred=pred, finite=kid.finite)
+        return LazySet(expr, members, k * kid.complete_below + k - 1, pred=pred)
     if isinstance(expr, nodes.Quot):
         kid = _eval(expr.arg, h)
         n = expr.n
@@ -100,7 +101,7 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
     if isinstance(expr, nodes.Construct):
         from .. import constructions
 
-        return constructions.build_fixture(expr.name, expr.params, h, expr)
+        return constructions.build_fixture(expr, h)
     raise InputError(f"cannot evaluate node {type(expr).__name__}")
 
 
@@ -114,14 +115,14 @@ def _eval_union(expr: nodes.Union, h: int) -> LazySet:
     members = set()
     for kid in kids:
         members.update(kid.elements())
-    members = _capped(sorted(members))
     if all(kid.finite for kid in kids):
         return LazySet.of_finite(expr, members)
     pred = None
     if all(kid.pred is not None for kid in kids):
         preds = tuple(kid.pred for kid in kids)
         pred = lambda n: any(p(n) for p in preds)
-    bound = min(kid.complete_below for kid in kids)
+    # a finite kid knows all its members, so it limits nothing below h
+    bound = min(h if kid.finite else kid.complete_below for kid in kids)
     return LazySet(expr, members, bound, pred=pred)
 
 
@@ -163,23 +164,30 @@ def complement(kid: LazySet, expr, h: int) -> LazySet:
     set A-IP* complements is shared with every other checker.
     """
     bound = min(kid.complete_below, h)
-    known = kid._member_set
-    members = [n for n in range(1, bound + 1) if n not in known]
-    if kid.pred is None:
-        return LazySet(expr, _capped(members), bound)
-    p = kid.pred
-    members += [n for n in range(bound + 1, h + 1) if not p(n)]
-    return LazySet(expr, _capped(members), h, pred=lambda n: not p(n))
+    members = filterfalse(kid._member_set.__contains__, range(1, bound + 1))
+    pred = None
+    if kid.pred is not None:
+        p = kid.pred
+        members = chain(members, filterfalse(p, range(bound + 1, h + 1)))
+        bound, pred = h, lambda n: not p(n)
+    # the scan stops one member past the cap: h may lie far beyond it
+    members = list(islice(members, MAX_ELEMENTS + 1))
+    if len(members) > MAX_ELEMENTS:
+        raise over_cap()
+    return LazySet(expr, members, bound, pred=pred)
 
 
 def _eval_up(expr: nodes.Up, h: int) -> LazySet:
     kid = _eval(expr.arg, h)
     kid.extend_to(h)
+    elems = kid.elements(h)
+    # every multiple of the least element is a member: refuse before the marks exist
+    if elems and h // elems[0] > MAX_ELEMENTS:
+        raise over_cap()
     marks = bytearray(h + 1)
-    for a in kid.elements():
-        if a <= h:
-            marks[a::a] = b"\x01" * (h // a)
-    members = _capped([n for n in range(1, h + 1) if marks[n]])
+    for a in elems:
+        marks[a::a] = b"\x01" * (h // a)
+    members = list(compress(range(1, h + 1), memoryview(marks)[1:]))
     pred = None
     if kid.pred is not None:
         p = kid.pred
@@ -192,10 +200,9 @@ def _eval_down(expr: nodes.Down, h: int) -> LazySet:
     divs = set()
     for m in kid.elements():
         divs.update(arith.divisors(m))
-    members = _capped(sorted(divs))
     if kid.finite:
-        return LazySet.of_finite(expr, members)
-    return LazySet(expr, members, 0)
+        return LazySet.of_finite(expr, divs)
+    return LazySet(expr, divs, 0)
 
 
 def _eval_fsfp(expr, h: int) -> LazySet:
@@ -209,11 +216,14 @@ def _eval_fsfp(expr, h: int) -> LazySet:
     else:
         terms, pinned = constructions.sequence_terms(seq.rule, seq.params, h, _check_pinned)
     if pinned:
-        closure = _sums_all(terms) if additive else _prods_all(terms)
-        members = _capped(sorted(closure))
-        return LazySet.of_finite(expr, members)
-    members = _closure_upto(terms, h, additive)
-    return LazySet(expr, _capped(members), h)
+        return LazySet.of_finite(expr, _closure_all(terms, additive))
+    # over the cap within the window, a larger h is refused before its table exists
+    members = _closure_upto(terms, min(h, _CLOSURE_WINDOW), additive)
+    if h > _CLOSURE_WINDOW:
+        if len(members) > MAX_ELEMENTS:
+            raise over_cap()
+        members = _closure_upto(terms, h, additive)
+    return LazySet(expr, members, h)
 
 
 def _check_pinned(count: int) -> None:
@@ -222,22 +232,13 @@ def _check_pinned(count: int) -> None:
                             f"{SUBSET_CAP}; use an unpinned sequence or fewer terms")
 
 
-def _sums_all(terms) -> set[int]:
-    sums = {0}
+def _closure_all(terms, additive: bool) -> set[int]:
+    """The sums (or products) of the nonempty sets of distinct terms."""
+    closure: set[int] = set()
     for t in terms:
-        sums |= {s + t for s in sums}
-    sums.discard(0)
-    return sums
-
-
-def _prods_all(terms) -> set[int]:
-    prods = {1}
-    for t in terms:
-        prods |= {p * t for p in prods}
-    prods.discard(1)
-    if 1 in terms:
-        prods.add(1)
-    return prods
+        closure |= {c + t if additive else c * t for c in closure}
+        closure.add(t)
+    return closure
 
 
 def _closure_upto(terms, h: int, additive: bool) -> list[int]:

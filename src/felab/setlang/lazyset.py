@@ -13,7 +13,7 @@ only discard sound witnesses.
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Iterable
+from typing import Callable, Collection
 
 from ..errors import PrecisionError, ResourceError
 
@@ -25,22 +25,32 @@ FS_MAX_LEN = 24
 SUBSET_CAP = 200_000
 
 
+def over_cap(count: int | None = None) -> ResourceError:
+    """The refusal of a set over MAX_ELEMENTS members; count is their number when known."""
+    many = f"more than {MAX_ELEMENTS}" if count is None else count
+    return ResourceError(
+        f"evaluation produced {many} elements, over the cap {MAX_ELEMENTS}; lower the horizon")
+
+
 class LazySet:
     __slots__ = ("expr", "_members", "_member_set", "complete_below", "pred", "finite")
 
-    def __init__(self, expr, members: Iterable[int], complete_below: int,
-                 pred: Callable[[int], bool] | None = None, finite: bool = False):
+    def __init__(self, expr, members: Collection[int], complete_below: int,
+                 pred: Callable[[int], bool] | None = None):
+        if len(members) > MAX_ELEMENTS:
+            raise over_cap(len(members))
         self.expr = expr
         self._member_set = set(members)
         self._members = sorted(self._member_set)
         self.complete_below = complete_below
         self.pred = pred
-        self.finite = finite
+        self.finite = False
 
     @classmethod
-    def of_finite(cls, expr, members: Iterable[int]) -> LazySet:
+    def of_finite(cls, expr, members: Collection[int]) -> LazySet:
         """The finite EXACT set of exactly these members, complete up to the largest."""
-        ls = cls(expr, members, 0, finite=True)
+        ls = cls(expr, members, 0)
+        ls.finite = True
         ls.complete_below = ls.max_known()
         ls.pred = ls._member_set.__contains__
         return ls
@@ -102,9 +112,7 @@ class LazySet:
 
     def describe_short(self) -> str:
         from .nodes import unparse
-        if self.expr is not None:
-            return unparse(self.expr)
-        return f"<set with {len(self._members)} known members>"
+        return unparse(self.expr)
 
     def __repr__(self) -> str:
         head = ",".join(str(m) for m in self._members[:8])

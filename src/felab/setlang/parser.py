@@ -182,11 +182,15 @@ def _parse_natlist(toks: _Tokens, open_ch: str, close_ch: str) -> list[int]:
 
 
 def _parse_nat(toks: _Tokens) -> int:
-    kind, val, _ = toks.peek()
+    kind, val, at = toks.peek()
     if kind != "nat":
         toks.error("expected a natural number")
+    try:
+        n = int(val)
+    except ValueError:  # more digits than int() converts
+        toks._fail(f"{len(val)} digits are too many", at)
     toks.next()
-    return int(val)
+    return n
 
 
 def _parse_ident(toks: _Tokens) -> str:

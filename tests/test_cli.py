@@ -502,9 +502,15 @@ def test_atlas_resource_cap(capsys):
     ["diagram", "N", "--L", "100000000000000"],
     ["check", "a-j", "N", "--h-max", "100000000000000"],
     ["check", "a-j", "{5}", "--a-max", "100000000000000"],
-], ids=["a-ip-L", "diagram-L", "a-j-h-max", "a-j-a-max"])
+    ["chain", "100000000", "4"],
+    *(["check", "a-thick", e, "--horizon", "100000000000000"]
+      for e in ("odd", "mult(3)", "up({7})", "fs(exgamma())")),
+    ["check", "a-thick", "compl({5})", "--horizon", "100000000000"],
+], ids=["a-ip-L", "diagram-L", "a-j-h-max", "a-j-a-max", "chain-depth", "odd", "mult",
+        "up", "fs", "compl"])
 def test_huge_search_bounds_exit_4(argv, capsys):
-    """L, h_max and the J step count meet their caps before anything of that size is built."""
+    """L, h_max, the J step count, the chain depth and the members of an evaluated set
+    meet their caps before anything of that size is built."""
     code, out, err = run(argv, capsys)
     assert code == 4 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1

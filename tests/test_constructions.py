@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from felab import arith
 from felab.constructions import (FIXTURES, SEQUENCE_RULES, PseudoResult, build_fixture,
-                                 _sidon_stream, catalog_lines, gen_equal_exponent,
+                                 _sidon_stream, gen_equal_exponent,
                                  gen_fp_prime_subset, gen_levelfix, gen_mj_funcs,
                                  gen_prophier, gen_thick_nonmaxstar,
                                  equal_exponent_pred, pseudointersection,
@@ -226,27 +226,27 @@ def test_mj_funcs_laws():
 # subset products of selected primes
 # ---------------------------------------------------------------------------
 
+def _fp_primes(*params):
+    return build_fixture(nodes.Construct("fp_primes", params)).elements()
+
+
 def test_fp_prime_subset_small():
-    fx = gen_fp_prime_subset("odd", 3)
-    assert fx.base == (2, 5, 11)
-    assert fx.complement == (3, 7, 13)
-    assert fx.members == (2, 5, 10, 11, 22, 55, 110)
+    assert gen_fp_prime_subset("odd", 3) == (2, 5, 11)
+    assert _fp_primes("odd", 3) == [2, 5, 10, 11, 22, 55, 110]
 
 
 def test_fp_prime_subset_six():
-    fx = gen_fp_prime_subset("odd", 6)
-    assert len(fx.members) == 63
-    assert max(fx.members) == 2 * 5 * 11 * 17 * 23 * 31 == 1333310
-    base = set(fx.base)
-    for m in fx.members:
+    members = _fp_primes("odd", 6)
+    assert len(members) == 63
+    assert max(members) == 2 * 5 * 11 * 17 * 23 * 31 == 1333310
+    base = set(gen_fp_prime_subset("odd", 6))
+    for m in members:
         assert all(p in base and e == 1 for p, e in arith.factorize(m))
 
 
 def test_fp_prime_subset_explicit_indices():
-    fx = gen_fp_prime_subset((2, 4))
-    assert fx.base == (3, 7)
-    assert fx.members == (3, 7, 21)
-    assert set(fx.complement).isdisjoint(fx.base)
+    assert gen_fp_prime_subset((2, 4)) == (3, 7)
+    assert _fp_primes((2, 4)) == [3, 7, 21]
 
 
 def test_fp_prime_subset_rejects():
@@ -370,32 +370,32 @@ def test_pseudointersection_rejects():
 # ---------------------------------------------------------------------------
 
 def test_build_fixture_exgamma():
-    A = build_fixture("exgamma", (6,))
+    A = build_fixture(nodes.Construct("exgamma", (6,)))
     assert A.elements() == [1, 2, 6, 12, 25, 48]
     assert A.is_exact and A.finite
 
 
 def test_build_fixture_defaults_to_horizon():
-    A = build_fixture("fastgrowth", (), 1000)
+    A = build_fixture(nodes.Construct("fastgrowth", ()), 1000)
     assert A.elements() == [1, 4, 9, 19, 39, 79, 159, 319, 639]
     assert A.contains(640) is False  # exact via the growth law
 
 
 def test_build_fixture_thick_auto():
-    A = build_fixture("thick_nonmaxstar", (), 100)
+    A = build_fixture(nodes.Construct("thick_nonmaxstar", ()), 100)
     fx = gen_thick_nonmaxstar(thick_auto_nmax(100))
     assert tuple(A.elements()) == fx.members
 
 
 def test_build_fixture_rejects():
     levels = sidon_level_union_expr(4, 0)
-    A = build_fixture("sidon_levels", (4, 0))
+    A = build_fixture(nodes.Construct("sidon_levels", (4, 0)))
     assert A.expr == levels == nodes.Union((nodes.Level(1), nodes.Level(4)))
     assert A.elements() == evaluate(levels).elements()
     with pytest.raises(InputError) as exc:
-        build_fixture("no_such_fixture", ())
-    assert "catalog" in str(exc.value)
-    assert len(catalog_lines()) == 9
+        nodes.Construct("no_such_fixture", ())
+    assert "unknown fixture 'no_such_fixture'" in str(exc.value)
+    assert len(FIXTURES) == 9
 
 
 def test_every_catalog_name_and_sequence_rule_parses():

@@ -418,8 +418,8 @@ class _Recorded(LazySet):
 
 
 def _recorded(A):
-    R = _Recorded(A.expr, A.elements(), A.complete_below, A.pred, A.finite)
-    R.calls = []
+    R = _Recorded(A.expr, A.elements(), A.complete_below, A.pred)
+    R.finite, R.calls = A.finite, []
     return R
 
 

@@ -1,5 +1,6 @@
 """Expression language: parsing, evaluation semantics, structural analyses."""
 
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -7,26 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from felab import arith, constructions
+from felab import arith, constructions, largeness
 from felab.constructions import FIXTURES
 from felab.errors import InputError, ParseError, PrecisionError, ResourceError
 from felab.setlang.lazyset import MAX_ELEMENTS
 from felab.setlang import evaluate, nodes, parse, unparse
-from felab.setlang.analysis import empty_meet_mult, level_deltas, levels_of, period_of
+from felab.setlang.analysis import (_contains_mult, empty_meet_mult, level_deltas, levels_of,
+                                    period_of)
 
 HORIZON = 2000
 
 
-def _load_reference():
-    """The benchmark's felab-free, definition-level membership (read only)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+def _load_perfbench(name):
+    """A benchmark module, read only: reference.py is felab-free, definition-level
+    membership of tuple trees, and workloads.py renders those trees as text."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-reference = _load_reference()
+reference = _load_perfbench("reference")
+workloads = _load_perfbench("workloads")
 
 
 def ev(text, horizon=HORIZON):
@@ -101,6 +105,7 @@ _USAGE = {name: row[0] for name, row in FIXTURES.items()}
     ("fs(primeseq())", 1, "bad parameters for primeseq; usage: primeseq(all|odd|even[,count])"),
     ("up(fp(primeseq(odd,x)))", 4,
      "bad parameters for primeseq; usage: primeseq(all|odd|even[,count])"),
+    ("mult(" + "9" * 5000 + ")", 6, "5000 digits are too many"),
 ])
 def test_parse_error_text_and_column(text, col, msg):
     with pytest.raises(ParseError) as exc:
@@ -349,6 +354,24 @@ def test_pinned_closure_cap_comes_before_generation(monkeypatch, text, error, ms
     assert str(exc.value) == msg
 
 
+@pytest.mark.parametrize("finite", ["level(0)", "{2,5}", "dilate(3,{2,5})"])
+def test_union_with_a_finite_part_keeps_the_prefix_bound(finite):
+    """A finite kid knows all its members, so only the PREFIX kid limits the
+    union's completeness, and nmax reads every member of that prefix."""
+    A = ev(f"union({finite},construct(sidon))")
+    assert not A.is_exact
+    assert A.complete_below == ev("construct(sidon)").complete_below == HORIZON
+    verdict = largeness.nmax_refute(A, 4, HORIZON)
+    assert verdict.bounds["members_complete_below"] == HORIZON
+    assert not any(e % p == 0 for p in verdict.certificate["antichain"] for e in A.elements())
+
+
+def test_level_zero_refuses_a_horizon_past_the_sieve_cap():
+    """level(0) is {1} without a table, yet refused past the sieve cap like every level."""
+    with pytest.raises(ResourceError, match=f"sieve limit {arith.DEFAULT_SIEVE_CAP + 1} exceeds cap"):
+        ev("level(0)", horizon=arith.DEFAULT_SIEVE_CAP + 1)
+
+
 @pytest.mark.parametrize("depth", [99, 98])
 def test_nested_compl_at_parser_cap(depth):
     """99 and 98 complements around mult(3) (100 and 99 calls, the parser's cap
@@ -443,6 +466,60 @@ def test_period_of_really_is_a_period():
         A = ev(text, horizon=3 * (pre + per) + 60)
         for n in range(pre + 1, pre + per + 30):
             assert A.contains(n) == A.contains(n + per)
+
+
+# tuple trees as in perfbench/workloads.py, over the nodes the analyses read
+_small = st.integers(min_value=1, max_value=6)
+_tuple_leaf = st.one_of(
+    st.sampled_from([("N",), ("primes",), ("odd",)]),
+    st.builds(lambda n: ("level", n), st.integers(min_value=0, max_value=4)),
+    st.builds(lambda k: ("mult", k), st.integers(min_value=1, max_value=12)),
+    st.builds(lambda a, d: ("ap", a, d), st.integers(min_value=1, max_value=10),
+              st.integers(min_value=1, max_value=10)),
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4,
+             unique=True).map(lambda v: ("set", tuple(sorted(v)))),
+    st.builds(lambda v, c: ("fp", ("primeseq", v, *c)), st.sampled_from(["all", "odd", "even"]),
+              st.lists(st.integers(min_value=1, max_value=4), max_size=1)),
+    st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=3,
+             unique=True).map(lambda v: ("fp", ("list", tuple(sorted(v))))),
+)
+
+
+def _tuple_extend(kids):
+    args = st.lists(kids, min_size=2, max_size=3)
+    return st.one_of(
+        args.map(lambda a: ("union", *a)),
+        args.map(lambda a: ("inter", *a)),
+        kids.map(lambda a: ("compl", a)),
+        st.builds(lambda k, a: ("dilate", k, a), _small, kids),
+        st.builds(lambda a, n: ("quot", a, n), kids, _small),
+        st.builds(lambda a, t: ("shift", a, t), kids, st.integers(min_value=0, max_value=10)),
+        kids.map(lambda a: ("up", a)),
+    )
+
+
+_WINDOW = 120
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_tuple_leaf, _tuple_extend, max_leaves=6),
+       st.integers(min_value=1, max_value=12))
+def test_structural_analyses_agree_with_the_reference(tree, m):
+    """Every definite answer of an analysis holds for the reference membership on a window."""
+    expr = parse(workloads.text(tree))
+    member = functools.lru_cache(maxsize=None)(lambda n: reference.member(tree, n))
+    period = period_of(expr)
+    if period is not None:
+        pre, per = period
+        assert all(member(n) == member(n + per) for n in range(pre + 1, pre + 1 + _WINDOW))
+    multiples = range(m, _WINDOW + 1, m)
+    if empty_meet_mult(expr, m) is True:
+        assert not any(member(x) for x in multiples)
+    if _contains_mult(expr, m):
+        assert all(member(x) for x in multiples)
+    cover = levels_of(expr)
+    if cover is not None:
+        assert all(reference.omega(n) in cover for n in range(1, _WINDOW + 1) if member(n))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,15 @@ The battery, read from this checkout:
 - the two places that validate bounds: every bound flag (``cli._BOUND_FLAGS``
   of NEW) at 0 on ``check`` and ``diagram``, ``--horizon 0`` on every
   subcommand, ``--json`` over ``--format table``, and a run length past the
-  horizon, which the A-thick checker itself refuses.
+  horizon, which the A-thick checker itself refuses,
+- the sets built as finite by their constructor (``level(0)``, a dilated finite
+  set, a union with a finite part, ``fp_primes``) under ``diagram``, ``fe``,
+  ``me``, ``check a-ip*`` and ``check nmax``, ``check nmax`` and ``check
+  a-thick`` on the union of ``level(0)`` with a set that has no predicate
+  (``construct(sidon)``), ``check a-thick`` on ``level(0)`` at a horizon past
+  the sieve cap, ``check a-thick`` on
+  ``construct(equal_exponent)`` at a horizon where it stays under the element
+  cap, and ``parse`` of a natural longer than ``int()`` converts.
 
 Standard library only.
 """
@@ -91,6 +99,8 @@ LOOP_EXPRS = ("dilate(2,odd)", "shift(mult(3),2)", "fp(primeseq(odd))", "level(2
               "construct(sidon)")
 LOOP_PROPS = ("a-ip", "m-ip", "a-ip*", "a-j", "m-j", "a-pcws", "nmax*")
 LOOP_HORIZON = "5000"
+FINITE_EXPRS = ("level(0)", "dilate(3,{2,5})", "union(level(0),mult(2))",
+                "construct(fp_primes,odd,4)")
 
 
 def c10_battery() -> list[list[str]]:
@@ -198,6 +208,16 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
     cmds += [["check", "max", "ap(1,2)", "--json", "--format", "table"],
              ["diagram", "odd", "--horizon", CHECK_HORIZON, "--format", "table", "--json"],
              ["check", "a-thick", "N", "--n", "20", "--horizon", "10"]]
+    cmds += [["diagram", expr, "--horizon", CHECK_HORIZON] for expr in FINITE_EXPRS]
+    cmds += [["fe", "{2}", "dilate(3,{2,5})"], ["fe", "{1,3}", "union(level(0),level(1))"],
+             ["me", "{2,3}", "dilate(2,{2,3,4,6})", "--m", "1"],
+             ["check", "a-ip*", "compl(union(level(0),mult(2)))", "--horizon", "3000"],
+             ["check", "nmax", "union(level(0),mult(2))", "--horizon", "3000"],
+             ["check", "nmax", "union(level(0),construct(sidon))", "--horizon", "3000"],
+             ["check", "a-thick", "union(level(0),construct(sidon))", "--horizon", "3000"],
+             ["check", "a-thick", "level(0)", "--horizon", "30000000"],
+             ["check", "a-thick", "construct(equal_exponent)", "--horizon", "3000000"],
+             ["parse", "mult(" + "9" * 5000 + ")"]]
     return cmds
 
 
