@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import arith, constructions, embed, largeness
-from .errors import FelabError, InapplicableError, InputError
+from .errors import FelabError, InapplicableError, InputError, ResourceError
 from .setlang import LazySet, evaluate, parse, unparse
 from .setlang import nodes
 from .setlang.lazyset import DEFAULT_HORIZON
@@ -110,20 +110,27 @@ def _print_jsonl(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _print_verdict_table(head: list[str], v: dict) -> None:
-    for line in head:
-        print(line)
-    print(f"status: {v['status']}")
+def _show(args, payload: dict, table) -> int:
+    """Print the payload as JSON or as the lines of table(payload); return its exit code."""
+    if args.fmt == "json":
+        _print_json(payload)
+    else:
+        for line in table(payload):
+            print(line)
+    return payload["exit"]
+
+
+def _verdict_lines(head: list[str], v: dict):
+    yield from head
+    yield f"status: {v['status']}"
     if "direction" in v:
-        print(f"direction: {v['direction']}")
+        yield f"direction: {v['direction']}"
     if v["certificate"]:
-        print("certificate:")
-        for line in _kv_lines(v["certificate"], 1):
-            print(line)
+        yield "certificate:"
+        yield from _kv_lines(v["certificate"], 1)
     if v["bounds"]:
-        print("bounds:")
-        for line in _kv_lines(v["bounds"], 1):
-            print(line)
+        yield "bounds:"
+        yield from _kv_lines(v["bounds"], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +163,11 @@ def _batch_lines(path: str) -> list[str]:
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def _run_expressions(args, run_one, print_table) -> int:
+def _run_expressions(args, run_one, table) -> int:
     """Run one expression (table or JSON) or every line of --batch (JSON lines).
 
-    run_one(text) returns (payload, exit_code); a batch line that raises prints
-    an error line and the batch exits with the worst code.
+    run_one(text) returns the payload, which carries its exit code; a batch line
+    that raises prints an error line and the batch exits with the worst code.
     """
     if args.batch is not None:
         if args.expression is not None:
@@ -168,21 +175,15 @@ def _run_expressions(args, run_one, print_table) -> int:
         worst = 0
         for text in _batch_lines(args.batch):
             try:
-                payload, code = run_one(text)
+                payload = run_one(text)
             except FelabError as exc:
                 payload = {"expression": text, "error": str(exc), "exit": exc.exit_code}
-                code = exc.exit_code
             _print_jsonl(payload)
-            worst = max(worst, code)
+            worst = max(worst, payload["exit"])
         return worst
     if args.expression is None:
         raise InputError("an expression is required (or use --batch FILE)")
-    payload, code = run_one(args.expression)
-    if args.fmt == "json":
-        _print_json(payload)
-    else:
-        print_table(payload)
-    return code
+    return _show(args, run_one(args.expression), table)
 
 
 def cmd_check(args) -> int:
@@ -195,10 +196,10 @@ def cmd_check(args) -> int:
             "unknown property %r; choose from: %s" % (args.property, " ".join(sorted(names))))
     check = largeness.CHECKERS[names[prop]]
 
-    def run_one(text: str) -> tuple[dict, int]:
+    def run_one(text: str) -> dict:
         node, A = _eval_expr(text, args.horizon)
         verdict = check(A, params, args.horizon)
-        payload = {
+        return {
             "command": "check",
             "property": prop,
             "expression": unparse(node),
@@ -206,13 +207,9 @@ def cmd_check(args) -> int:
             "verdict": verdict.to_json(),
             "exit": verdict.exit_code,
         }
-        return payload, verdict.exit_code
 
-    def print_table(payload: dict) -> None:
-        _print_verdict_table(
-            [f"property: {prop}", f"expression: {payload['expression']}"], payload["verdict"])
-
-    return _run_expressions(args, run_one, print_table)
+    return _run_expressions(args, run_one, lambda p: _verdict_lines(
+        [f"property: {prop}", f"expression: {p['expression']}"], p["verdict"]))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +252,9 @@ def cmd_fe(args) -> int:
         "refuters": refuters,
         "exit": verdict.exit_code,
     }
-    if args.fmt == "json":
-        _print_json(payload)
-    else:
-        _print_verdict_table([f"A: {payload['A']}", f"B: {payload['B']}"], payload["verdict"])
-        print(f"oracle agreement: {'yes' if agreement else 'NO'}")
-        print("refuters:")
-        for line in _kv_lines(refuters, 1):
-            print(line)
-    return verdict.exit_code
+    return _show(args, payload, lambda p: [
+        *_verdict_lines([f"A: {p['A']}", f"B: {p['B']}"], p["verdict"]),
+        f"oracle agreement: {'yes' if agreement else 'NO'}", "refuters:", *_kv_lines(refuters, 1)])
 
 
 def cmd_me(args) -> int:
@@ -279,12 +270,8 @@ def cmd_me(args) -> int:
         "verdict": verdict.to_json(),
         "exit": verdict.exit_code,
     }
-    if args.fmt == "json":
-        _print_json(payload)
-    else:
-        _print_verdict_table(
-            [f"A: {payload['A']}", f"B: {payload['B']}", f"m: {args.m}"], payload["verdict"])
-    return verdict.exit_code
+    return _show(args, payload, lambda p: _verdict_lines(
+        [f"A: {p['A']}", f"B: {p['B']}", f"m: {args.m}"], p["verdict"]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +281,19 @@ def cmd_me(args) -> int:
 def cmd_diagram(args) -> int:
     params = _property_params(args, args.star_a_max)
 
-    def run_one(text: str) -> tuple[dict, int]:
+    def run_one(text: str) -> dict:
         node, A = _eval_expr(text, args.horizon)
         report = largeness.diagram_report(A, params)
-        payload = {
+        return {
             "command": "diagram",
             "expression": unparse(node),
             "report": report.to_json(),
             "exit": 0,
         }
-        return payload, 0
 
-    def print_table(payload: dict) -> None:
-        print(f"expression: {payload['expression']}")
-        print(f"horizon: {params.horizon}")
+    def table(payload: dict):
+        yield f"expression: {payload['expression']}"
+        yield f"horizon: {params.horizon}"
         for row in payload["report"]["properties"]:
             status = row["verdict"]
             extra = ""
@@ -316,12 +302,12 @@ def cmd_diagram(args) -> int:
                 extra = " " + json.dumps(tail, sort_keys=True, separators=(",", ":"))
             elif "reason" in row:
                 extra = " " + json.dumps(row["reason"])
-            print(f"{row['name']:<10} {status}{extra}")
+            yield f"{row['name']:<10} {status}{extra}"
         for audit in payload["report"]["audits"]:
-            print(f"audit [{audit['implication']}]: {audit['status']} "
-                  + json.dumps(audit["detail"], sort_keys=True, separators=(",", ":")))
+            yield (f"audit [{audit['implication']}]: {audit['status']} "
+                   + json.dumps(audit["detail"], sort_keys=True, separators=(",", ":")))
 
-    return _run_expressions(args, run_one, print_table)
+    return _run_expressions(args, run_one, table)
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +345,18 @@ def cmd_construct(args) -> int:
     if args.emit is not None:
         _emit_set_file(args.emit, payload["expression"], args.horizon, members)
         payload["emitted"] = args.emit
-    if args.fmt == "json":
-        _print_json(payload)
-    else:
+
+    def table(payload: dict):
         if args.emit is not None:
-            print(f"wrote {len(members)} values to {args.emit}")
+            yield f"wrote {len(members)} values to {args.emit}"
         else:
-            print(" ".join(str(m) for m in members))
+            yield " ".join(str(m) for m in members)
         if "blocks" in payload:
             for n, block in enumerate(payload["blocks"], start=1):
-                print(f"block {n}: {' '.join(str(x) for x in block)}")
-            print("avoided: " + " ".join(str(x) for x in payload["avoided"]))
-    return 0
+                yield f"block {n}: {' '.join(str(x) for x in block)}"
+            yield "avoided: " + " ".join(str(x) for x in payload["avoided"])
+
+    return _show(args, payload, table)
 
 
 def cmd_chain(args) -> int:
@@ -394,30 +380,25 @@ def cmd_chain(args) -> int:
         "verified_refutations": verified,
         "exit": 0,
     }
-    if args.fmt == "json":
-        _print_json(payload)
-    else:
+
+    def table(payload: dict):
         for n, level in enumerate(result.levels):
-            print(f"A_{n}: {' '.join(str(x) for x in level)}")
+            yield f"A_{n}: {' '.join(str(x) for x in level)}"
         for n, (pair, ref) in enumerate(zip(result.blocked, result.refutations)):
-            print(f"A_{n + 1} dodges pair {{{pair[0]},{pair[1]}}}: "
-                  + json.dumps(ref.to_json(), sort_keys=True, separators=(",", ":")))
+            yield (f"A_{n + 1} dodges pair {{{pair[0]},{pair[1]}}}: "
+                   + json.dumps(ref.to_json(), sort_keys=True, separators=(",", ":")))
         if verified is not None:
-            print(f"verified {verified}/{len(result.refutations)} refutations")
-    return 0
+            yield f"verified {verified}/{len(result.refutations)} refutations"
+
+    return _show(args, payload, table)
 
 
 def cmd_atlas(args) -> int:
     report = largeness.poset_atlas(args.n, exhaustive=True if args.exhaustive else None)
     payload = {"command": "atlas", "report": report.to_json(),
                "exit": 0 if not report.violations else 1}
-    if args.fmt == "json":
-        _print_json(payload)
-    else:
-        for line in _kv_lines(report.to_json()):
-            print(line)
-        print("duality check: " + ("PASS" if not report.violations else "FAIL"))
-    return 0 if not report.violations else 1
+    return _show(args, payload, lambda p: [
+        *_kv_lines(p["report"]), "duality check: " + ("PASS" if not report.violations else "FAIL")])
 
 
 def _ast_json(node) -> object:
@@ -452,13 +433,7 @@ def _ast_lines(node, indent: int = 0):
 def cmd_parse(args) -> int:
     node = _expr_node(args.expression)
     payload = {"command": "parse", "text": unparse(node), "ast": _ast_json(node), "exit": 0}
-    if args.fmt == "json":
-        _print_json(payload)
-    else:
-        print(f"text: {payload['text']}")
-        for line in _ast_lines(node):
-            print(line)
-    return 0
+    return _show(args, payload, lambda p: [f"text: {p['text']}", *_ast_lines(node)])
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +536,10 @@ def main(argv=None) -> int:
             # the invocation settings are validated and resolved here, once
             if args.horizon < 1:
                 raise InputError(f"horizon must be >= 1, got {args.horizon}")
+            if args.horizon > arith.DEFAULT_SIEVE_CAP:
+                # the largest horizon at which level and primes can be evaluated
+                raise ResourceError(
+                    f"horizon {args.horizon} exceeds the cap {arith.DEFAULT_SIEVE_CAP}")
             if args.json:
                 args.fmt = "json"
             cache = args.cache if args.cache is not None else os.environ.get("FELAB_CACHE")

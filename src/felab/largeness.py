@@ -45,10 +45,19 @@ _ATLAS_FAMILY_CAP = 2_000_000
 # ---------------------------------------------------------------------------
 
 def a_thick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
-    """Find n consecutive members; refute only when periodic structure decides it."""
+    """Find n consecutive members; refute only when finiteness or periodic structure decides it."""
     if n > H:
         raise InputError(f"run length {n} exceeds horizon {H}")
     bounds = {"horizon": H, "n": n}
+    if A.finite:
+        # the member list decides a finite set globally: the end x of its first run
+        elems = A.elements()
+        x = next((e for i, e in enumerate(elems[n - 1:]) if e - elems[i] == n - 1), None)
+        if x is None:
+            return Verdict.refuted({"reason": "finite set", "members": len(elems)}, bounds)
+        if x > H:
+            return Verdict.bounded("against", bounds, {"run_beyond_horizon": x - n})
+        return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
     run = best = best_end = 0
     undecided = False
     for x in range(1, H + 1):
@@ -63,37 +72,25 @@ def a_thick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
             if c is None:
                 undecided = True
             run = 0
-    # no run within the horizon; a finite set's member list decides it globally
-    if A.finite:
-        elems = A.elements()
-        run = 1
-        for prev, cur in zip(elems, elems[1:]):
-            run = run + 1 if cur == prev + 1 else 1
-            if run >= n:
-                return Verdict.bounded(
-                    "against", bounds, {"run_beyond_horizon": cur - n})
-        return Verdict.refuted(
-            {"reason": "finite set", "members": len(elems)}, bounds)
-    # periodic exact sets admit a genuine refutation
-    if A.is_exact:
-        period = analysis.period_of(A.expr)
-        if period is not None:
-            pre, per = period
-            window = pre + per + n
-            if window <= _PERIOD_WINDOW_CAP:
-                run = 0
-                for x in range(1, window + 1):
-                    if A.contains(x) is True:
-                        run += 1
-                        if run >= n:
-                            # a run exists, but only beyond the requested horizon
-                            return Verdict.bounded(
-                                "against", bounds,
-                                {"run_beyond_horizon": x - n, "window": window})
-                    else:
-                        run = 0
-                return Verdict.refuted(
-                    {"preperiod": pre, "period": per, "window": window}, bounds)
+    # periodic exact sets admit a genuine refutation: carry the run on to a window
+    # that holds a whole period past the preperiod
+    period = analysis.period_of(A.expr) if A.is_exact else None
+    if period is not None:
+        pre, per = period
+        window = pre + per + n
+        if window <= _PERIOD_WINDOW_CAP:
+            for x in range(H + 1, window + 1):
+                if A.contains(x) is True:
+                    run += 1
+                    if run >= n:
+                        # a run exists, but only beyond the requested horizon
+                        return Verdict.bounded(
+                            "against", bounds,
+                            {"run_beyond_horizon": x - n, "window": window})
+                else:
+                    run = 0
+            return Verdict.refuted(
+                {"preperiod": pre, "period": per, "window": window}, bounds)
     detail: dict = {"max_run": best}
     if best:
         detail["at"] = best_end - best
@@ -173,10 +170,10 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
     truncated = False
     chosen: list[int] = []
 
-    def rec(start: int, vals: list[int]) -> bool:
+    def rec(start: int, vals: list[int]) -> list[int] | None:
         nonlocal attempts, truncated
         if len(chosen) == L:
-            return True
+            return vals
         end = len(elems)
         if vals:
             # the largest fresh combination, top+x or top*x, grows along the
@@ -187,7 +184,7 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
         for idx in range(start, end):
             if attempts >= SUBSET_CAP:
                 truncated = True
-                return False
+                return None
             attempts += 1
             x = elems[idx]
             for v in vals:
@@ -195,17 +192,16 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
                     break
             else:
                 chosen.append(x)
-                if rec(idx + 1, vals + [v + x if additive else v * x for v in vals] + [x]):
-                    return True
+                found = rec(idx + 1, vals + [v + x if additive else v * x for v in vals] + [x])
+                if found is not None:
+                    return found
                 chosen.pop()
                 if truncated:
-                    return False
-        return False
+                    return None
+        return None
 
-    if rec(0, []):
-        values = [chosen[0]]
-        for x in chosen[1:]:
-            values += [v + x if additive else v * x for v in values] + [x]
+    values = rec(0, [])
+    if values is not None:
         return Verdict.proved(
             {"sequence": list(chosen), "values": sorted(set(values))}, bounds)
     return Verdict.bounded(
@@ -292,6 +288,17 @@ def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
     return Verdict.proved({"witnesses": witnesses}, bounds)
 
 
+def _first_non_member(A: LazySet, a: int, H: int) -> tuple[int, bool | None] | None:
+    """The least multiple of a up to H not known to be in A, with A's answer there;
+    None when every such multiple is a member."""
+    contains = A.contains
+    for v in range(a, H + 1, a):
+        c = contains(v)
+        if c is not True:
+            return v, c
+    return None
+
+
 def maxstar_check(A: LazySet, a_max: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find a whose every multiple up to the horizon belongs to A."""
     if a_max > H:
@@ -300,20 +307,12 @@ def maxstar_check(A: LazySet, a_max: int, H: int = DEFAULT_HORIZON) -> Verdict:
     missing: dict[int, int] = {}
     undecided: dict[int, int] = {}
     for a in range(1, a_max + 1):
-        verdict_point = None
-        for v in range(a, H + 1, a):
-            c = A.contains(v)
-            if c is not True:
-                verdict_point = (v, c)
-                break
-        if verdict_point is None:
+        gap = _first_non_member(A, a, H)
+        if gap is None:
             return Verdict.proved(
                 {"a": a, "multiples_checked": H // a}, bounds)
-        v, c = verdict_point
-        if c is False:
-            missing[a] = v
-        else:
-            undecided[a] = v
+        v, c = gap
+        (missing if c is False else undecided)[a] = v
     if undecided:
         return Verdict.bounded(
             "against", bounds,
@@ -356,14 +355,6 @@ def nmax_refute(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
 def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Seek a pairwise-coprime C whose dilations up to the horizon all lie in A."""
     bounds = {"horizon": H, "s": s}
-    contains = A.contains
-
-    def valid(c: int) -> bool:
-        for v in range(c, H + 1, c):
-            if contains(v) is not True:
-                return False
-        return True
-
     # Generators are collected in ascending order and searched in growing
     # prefixes, so a proof gives the lexicographically least antichain among the
     # generators collected so far; a smaller one may use a later generator.
@@ -374,7 +365,7 @@ def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     target = max(64, 8 * s)
     top = H // 2
     for c in range(2, top + 1):
-        if valid(c):
+        if _first_non_member(A, c, H) is None:
             pool.append(c)
         if len(pool) >= target or (c == top and len(pool) >= s):
             try:
@@ -493,39 +484,20 @@ class LargenessReport:
                 "params": self.params.to_json()}
 
 
-def _audit_thick_pcws(A, produced, params, H) -> dict:
-    name = "A-thick(n) => A-pcws(t_max=0, n)"
-    v = produced["A-thick"]
-    if not (isinstance(v, Verdict) and v.is_proved):
-        return {"implication": name, "status": "skipped",
-                "detail": {"reason": "premise not proved"}}
+def _audit_thick_pcws(A, premise, params, H) -> tuple[str, dict]:
     w = a_pcws_check(A, 0, params.run_length, H)
-    return {"implication": name,
-            "status": "pass" if w.is_proved else "fail",
-            "detail": {"pcws_status": w.status}}
+    return "pass" if w.is_proved else "fail", {"pcws_status": w.status}
 
 
-def _audit_maxstar_max(A, produced, params, H) -> dict:
-    name = "MAX*(a) => MAX up to horizon//a"
-    v = produced["MAX*"]
-    if not (isinstance(v, Verdict) and v.is_proved):
-        return {"implication": name, "status": "skipped",
-                "detail": {"reason": "premise not proved"}}
-    a = v.certificate["a"]
+def _audit_maxstar_max(A, premise, params, H) -> tuple[str, dict]:
+    a = premise.certificate["a"]
     N = max(1, H // a)
     w = max_check(A, N, H)
-    return {"implication": name,
-            "status": "pass" if w.is_proved else "fail",
-            "detail": {"a": a, "N": N, "max_status": w.status}}
+    return "pass" if w.is_proved else "fail", {"a": a, "N": N, "max_status": w.status}
 
 
-def _audit_nmaxstar_thick(A, produced, params, H) -> dict:
-    name = "NMAX* antichain => interval inside its dilation cover"
-    v = produced["NMAX*"]
-    if not (isinstance(v, Verdict) and v.is_proved):
-        return {"implication": name, "status": "skipped",
-                "detail": {"reason": "premise not proved"}}
-    C = list(v.certificate["antichain"])
+def _audit_nmaxstar_thick(A, premise, params, H) -> tuple[str, dict]:
+    C = list(premise.certificate["antichain"])
     x = crt_thickness_demo(C, len(C))
     checks = [A.contains(x + m) for m in range(1, len(C) + 1)]
     detail = {"antichain": C, "m": x, "run": [x + 1, x + len(C)]}
@@ -538,7 +510,7 @@ def _audit_nmaxstar_thick(A, produced, params, H) -> dict:
     else:
         status = "skipped"
         detail["reason"] = "interval reaches beyond the decidable range"
-    return {"implication": name, "status": status, "detail": detail}
+    return status, detail
 
 
 def diagram_report(A: LazySet, params: PropertyParams | None = None) -> LargenessReport:
@@ -552,12 +524,19 @@ def diagram_report(A: LazySet, params: PropertyParams | None = None) -> Largenes
         except InapplicableError as exc:
             entries.append((name, {"inapplicable": str(exc)}))
     produced = dict(entries)
-    audits = (
-        _audit_thick_pcws(A, produced, params, H),
-        _audit_maxstar_max(A, produced, params, H),
-        _audit_nmaxstar_thick(A, produced, params, H),
-    )
-    return LargenessReport(tuple(entries), OUT_OF_SCOPE, audits, params)
+    audits = []
+    # built per call, so each audit is read by module-level name at call time, as
+    # CHECKERS does: (implication, the checker that proves its premise, the audit)
+    for implication, premise, audit in (
+            ("A-thick(n) => A-pcws(t_max=0, n)", "A-thick", _audit_thick_pcws),
+            ("MAX*(a) => MAX up to horizon//a", "MAX*", _audit_maxstar_max),
+            ("NMAX* antichain => interval inside its dilation cover", "NMAX*",
+             _audit_nmaxstar_thick)):
+        v = produced[premise]
+        status, detail = (audit(A, v, params, H) if isinstance(v, Verdict) and v.is_proved
+                          else ("skipped", {"reason": "premise not proved"}))
+        audits.append({"implication": implication, "status": status, "detail": detail})
+    return LargenessReport(tuple(entries), OUT_OF_SCOPE, tuple(audits), params)
 
 
 # ---------------------------------------------------------------------------

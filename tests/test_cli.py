@@ -503,14 +503,22 @@ def test_atlas_resource_cap(capsys):
     ["check", "a-j", "N", "--h-max", "100000000000000"],
     ["check", "a-j", "{5}", "--a-max", "100000000000000"],
     ["chain", "100000000", "4"],
+    ["chain", "3", "100000000"],
     *(["check", "a-thick", e, "--horizon", "100000000000000"]
-      for e in ("odd", "mult(3)", "up({7})", "fs(exgamma())")),
+      for e in ("odd", "mult(3)", "up({7})", "fs(exgamma())", "up({1000000000})",
+                "fp(exgamma())")),
     ["check", "a-thick", "compl({5})", "--horizon", "100000000000"],
-], ids=["a-ip-L", "diagram-L", "a-j-h-max", "a-j-a-max", "chain-depth", "odd", "mult",
-        "up", "fs", "compl"])
+    ["check", "a-thick", "N", "--horizon", "100000000000000000000"],
+    ["check", "a-pcws", "{5}", "--horizon", "100000000000000"],
+    # at the horizon cap, past the element cap
+    *(["check", "a-thick", e, "--horizon", "20000000"]
+      for e in ("odd", "mult(3)", "up({7})", "fs(exgamma())", "compl({5})")),
+], ids=["a-ip-L", "diagram-L", "a-j-h-max", "a-j-a-max", "chain-depth", "chain-width",
+        "odd", "mult", "up", "fs", "up-sparse", "fp", "compl", "N", "a-pcws",
+        "odd-at-cap", "mult-at-cap", "up-at-cap", "fs-at-cap", "compl-at-cap"])
 def test_huge_search_bounds_exit_4(argv, capsys):
-    """L, h_max, the J step count, the chain depth and the members of an evaluated set
-    meet their caps before anything of that size is built."""
+    """L, h_max, the J step count, the chain depth and width, the horizon and the members
+    of an evaluated set meet their caps before anything of that size is built."""
     code, out, err = run(argv, capsys)
     assert code == 4 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1

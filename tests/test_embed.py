@@ -1,5 +1,6 @@
 """Dilation embeddings: witness search, the quotient oracle, refuters, chains."""
 
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from felab import embed
 from felab.embed import (FeRefutation, FeWitness, decreasing_chain,
                          fe_fip_oracle, fe_prefix_check, fe_refute_level,
                          fe_refute_residue, fe_witness, me_check, mthick_check)
-from felab.errors import InapplicableError, InputError, PrecisionError
+from felab.errors import InapplicableError, InputError, PrecisionError, ResourceError
 from felab.setlang import evaluate, parse
 from felab.setlang.lazyset import DEFAULT_HORIZON
 
@@ -349,6 +350,41 @@ def test_chain_json_roundtrip(chain58):
 def test_chain_validates():
     with pytest.raises(InputError):
         decreasing_chain(3, 2)
+    with pytest.raises(ResourceError, match="width cap"):
+        decreasing_chain(3, embed._CHAIN_WIDTH_CAP + 1)
+
+
+def _greedy_levels(depth, extended):
+    """The chain rebuilt by brute force: level n + 1 keeps level n's second member,
+    then each later one with which no blocked pair embeds at any k."""
+    colex = sorted(itertools.combinations(range(1, depth + 3), 2), key=lambda p: p[::-1])
+    levels = [list(range(1, len(extended[0]) + 1))]
+    for n in range(depth):
+        parent = levels[n]
+        blocked = colex[:n + 1] + [tuple(parent[:2])]
+        kept = [parent[1]]
+        for x in parent[2:]:
+            inside = set(kept) | {x}
+            if not any(k * a in inside and k * b in inside
+                       for a, b in blocked for k in range(1, x // a + 1)):
+                kept.append(x)
+        levels.append(kept)
+    return colex[:depth], levels
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 8), st.integers(3, 12))
+def test_chain_matches_the_greedy_reference(depth, width):
+    res = decreasing_chain(depth, width)
+    pairs, levels = _greedy_levels(depth, res.extended)
+    assert [tuple(lvl[:len(ext)]) for lvl, ext in zip(levels, res.extended)] == list(res.extended)
+    shown = [lvl[:width] for lvl in levels]
+    assert res.to_json() == {
+        "levels": shown,
+        "blocked_pairs": [list(p) for p in pairs],
+        "refutations": [{"kind": "finite-target", "family": list(p),
+                         "detail": {"bound": shown[n + 1][-1] // p[0]}}
+                        for n, p in enumerate(pairs)]}
 
 
 # ---------------------------------------------------------------------------

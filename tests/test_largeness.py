@@ -12,7 +12,7 @@ from felab.largeness import (CHECKERS, PropertyParams, _add_funcs, a_pcws_check,
                              ip_search, ip_star_check, j_check, m_pcws_check,
                              max_check, maxstar_check, nmax_refute,
                              nmaxstar_check, poset_atlas)
-from felab.setlang import evaluate, parse
+from felab.setlang import analysis, evaluate, parse
 from felab.setlang.lazyset import DEFAULT_HORIZON, LazySet
 from felab.verdicts import Verdict
 
@@ -521,6 +521,48 @@ def _plain_nmaxstar(A, s, horizon):
     return Verdict.bounded("against", bounds, {"dilation_generators": pool[:32]})
 
 
+def _plain_a_thick(A, n, horizon):
+    """The two-pass A-thick: scan [1, horizon], then read a finite set's member list
+    from its start, or rescan a periodic set's window from 1."""
+    bounds = {"horizon": horizon, "n": n}
+    run = best = best_end = 0
+    undecided = False
+    for x in range(1, horizon + 1):
+        c = A.contains(x)
+        if c is True:
+            run += 1
+            if run > best:
+                best, best_end = run, x
+            if run >= n:
+                return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
+        else:
+            undecided = undecided or c is None
+            run = 0
+    if A.finite:
+        elems, run = A.elements(), 1
+        for prev, cur in zip(elems, elems[1:]):
+            run = run + 1 if cur == prev + 1 else 1
+            if run >= n:
+                return Verdict.bounded("against", bounds, {"run_beyond_horizon": cur - n})
+        return Verdict.refuted({"reason": "finite set", "members": len(elems)}, bounds)
+    period = analysis.period_of(A.expr) if A.is_exact else None
+    if period is not None and sum(period) + n <= largeness._PERIOD_WINDOW_CAP:
+        window, run = sum(period) + n, 0
+        for x in range(1, window + 1):
+            run = run + 1 if A.contains(x) is True else 0
+            if run >= n:
+                return Verdict.bounded("against", bounds,
+                                       {"run_beyond_horizon": x - n, "window": window})
+        return Verdict.refuted(
+            {"preperiod": period[0], "period": period[1], "window": window}, bounds)
+    detail = {"max_run": best}
+    if best:
+        detail["at"] = best_end - best
+    if undecided:
+        detail["undecided_points"] = True
+    return Verdict.bounded("against", bounds, detail)
+
+
 # finite, periodic and prefix-only sets (an unpinned closure answers None above
 # its enumeration), evaluated at 60 or 400
 _LOOP_SETS = st.tuples(st.one_of(
@@ -590,6 +632,25 @@ def test_a_pcws_matches_the_plain_scan(set_at, t_max, n, H):
     new, plain = _both(A, lambda R: a_pcws_check(R, t_max, n, H),
                        lambda R: _plain_a_pcws(R, t_max, n, H))
     assert new == plain
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LOOP_SETS, st.integers(2, 4), st.one_of(st.just(5), st.integers(4, 400)))
+# finite runs that end at the horizon and cross it, and a periodic window that passes it
+@example(("{3,4,5,9}", 60), 3, 5)
+@example(("{1,2,3,9,10,11,12}", 60), 4, 5)
+@example(("union(mult(7),ap(1,7))", 60), 2, 5)
+def test_a_thick_matches_the_two_pass_scan(set_at, n, H):
+    A = ev(*set_at)
+    assert a_thick_check(A, n, H).to_json() == _plain_a_thick(A, n, H).to_json()
+
+
+def test_a_thick_single_member_runs():
+    # with n = 1 a finite set's first member is its first run, within the horizon or past it
+    assert a_thick_check(ev("{5,9}"), 1, 8).certificate == {"m": 4, "run": [5, 5]}
+    for text in ("{5}", "{5,9}"):
+        v = a_thick_check(ev(text), 1, 3)
+        assert v.status == "bounded" and v.certificate == {"run_beyond_horizon": 4}
 
 
 @settings(max_examples=100, deadline=None)

@@ -522,6 +522,20 @@ def test_structural_analyses_agree_with_the_reference(tree, m):
         assert all(reference.omega(n) in cover for n in range(1, _WINDOW + 1) if member(n))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_tuple_leaf, _tuple_extend, max_leaves=6), st.sampled_from([20, 60]))
+def test_evaluator_agrees_with_the_reference(tree, h):
+    """Every definite contains answer up to twice the horizon, and the member list up to
+    complete_below, match the reference membership."""
+    A = evaluate(parse(workloads.text(tree)), h)
+    member = functools.lru_cache(maxsize=None)(lambda n: reference.member(tree, n))
+    for n in range(1, 2 * h + 1):
+        answer = A.contains(n)
+        assert answer is None or answer == member(n), n
+    bound = A.complete_below
+    assert A.elements(bound) == [n for n in range(1, bound + 1) if member(n)]
+
+
 # ---------------------------------------------------------------------------
 # resource behavior
 # ---------------------------------------------------------------------------

@@ -50,7 +50,15 @@ The battery, read from this checkout:
   (``construct(sidon)``), ``check a-thick`` on ``level(0)`` at a horizon past
   the sieve cap, ``check a-thick`` on
   ``construct(equal_exponent)`` at a horizon where it stays under the element
-  cap, and ``parse`` of a natural longer than ``int()`` converts.
+  cap, and ``parse`` of a natural longer than ``int()`` converts,
+- ``check a-thick`` at horizon 5 with ``--n`` 2, 3 and 4 on periodic sets whose
+  window passes the horizon and on finite sets whose runs cross it,
+- ``chain 100 40`` and ``chain 30 200``,
+- ``diagram`` on sets where every audit passes (``N``), where the NMAX* audit
+  fails (``compl(mult(4))``) and where every audit is skipped (``{5}``), at
+  horizon 5000,
+- a proved ``check m-ip``, and ``check max*`` on a set without a predicate that
+  has both missing and undecided multiples.
 
 Standard library only.
 """
@@ -101,6 +109,9 @@ LOOP_PROPS = ("a-ip", "m-ip", "a-ip*", "a-j", "m-j", "a-pcws", "nmax*")
 LOOP_HORIZON = "5000"
 FINITE_EXPRS = ("level(0)", "dilate(3,{2,5})", "union(level(0),mult(2))",
                 "construct(fp_primes,odd,4)")
+RUN_EXPRS = ("union(mult(7),shift(mult(7),1))", "ap(3,7)", "compl(mult(3))",
+             "{1,2,3,9,10,11,12}", "inter(mult(6),compl(level(3)))")
+AUDIT_EXPRS = ("N", "compl(mult(4))", "{5}")
 
 
 def c10_battery() -> list[list[str]]:
@@ -218,6 +229,13 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
              ["check", "a-thick", "level(0)", "--horizon", "30000000"],
              ["check", "a-thick", "construct(equal_exponent)", "--horizon", "3000000"],
              ["parse", "mult(" + "9" * 5000 + ")"]]
+    cmds += [["check", "a-thick", expr, "--horizon", "5", "--n", n, "--json"]
+             for expr in RUN_EXPRS for n in ("2", "3", "4")]
+    cmds += [["chain", "100", "40"], ["chain", "30", "200"]]
+    cmds += [["diagram", expr, "--horizon", "5000"] for expr in AUDIT_EXPRS]
+    cmds += [["check", "m-ip", "fp(primeseq(odd,6))", "--L", "3", "--json"],
+             ["check", "max*", "inter(quot(fs(sidon()),3),compl({7,14}))", "--horizon", "2000",
+              "--a-max", "6", "--json"]]
     return cmds
 
 
