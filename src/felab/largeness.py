@@ -111,7 +111,8 @@ def a_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
     shifts = range(t_max + 1)
     contains = A.contains
     run = best = best_end = 0
-    for x in range(1, H + 1):
+    # past the largest member of a finite set every x resets the run
+    for x in range(1, min(H, A.max_known()) + 1 if A.finite else H + 1):
         for t in shifts:
             if contains(x + t) is True:
                 break
@@ -141,8 +142,10 @@ def m_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
     def divisor_for(v: int) -> int | None:
         return next((t for t in divisors if A.contains(t * v) is True), None)
 
+    # t*k*n is a member, so a finite set rules out every k past its largest over n
+    k_last = min(k_top, A.max_known() // n) if A.finite else k_top
     k = _least_dilation(range(1, n + 1), lambda v: divisor_for(v) is not None,
-                        _one_by_one(range(1, k_top + 1)))
+                        _one_by_one(range(1, k_last + 1)))
     if k is None:
         return Verdict.bounded("against", bounds, {"exhausted_k": k_top})
     table = {i: divisor_for(k * i) for i in range(1, n + 1)}

@@ -3,7 +3,8 @@
 These inspect the expression tree, never the evaluated elements, so their
 conclusions hold for the full infinite set and can back exact refutations:
 a cover of the set by factor-count levels, a proof that the set misses every
-multiple of some m, and an eventual period of the membership pattern.
+multiple of some m, and an eventual period of the membership pattern. The
+exact level set of a set also lets evaluation list it from the Omega table.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .. import arith
+from ..errors import ResourceError
 from . import nodes
 
 _PERIOD_CAP = 10_000_000
@@ -18,40 +20,52 @@ _PERIOD_CAP = 10_000_000
 
 def levels_of(expr: nodes.SetExpr) -> frozenset[int] | None:
     """A finite set S with expr contained in the union of levels S, or None."""
+    return _levels(expr, exact=False)
+
+
+def level_set_of(expr: nodes.SetExpr) -> frozenset[int] | None:
+    """The set S with expr equal to {n : omega(n) in S}, or None.
+
+    Omega is completely additive, so n lies in quot(A, d) exactly when
+    omega(n) + omega(d) is a level of A. None also when the Omega of a divisor
+    cannot be counted (it lies past the deterministic primality range).
+    """
+    try:
+        return _levels(expr, exact=True)
+    except ResourceError:
+        return None
+
+
+def _levels(expr: nodes.SetExpr, exact: bool) -> frozenset[int] | None:
     if isinstance(expr, nodes.Level):
         return frozenset((expr.n,))
     if isinstance(expr, nodes.Primes):
         return frozenset((1,))
+    if isinstance(expr, (nodes.Union, nodes.Inter)):
+        sets = [_levels(a, exact) for a in expr.args]
+        if isinstance(expr, nodes.Union):
+            return None if None in sets else frozenset().union(*sets)
+        # an intersection lies in the levels of any covered operand
+        known = [s for s in sets if s is not None]
+        if not known or (exact and len(known) < len(sets)):
+            return None
+        return known[0].intersection(*known[1:])
+    if isinstance(expr, nodes.Quot):
+        levels = _levels(expr.arg, exact)
+        if levels is None:
+            return None
+        shift = arith.omega(expr.n)
+        return frozenset(s - shift for s in levels if s >= shift)
+    if exact:
+        return None
     if isinstance(expr, nodes.Explicit):
         return frozenset(arith.omega(e) for e in expr.elems)
-    if isinstance(expr, nodes.Union):
-        covers = [levels_of(a) for a in expr.args]
-        if any(c is None for c in covers):
-            return None
-        out: frozenset[int] = frozenset()
-        for c in covers:
-            out |= c
-        return out
-    if isinstance(expr, nodes.Inter):
-        covers = [c for c in (levels_of(a) for a in expr.args) if c is not None]
-        if not covers:
-            return None
-        out = covers[0]
-        for c in covers[1:]:
-            out &= c
-        return out
     if isinstance(expr, nodes.Dilate):
         cover = levels_of(expr.arg)
         if cover is None:
             return None
         shift = arith.omega(expr.k)
         return frozenset(s + shift for s in cover)
-    if isinstance(expr, nodes.Quot):
-        cover = levels_of(expr.arg)
-        if cover is None:
-            return None
-        shift = arith.omega(expr.n)
-        return frozenset(s - shift for s in cover if s >= shift)
     if isinstance(expr, nodes.Fp):
         count = _pinned_prime_count(expr.seq)
         if count is not None:

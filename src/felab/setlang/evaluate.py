@@ -4,6 +4,11 @@ Completeness bounds propagate so that every verdict downstream can tell
 verified facts from horizon artifacts: quotient divides the bound, shift
 subtracts, dilation multiplies, unions and intersections take the weakest
 child bound, and divisor closures of unbounded sets promise nothing.
+
+The exception is a set {n : omega(n) in S} with a positive level in S (see
+analysis.level_set_of): it is listed from the shared Omega table, complete
+to the horizon, without evaluating its children, so "quotient divides the
+bound" holds for the other sets only.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from itertools import chain, compress, filterfalse, islice
 
 from .. import arith
 from ..errors import InputError, ResourceError
-from . import nodes
+from . import analysis, nodes
 from .lazyset import DEFAULT_HORIZON, FS_MAX_LEN, MAX_ELEMENTS, SUBSET_CAP, LazySet, over_cap
 
 # an unpinned closure is built up to this window first. Within it fs(exgamma())
@@ -33,14 +38,17 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
         return LazySet(expr, range(1, h + 1), h, pred=lambda n: True)
     if isinstance(expr, nodes.Primes):
         return LazySet(expr, arith.primes_upto(h), h, pred=arith.is_prime)
+    if isinstance(expr, (nodes.Level, nodes.Union, nodes.Inter, nodes.Quot)):
+        levels = analysis.level_set_of(expr)
+        # a set of level 0 alone, {1} or empty, is built from its operands, so it is
+        # finite exactly when they make it so
+        if levels and max(levels) > 0:
+            return _eval_levels(expr, levels, h)
     if isinstance(expr, nodes.Level):
-        if expr.n == 0:
-            # {1} needs no table, but a horizon past the sieve cap is refused as for any level
-            arith.ensure_sieve(h)
-            return LazySet.of_finite(expr, (1,))
-        om = arith.omega_upto(h)
-        members = [i for i in range(1, h + 1) if om[i] == expr.n]
-        return LazySet(expr, members, h, pred=lambda m, k=expr.n: arith.omega(m) == k)
+        # level(0) is {1}: it needs no table, but a horizon past the sieve cap is
+        # refused as for any level
+        arith.ensure_sieve(h)
+        return LazySet.of_finite(expr, (1,))
     if isinstance(expr, nodes.Mult):
         k = expr.k
         return LazySet(expr, range(k, h + 1, k), h, pred=lambda n: n % k == 0)
@@ -103,6 +111,14 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
 
         return constructions.build_fixture(expr, h)
     raise InputError(f"cannot evaluate node {type(expr).__name__}")
+
+
+def _eval_levels(expr: nodes.SetExpr, levels: frozenset[int], h: int) -> LazySet:
+    """{n : omega(n) in levels}, complete to h: one pass over the shared Omega table,
+    whatever the expression's children (a quotient's bound is not divided)."""
+    table = memoryview(arith.omega_upto(h))[1:h + 1].tobytes()
+    marks = table.translate(bytes(i in levels for i in range(256)))
+    return LazySet.of_marks(expr, marks, h, pred=lambda m: arith.omega(m) in levels)
 
 
 def _decision_bound(ls: LazySet) -> int | None:
@@ -184,15 +200,14 @@ def _eval_up(expr: nodes.Up, h: int) -> LazySet:
     # every multiple of the least element is a member: refuse before the marks exist
     if elems and h // elems[0] > MAX_ELEMENTS:
         raise over_cap()
-    marks = bytearray(h + 1)
+    marks = bytearray(h)  # marks[n - 1] for n
     for a in elems:
-        marks[a::a] = b"\x01" * (h // a)
-    members = list(compress(range(1, h + 1), memoryview(marks)[1:]))
+        marks[a - 1::a] = b"\x01" * (h // a)
     pred = None
     if kid.pred is not None:
         p = kid.pred
         pred = lambda n: any(p(d) for d in arith.divisors(n))
-    return LazySet(expr, members, min(kid.complete_below, h), pred=pred)
+    return LazySet.of_marks(expr, marks, min(kid.complete_below, h), pred=pred)
 
 
 def _eval_down(expr: nodes.Down, h: int) -> LazySet:

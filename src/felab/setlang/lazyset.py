@@ -13,6 +13,7 @@ only discard sound witnesses.
 from __future__ import annotations
 
 import bisect
+from itertools import compress
 from typing import Callable, Collection
 
 from ..errors import PrecisionError, ResourceError
@@ -54,6 +55,15 @@ class LazySet:
         ls.complete_below = ls.max_known()
         ls.pred = ls._member_set.__contains__
         return ls
+
+    @classmethod
+    def of_marks(cls, expr, marks: bytes, complete_below: int,
+                 pred: Callable[[int], bool] | None = None) -> LazySet:
+        """The set of the n with marks[n - 1] == 1; the cap is met before any member is listed."""
+        count = marks.count(1)
+        if count > MAX_ELEMENTS:
+            raise over_cap(count)
+        return cls(expr, list(compress(range(1, len(marks) + 1), marks)), complete_below, pred)
 
     @property
     def is_exact(self) -> bool:

@@ -510,11 +510,13 @@ def test_atlas_resource_cap(capsys):
     ["check", "a-thick", "compl({5})", "--horizon", "100000000000"],
     ["check", "a-thick", "N", "--horizon", "100000000000000000000"],
     ["check", "a-pcws", "{5}", "--horizon", "100000000000000"],
+    # the divisor lies past the deterministic primality range
+    ["check", "a-thick", "quot(level(2),3317044064679887385962123)"],
     # at the horizon cap, past the element cap
     *(["check", "a-thick", e, "--horizon", "20000000"]
       for e in ("odd", "mult(3)", "up({7})", "fs(exgamma())", "compl({5})")),
 ], ids=["a-ip-L", "diagram-L", "a-j-h-max", "a-j-a-max", "chain-depth", "chain-width",
-        "odd", "mult", "up", "fs", "up-sparse", "fp", "compl", "N", "a-pcws",
+        "odd", "mult", "up", "fs", "up-sparse", "fp", "compl", "N", "a-pcws", "quot-past-mr",
         "odd-at-cap", "mult-at-cap", "up-at-cap", "fs-at-cap", "compl-at-cap"])
 def test_huge_search_bounds_exit_4(argv, capsys):
     """L, h_max, the J step count, the chain depth and width, the horizon and the members
@@ -522,6 +524,14 @@ def test_huge_search_bounds_exit_4(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 4 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_union_decided_without_a_quotient_past_the_primality_range(capsys):
+    """Omega of that divisor cannot be counted (``quot-past-mr`` above exits 4), but N
+    decides every point of the union, so the quotient is never asked."""
+    argv = ["check", "a-thick", "union(N,quot(level(2),3317044064679887385962123))"]
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == "" and "status: proved" in out
 
 
 def test_parse_ast(registry, capsys):

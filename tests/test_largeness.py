@@ -629,9 +629,14 @@ def test_j_check_matches_the_plain_scan(set_at, mode, h_max, a_max, cap, data):
 @given(_LOOP_SETS, st.integers(0, 4), st.integers(1, 12), st.integers(12, 400))
 def test_a_pcws_matches_the_plain_scan(set_at, t_max, n, H):
     A = ev(*set_at)
-    new, plain = _both(A, lambda R: a_pcws_check(R, t_max, n, H),
-                       lambda R: _plain_a_pcws(R, t_max, n, H))
+    (new, new_calls), (plain, plain_calls) = _both(
+        A, lambda R: a_pcws_check(R, t_max, n, H), lambda R: _plain_a_pcws(R, t_max, n, H))
     assert new == plain
+    if A.finite:
+        # the checker stops at the largest member, the plain scan goes on to H
+        assert new_calls == plain_calls[:len(new_calls)]
+    else:
+        assert new_calls == plain_calls
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,16 +5,16 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from felab import arith, constructions, largeness
 from felab.constructions import FIXTURES
 from felab.errors import InputError, ParseError, PrecisionError, ResourceError
-from felab.setlang.lazyset import MAX_ELEMENTS
-from felab.setlang import evaluate, nodes, parse, unparse
-from felab.setlang.analysis import (_contains_mult, empty_meet_mult, level_deltas, levels_of,
-                                    period_of)
+from felab.setlang.lazyset import MAX_ELEMENTS, LazySet
+from felab.setlang import evaluate, lazyset, nodes, parse, unparse
+from felab.setlang.analysis import (_contains_mult, empty_meet_mult, level_deltas,
+                                    level_set_of, levels_of, period_of)
 
 HORIZON = 2000
 
@@ -534,6 +534,128 @@ def test_evaluator_agrees_with_the_reference(tree, h):
         assert answer is None or answer == member(n), n
     bound = A.complete_below
     assert A.elements(bound) == [n for n in range(1, bound + 1) if member(n)]
+
+
+def test_level_set_of_is_exact_where_levels_of_only_covers():
+    assert level_set_of(parse("level(3)")) == frozenset({3})
+    assert level_set_of(parse("quot(union(level(2),level(3)),2)")) == frozenset({1, 2})
+    assert level_set_of(parse("inter(primes,union(level(1),level(3)))")) == frozenset({1})
+    assert level_set_of(parse("quot(level(2),4)")) == frozenset({0})
+    assert level_set_of(parse("quot(level(1),4)")) == frozenset()
+    for text in ("inter(level(2),mult(2))", "dilate(2,level(1))", "{4,6,9}"):
+        assert levels_of(parse(text)) == frozenset({2})
+        assert level_set_of(parse(text)) is None
+    assert level_set_of(parse("union(level(2),mult(2))")) is None
+
+
+# pure level-set trees: levels, primes, and their unions, intersections and quotients
+_level_leaf = st.one_of(st.just(("primes",)),
+                        st.builds(lambda n: ("level", n), st.integers(min_value=0, max_value=6)))
+
+
+def _level_extend(kids):
+    args = st.lists(kids, min_size=2, max_size=3)
+    return st.one_of(
+        args.map(lambda a: ("union", *a)),
+        args.map(lambda a: ("inter", *a)),
+        st.builds(lambda a, n: ("quot", a, n), kids, st.integers(min_value=1, max_value=12)),
+    )
+
+
+def _finite_by_children(tree) -> bool:
+    """Whether the evaluator built on the children makes the set finite: level(0)
+    is {1}, a union is finite when every operand is, an intersection when one
+    is, a quotient when its operand is."""
+    kind, args = tree[0], tree[1:]
+    if kind == "level":
+        return args[0] == 0
+    if kind == "union":
+        return all(map(_finite_by_children, args))
+    if kind == "inter":
+        return any(map(_finite_by_children, args))
+    if kind == "quot":
+        return _finite_by_children(args[0])
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_level_leaf, _level_extend, max_leaves=5), st.sampled_from([20, 60, 500]))
+@example(("quot", ("level", 2), 4), 60)
+@example(("inter", ("level", 1), ("level", 2)), 60)
+@example(("quot", ("union", ("level", 2), ("level", 3)), 2), 20)
+def test_level_sets_agree_with_the_reference(tree, h):
+    """A set of Omega-levels S lists the reference members up to h, answers contains
+    up to 3h as the reference does, and is complete to h when S holds a positive
+    level; a set of level 0 alone is finite exactly when its children make it so."""
+    expr = parse(workloads.text(tree))
+    levels = level_set_of(expr)
+    A = evaluate(expr, h)
+    member = functools.lru_cache(maxsize=None)(lambda n: reference.member(tree, n))
+    for n in range(1, 3 * h + 1):
+        assert A.contains(n) == member(n) == (reference.omega(n) in levels), n
+    assert A.is_exact
+    if any(levels):
+        assert A.complete_below == h and not A.finite
+    else:
+        assert A.finite == _finite_by_children(tree)
+    assert A.complete_elements(h) == [n for n in range(1, h + 1) if member(n)]
+
+
+def test_level_set_is_complete_where_the_children_were_not():
+    A = ev("quot(level(2),2)", horizon=1000)
+    assert A.complete_below == 1000 and A.elements() == arith.primes_upto(1000)
+    B = ev("quot(level(2),4)", horizon=1000)  # {1}, of level 0: built on its child as before
+    assert (B.finite, B.complete_below, B.elements()) == (False, 250, [1])
+    C = ev("inter(level(1),level(2))", horizon=1000)
+    assert (C.finite, C.complete_below, C.elements()) == (False, 1000, [])
+
+
+def test_element_cap_applies_to_the_level_set_built(monkeypatch):
+    """The cap counts the level set itself, not the children it is no longer built from."""
+    h = 5000
+    small = ev("union(level(1),level(2))", horizon=h).count_known()
+    monkeypatch.setattr(lazyset, "MAX_ELEMENTS", small)
+    # the union alone is over the cap, its quotient by 2 (levels 1 and 2) is not
+    with pytest.raises(ResourceError, match="over the cap"):
+        ev("union(level(2),level(3))", horizon=h)
+    assert ev("quot(union(level(2),level(3)),2)", horizon=h).count_known() == small
+    # level(6) is under the cap, its quotient by 8 (level 3) is not
+    monkeypatch.setattr(lazyset, "MAX_ELEMENTS", ev("level(6)", horizon=h).count_known())
+    with pytest.raises(ResourceError, match=r"evaluation produced \d+ elements, over the cap"):
+        ev("quot(level(6),8)", horizon=h)
+
+
+def test_quotient_by_a_number_past_the_primality_range_is_refused():
+    """Omega of such a divisor cannot be counted, so the quotient is built from its
+    operand and only a membership query that needs that Omega is refused."""
+    p = 3317044064679887385962123  # the least prime the Miller-Rabin bases pass beyond the range
+    assert p > arith._MR_EXACT_BELOW
+    for text in (f"quot(level(2),{p})", f"union(level(2),quot(level(3),{p}))"):
+        assert level_set_of(parse(text)) is None
+    Q = ev(f"quot(level(2),{p})")
+    assert (Q.complete_below, Q.elements()) == (0, [])
+    with pytest.raises(ResourceError, match="beyond the deterministic primality range"):
+        Q.contains(1)
+    # a union that a sibling operand decides never asks for it
+    U = ev(f"union(N,quot(level(2),{p}))")
+    assert U.contains(1) is True and U.contains(3 * HORIZON) is True
+
+
+@pytest.mark.parametrize("members", [(5,), (3, 6), (1, 2, 3, 9, 10, 11, 12), (2, 4, 6, 8, 40),
+                                     (7, 300)])
+@pytest.mark.parametrize("H", [3, 12, 60, 400])
+def test_pcws_checks_stop_at_a_finite_sets_largest_member(members, H):
+    """On a finite set the A-pcws scan stops at its largest member and M-pcws at that
+    over n; the same members as an infinite EXACT set take the full scan to H and agree."""
+    expr = parse("{" + ",".join(map(str, members)) + "}")
+    finite = LazySet.of_finite(expr, members)
+    full = LazySet(expr, members, H, pred=set(members).__contains__)
+    assert finite.finite and not full.finite
+    for t_max, n in ((0, 1), (1, 1), (1, 2), (3, 3), (2, 4)):
+        if n > H or t_max > H:
+            continue
+        for check in (largeness.a_pcws_check, largeness.m_pcws_check):
+            assert check(finite, t_max, n, H).to_json() == check(full, t_max, n, H).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,15 @@ The battery, read from this checkout:
   fails (``compl(mult(4))``) and where every audit is skipped (``{5}``), at
   horizon 5000,
 - a proved ``check m-ip``, and ``check max*`` on a set without a predicate that
-  has both missing and undecided multiples.
+  has both missing and undecided multiples,
+- ``check a-thick``, ``diagram`` and ``fe`` on quotients, unions and
+  intersections of Omega-levels, among them sets of level 0 alone and empty
+  ones and ``construct(sidon_levels,...)``, and the quotient of a union of
+  levels at horizon 5000000, which the element cap refused before such sets
+  were listed from the Omega table (a documented difference),
+- ``check a-thick`` on a quotient of a level by a prime past the deterministic
+  primality range, alone and in a union with N,
+- ``check a-pcws`` and ``check m-pcws`` on a finite set at horizon 1000000.
 
 Standard library only.
 """
@@ -112,6 +120,12 @@ FINITE_EXPRS = ("level(0)", "dilate(3,{2,5})", "union(level(0),mult(2))",
 RUN_EXPRS = ("union(mult(7),shift(mult(7),1))", "ap(3,7)", "compl(mult(3))",
              "{1,2,3,9,10,11,12}", "inter(mult(6),compl(level(3)))")
 AUDIT_EXPRS = ("N", "compl(mult(4))", "{5}")
+# sets of Omega-levels: positive levels, level 0 alone ({1}) and none (empty)
+LEVEL_EXPRS = ("quot(level(2),2)", "quot(union(level(2),level(3)),2)",
+               "inter(primes,union(level(1),level(3)))", "union(level(1),level(2),level(4))",
+               "inter(union(level(2),level(3)),quot(level(4),3))", "quot(level(2),4)",
+               "union(level(0),quot(level(3),8))", "inter(level(1),level(2))",
+               "quot(level(1),4)", "construct(sidon_levels,6,1)", "construct(sidon_levels,4,0)")
 
 
 def c10_battery() -> list[list[str]]:
@@ -236,6 +250,15 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
     cmds += [["check", "m-ip", "fp(primeseq(odd,6))", "--L", "3", "--json"],
              ["check", "max*", "inter(quot(fs(sidon()),3),compl({7,14}))", "--horizon", "2000",
               "--a-max", "6", "--json"]]
+    for expr in LEVEL_EXPRS:
+        cmds += [["check", "a-thick", expr, "--json"],
+                 ["diagram", expr, "--horizon", "5000", "--json"],
+                 ["fe", "{2,3}", expr, "--horizon", "20000", "--kmax", "2000", "--json"]]
+    past_mr = "quot(level(2),3317044064679887385962123)"
+    cmds += [["check", "a-thick", "quot(union(level(2),level(3)),2)", "--horizon", "5000000"],
+             ["check", "a-thick", past_mr], ["check", "a-thick", f"union(N,{past_mr})"],
+             *(["check", prop, "{5}", "--horizon", "1000000", "--json"]
+               for prop in ("a-pcws", "m-pcws"))]
     return cmds
 
 
