@@ -58,39 +58,33 @@ def a_thick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
         if x > H:
             return Verdict.bounded("against", bounds, {"run_beyond_horizon": x - n})
         return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
+    # periodic exact sets admit a genuine refutation: the scan carries on past H
+    # to a window that holds a whole period past the preperiod
+    period = analysis.period_of(A.expr) if A.is_exact else None
+    window = None
+    if period is not None and period[0] + period[1] + n <= _PERIOD_WINDOW_CAP:
+        window = period[0] + period[1] + n
     run = best = best_end = 0
     undecided = False
-    for x in range(1, H + 1):
+    for x in range(1, max(H, window or 0) + 1):
         c = A.contains(x)
         if c is True:
             run += 1
             if run > best:
                 best, best_end = run, x
             if run >= n:
+                if x > H:
+                    # a run exists, but only beyond the requested horizon
+                    return Verdict.bounded(
+                        "against", bounds, {"run_beyond_horizon": x - n, "window": window})
                 return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
         else:
             if c is None:
                 undecided = True
             run = 0
-    # periodic exact sets admit a genuine refutation: carry the run on to a window
-    # that holds a whole period past the preperiod
-    period = analysis.period_of(A.expr) if A.is_exact else None
-    if period is not None:
-        pre, per = period
-        window = pre + per + n
-        if window <= _PERIOD_WINDOW_CAP:
-            for x in range(H + 1, window + 1):
-                if A.contains(x) is True:
-                    run += 1
-                    if run >= n:
-                        # a run exists, but only beyond the requested horizon
-                        return Verdict.bounded(
-                            "against", bounds,
-                            {"run_beyond_horizon": x - n, "window": window})
-                else:
-                    run = 0
-            return Verdict.refuted(
-                {"preperiod": pre, "period": per, "window": window}, bounds)
+    if window is not None:
+        return Verdict.refuted(
+            {"preperiod": period[0], "period": period[1], "window": window}, bounds)
     detail: dict = {"max_run": best}
     if best:
         detail["at"] = best_end - best

@@ -5,15 +5,19 @@ verified facts from horizon artifacts: quotient divides the bound, shift
 subtracts, dilation multiplies, unions and intersections take the weakest
 child bound, and divisor closures of unbounded sets promise nothing.
 
-The exception is a set {n : omega(n) in S} with a positive level in S (see
-analysis.level_set_of): it is listed from the shared Omega table, complete
-to the horizon, without evaluating its children, so "quotient divides the
-bound" holds for the other sets only.
+Each kind of set has one rule. A set {n : omega(n) in S} (see
+analysis.level_set_of) is listed from the shared Omega table, complete to the
+horizon, without evaluating its children, so "quotient divides the bound"
+holds for the other sets only; with no positive level in S it is {1} or empty,
+so finite. A set made from one child (dilate, quot, shift, down) is finite
+when the child is, and exact only when the child is. Every finite set comes
+from LazySet.of_finite, and every table of marks (up, Omega-levels, unpinned
+closures) is counted and listed by LazySet.of_marks.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, filterfalse, islice
 
 from .. import arith
 from ..errors import InputError, ResourceError
@@ -40,15 +44,8 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
         return LazySet(expr, arith.primes_upto(h), h, pred=arith.is_prime)
     if isinstance(expr, (nodes.Level, nodes.Union, nodes.Inter, nodes.Quot)):
         levels = analysis.level_set_of(expr)
-        # a set of level 0 alone, {1} or empty, is built from its operands, so it is
-        # finite exactly when they make it so
-        if levels and max(levels) > 0:
+        if levels is not None:
             return _eval_levels(expr, levels, h)
-    if isinstance(expr, nodes.Level):
-        # level(0) is {1}: it needs no table, but a horizon past the sieve cap is
-        # refused as for any level
-        arith.ensure_sieve(h)
-        return LazySet.of_finite(expr, (1,))
     if isinstance(expr, nodes.Mult):
         k = expr.k
         return LazySet(expr, range(k, h + 1, k), h, pred=lambda n: n % k == 0)
@@ -65,39 +62,27 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
     if isinstance(expr, nodes.Compl):
         return complement(_eval(expr.arg, h), expr, h)
     if isinstance(expr, nodes.Dilate):
-        kid = _eval(expr.arg, h)
-        k = expr.k
-        members = [k * m for m in kid.elements()]
-        if kid.finite:
-            return LazySet.of_finite(expr, members)
-        pred = None
-        if kid.pred is not None:
-            pred = lambda n, p=kid.pred: n % k == 0 and p(n // k)
-        return LazySet(expr, members, k * kid.complete_below + k - 1, pred=pred)
+        kid, k = _eval(expr.arg, h), expr.k
+        return _of_child(expr, kid, [k * m for m in kid.elements()],
+                         k * kid.complete_below + k - 1,
+                         lambda n, p=kid.pred: n % k == 0 and p(n // k))
     if isinstance(expr, nodes.Quot):
-        kid = _eval(expr.arg, h)
-        n = expr.n
-        members = [m // n for m in kid.elements() if m % n == 0]
-        if kid.finite:
-            return LazySet.of_finite(expr, members)
-        pred = None
-        if kid.pred is not None:
-            pred = lambda m, p=kid.pred: p(n * m)
-        return LazySet(expr, members, kid.complete_below // n, pred=pred)
+        kid, n = _eval(expr.arg, h), expr.n
+        return _of_child(expr, kid, [m // n for m in kid.elements() if m % n == 0],
+                         kid.complete_below // n, lambda m, p=kid.pred: p(n * m))
     if isinstance(expr, nodes.Shift):
-        kid = _eval(expr.arg, h)
-        t = expr.t
-        members = [m - t for m in kid.elements() if m > t]
-        if kid.finite:
-            return LazySet.of_finite(expr, members)
-        pred = None
-        if kid.pred is not None:
-            pred = lambda m, p=kid.pred: p(m + t)
-        return LazySet(expr, members, max(kid.complete_below - t, 0), pred=pred)
+        kid, t = _eval(expr.arg, h), expr.t
+        return _of_child(expr, kid, [m - t for m in kid.elements() if m > t],
+                         max(kid.complete_below - t, 0), lambda m, p=kid.pred: p(m + t))
     if isinstance(expr, nodes.Up):
         return _eval_up(expr, h)
     if isinstance(expr, nodes.Down):
-        return _eval_down(expr, h)
+        kid = _eval(expr.arg, h)
+        divs = set()
+        for m in kid.elements():
+            divs.update(arith.divisors(m))
+        # a divisor closure promises nothing past what it lists
+        return _of_child(expr, kid, sorted(divs), 0, None)
     if isinstance(expr, (nodes.Fs, nodes.Fp)):
         return _eval_fsfp(expr, h)
     if isinstance(expr, nodes.Pseudo):
@@ -113,17 +98,26 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
     raise InputError(f"cannot evaluate node {type(expr).__name__}")
 
 
+def _of_child(expr: nodes.SetExpr, kid: LazySet, members: list[int], bound: int,
+              pred) -> LazySet:
+    """A set made from one child: finite when the child is; otherwise complete to
+    bound, and exact (with pred) only when the child is exact."""
+    if kid.finite:
+        return LazySet.of_finite(expr, members)
+    return LazySet(expr, members, bound, pred=pred if kid.pred is not None else None)
+
+
 def _eval_levels(expr: nodes.SetExpr, levels: frozenset[int], h: int) -> LazySet:
     """{n : omega(n) in levels}, complete to h: one pass over the shared Omega table,
-    whatever the expression's children (a quotient's bound is not divided)."""
+    whatever the expression's children (a quotient's bound is not divided). With
+    no positive level it is {1} or empty, so finite; a horizon past the sieve cap
+    is refused all the same."""
+    if not any(levels):
+        arith.ensure_sieve(h)
+        return LazySet.of_finite(expr, (1,) if levels else ())
     table = memoryview(arith.omega_upto(h))[1:h + 1].tobytes()
     marks = table.translate(bytes(i in levels for i in range(256)))
     return LazySet.of_marks(expr, marks, h, pred=lambda m: arith.omega(m) in levels)
-
-
-def _decision_bound(ls: LazySet) -> int | None:
-    """Bound below which membership is decidable; None means everywhere."""
-    return None if ls.pred is not None else ls.complete_below
 
 
 def _eval_union(expr: nodes.Union, h: int) -> LazySet:
@@ -139,7 +133,7 @@ def _eval_union(expr: nodes.Union, h: int) -> LazySet:
         pred = lambda n: any(p(n) for p in preds)
     # a finite kid knows all its members, so it limits nothing below h
     bound = min(h if kid.finite else kid.complete_below for kid in kids)
-    return LazySet(expr, members, bound, pred=pred)
+    return LazySet(expr, sorted(members), bound, pred=pred)
 
 
 def _eval_inter(expr: nodes.Inter, h: int) -> LazySet:
@@ -150,8 +144,8 @@ def _eval_inter(expr: nodes.Inter, h: int) -> LazySet:
     else:
         base = min(kids, key=lambda k: k.count_known())
     others = [k for k in kids if k is not base]
-    real = [b for b in map(_decision_bound, kids) if b is not None]
-    bound = min(real) if real else h
+    # a kid with a predicate decides membership everywhere, one without only to its bound
+    bound = min((k.complete_below for k in kids if k.pred is None), default=h)
     base.extend_to(bound)
     members = []
     undecided = False
@@ -210,16 +204,6 @@ def _eval_up(expr: nodes.Up, h: int) -> LazySet:
     return LazySet.of_marks(expr, marks, min(kid.complete_below, h), pred=pred)
 
 
-def _eval_down(expr: nodes.Down, h: int) -> LazySet:
-    kid = _eval(expr.arg, h)
-    divs = set()
-    for m in kid.elements():
-        divs.update(arith.divisors(m))
-    if kid.finite:
-        return LazySet.of_finite(expr, divs)
-    return LazySet(expr, divs, 0)
-
-
 def _eval_fsfp(expr, h: int) -> LazySet:
     from .. import constructions
 
@@ -232,13 +216,12 @@ def _eval_fsfp(expr, h: int) -> LazySet:
         terms, pinned = constructions.sequence_terms(seq.rule, seq.params, h, _check_pinned)
     if pinned:
         return LazySet.of_finite(expr, _closure_all(terms, additive))
-    # over the cap within the window, a larger h is refused before its table exists
-    members = _closure_upto(terms, min(h, _CLOSURE_WINDOW), additive)
-    if h > _CLOSURE_WINDOW:
-        if len(members) > MAX_ELEMENTS:
-            raise over_cap()
-        members = _closure_upto(terms, h, additive)
-    return LazySet(expr, members, h)
+    # over the cap within the window, a larger h is refused before its table exists;
+    # the window's table is dropped once its marks are counted
+    if h > _CLOSURE_WINDOW and (
+            _closure_upto(terms, _CLOSURE_WINDOW, additive).count(1) > MAX_ELEMENTS):
+        raise over_cap()
+    return LazySet.of_marks(expr, _closure_upto(terms, h, additive), h)
 
 
 def _check_pinned(count: int) -> None:
@@ -256,8 +239,9 @@ def _closure_all(terms, additive: bool) -> set[int]:
     return closure
 
 
-def _closure_upto(terms, h: int, additive: bool) -> list[int]:
-    """Members <= h of the sums (or products) of distinct ascending terms.
+def _closure_upto(terms, h: int, additive: bool) -> bytearray:
+    """Marks of the sums (or products) <= h of distinct ascending terms: marks[n - 1]
+    is 1 when n is one, as LazySet.of_marks reads them.
 
     reach[v] marks the v reached so far, starting from the empty sum 0 (or the
     empty product 1). Each term ORs the old table into itself shifted (or
@@ -281,4 +265,5 @@ def _closure_upto(terms, h: int, additive: bool) -> list[int]:
             raise ResourceError(
                 f"product closure exceeds the subset cap {SUBSET_CAP}; lower the horizon")
         reach[1] = 1 in terms
-    return list(compress(range(1, h + 1), memoryview(reach)[1:]))
+    del reach[0]
+    return reach

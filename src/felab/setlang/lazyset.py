@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import compress
-from typing import Callable, Collection
+from typing import Callable, Collection, Sequence
 
 from ..errors import PrecisionError, ResourceError
 
@@ -36,13 +36,14 @@ def over_cap(count: int | None = None) -> ResourceError:
 class LazySet:
     __slots__ = ("expr", "_members", "_member_set", "complete_below", "pred", "finite")
 
-    def __init__(self, expr, members: Collection[int], complete_below: int,
+    def __init__(self, expr, members: Sequence[int], complete_below: int,
                  pred: Callable[[int], bool] | None = None):
+        """members are ascending and distinct; a list is kept as it is, not copied."""
         if len(members) > MAX_ELEMENTS:
             raise over_cap(len(members))
         self.expr = expr
-        self._member_set = set(members)
-        self._members = sorted(self._member_set)
+        self._members = members if isinstance(members, list) else list(members)
+        self._member_set = set(self._members)
         self.complete_below = complete_below
         self.pred = pred
         self.finite = False
@@ -50,7 +51,7 @@ class LazySet:
     @classmethod
     def of_finite(cls, expr, members: Collection[int]) -> LazySet:
         """The finite EXACT set of exactly these members, complete up to the largest."""
-        ls = cls(expr, members, 0)
+        ls = cls(expr, sorted(set(members)), 0)
         ls.finite = True
         ls.complete_below = ls.max_known()
         ls.pred = ls._member_set.__contains__

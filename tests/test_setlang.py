@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation semantics, structural analyses."""
 
 import functools
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from felab import arith, constructions, largeness
+from felab import arith, cli, constructions, largeness
 from felab.constructions import FIXTURES
 from felab.errors import InputError, ParseError, PrecisionError, ResourceError
 from felab.setlang.lazyset import MAX_ELEMENTS, LazySet
@@ -562,22 +563,6 @@ def _level_extend(kids):
     )
 
 
-def _finite_by_children(tree) -> bool:
-    """Whether the evaluator built on the children makes the set finite: level(0)
-    is {1}, a union is finite when every operand is, an intersection when one
-    is, a quotient when its operand is."""
-    kind, args = tree[0], tree[1:]
-    if kind == "level":
-        return args[0] == 0
-    if kind == "union":
-        return all(map(_finite_by_children, args))
-    if kind == "inter":
-        return any(map(_finite_by_children, args))
-    if kind == "quot":
-        return _finite_by_children(args[0])
-    return False
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.recursive(_level_leaf, _level_extend, max_leaves=5), st.sampled_from([20, 60, 500]))
 @example(("quot", ("level", 2), 4), 60)
@@ -586,28 +571,46 @@ def _finite_by_children(tree) -> bool:
 def test_level_sets_agree_with_the_reference(tree, h):
     """A set of Omega-levels S lists the reference members up to h, answers contains
     up to 3h as the reference does, and is complete to h when S holds a positive
-    level; a set of level 0 alone is finite exactly when its children make it so."""
+    level; it is finite exactly when S has no positive level ({1} or empty)."""
     expr = parse(workloads.text(tree))
     levels = level_set_of(expr)
     A = evaluate(expr, h)
     member = functools.lru_cache(maxsize=None)(lambda n: reference.member(tree, n))
     for n in range(1, 3 * h + 1):
         assert A.contains(n) == member(n) == (reference.omega(n) in levels), n
-    assert A.is_exact
+    assert A.is_exact and A.finite == (not any(levels))
     if any(levels):
-        assert A.complete_below == h and not A.finite
-    else:
-        assert A.finite == _finite_by_children(tree)
+        assert A.complete_below == h
     assert A.complete_elements(h) == [n for n in range(1, h + 1) if member(n)]
 
 
 def test_level_set_is_complete_where_the_children_were_not():
     A = ev("quot(level(2),2)", horizon=1000)
     assert A.complete_below == 1000 and A.elements() == arith.primes_upto(1000)
-    B = ev("quot(level(2),4)", horizon=1000)  # {1}, of level 0: built on its child as before
-    assert (B.finite, B.complete_below, B.elements()) == (False, 250, [1])
-    C = ev("inter(level(1),level(2))", horizon=1000)
-    assert (C.finite, C.complete_below, C.elements()) == (False, 1000, [])
+    B = ev("quot(level(2),4)", horizon=1000)  # {1}: level 0 alone is finite
+    assert (B.finite, B.complete_below, B.elements()) == (True, 1, [1])
+    C = ev("inter(level(1),level(2))", horizon=1000)  # no level: empty
+    assert (C.finite, C.complete_below, C.elements()) == (True, 0, [])
+
+
+def test_level_zero_sets_past_the_sieve_cap_are_refused():
+    """{1} and the empty set need no table, but a horizon past the sieve cap is
+    refused as for any level."""
+    for text in ("level(0)", "quot(level(2),4)", "inter(level(1),level(2))"):
+        with pytest.raises(ResourceError, match="exceeds cap"):
+            ev(text, horizon=arith.DEFAULT_SIEVE_CAP + 1)
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["fe", "inter(level(1),level(2))", "N"], 3, "prefix of an empty set is undefined"),
+    (["check", "a-thick", "quot(level(2),4)", "--json"], 1, '"reason": "finite set"'),
+    (["fe", "{2,3}", "inter(level(1),level(2))", "--json"], 1, '"kind": "finite-target"'),
+], ids=["fe-empty-prefix", "a-thick-finite-set", "fe-finite-target"])
+def test_level_zero_sets_get_exact_answers(argv, code, text, capsys):
+    """{1} and the empty set are finite, so each of these is decided at any horizon."""
+    assert cli.main(argv + ["--horizon", "2000"]) == code
+    out, err = capsys.readouterr()
+    assert text in out + err
 
 
 def test_element_cap_applies_to_the_level_set_built(monkeypatch):
@@ -665,6 +668,49 @@ def test_pcws_checks_stop_at_a_finite_sets_largest_member(members, H):
 def test_member_cap_enforced():
     with pytest.raises(ResourceError):
         evaluate(parse("N"), MAX_ELEMENTS + 1)
+
+
+def test_closure_past_the_window_is_refused_on_its_count_there(monkeypatch):
+    """Past the window an unpinned closure is refused when its marks within the
+    window already exceed the cap; a sparse one is listed to the horizon."""
+    evaluator = importlib.import_module("felab.setlang.evaluate")
+    sparse = ev("fp(exgamma())", horizon=1000).elements()
+    for module in (lazyset, evaluator):
+        monkeypatch.setattr(module, "MAX_ELEMENTS", 50)
+    monkeypatch.setattr(evaluator, "_CLOSURE_WINDOW", 200)
+    with pytest.raises(ResourceError, match="produced more than 50 elements, over the cap 50"):
+        ev("fs(sidon())", horizon=1000)
+    A = ev("fp(exgamma())", horizon=1000)
+    assert A.complete_below == 1000 and A.elements() == sparse and len(sparse) <= 50
+
+
+def _strictly_ascending(xs) -> bool:
+    return all(a < b for a, b in zip(xs, xs[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree)
+def test_member_lists_are_strictly_ascending(tree):
+    """LazySet keeps the member list it is handed, so each rule hands it ascending
+    and distinct members."""
+    assert _strictly_ascending(evaluate(tree, HORIZON).elements())
+
+
+# every catalog fixture, pinned and unpinned where it takes a count
+_FIXTURE_TEXTS = (
+    "construct(exgamma,8)", "construct(exgamma)", "construct(fastgrowth)",
+    "construct(fastgrowth,6)", "construct(sidon,10)", "construct(sidon)",
+    "construct(thick_nonmaxstar,5)", "construct(thick_nonmaxstar)", "construct(equal_exponent)",
+    "construct(fp_primes,odd,4)", "construct(fp_primes,[1,3,5])",
+    "construct(prophier,[2,3,5],2,1,[7,11],1,2)", "construct(levelfix,[1],[2],3)",
+    "construct(sidon_levels,6,1)",
+)
+
+
+def test_fixture_member_lists_are_strictly_ascending():
+    assert {parse(text).name for text in _FIXTURE_TEXTS} == set(FIXTURES)
+    for text in _FIXTURE_TEXTS:
+        assert _strictly_ascending(ev(text).elements()), text
 
 
 def test_fs_length_cap():

@@ -64,8 +64,13 @@ The battery, read from this checkout:
   ones and ``construct(sidon_levels,...)``, and the quotient of a union of
   levels at horizon 5000000, which the element cap refused before such sets
   were listed from the Omega table (a documented difference),
+- ``fe`` and ``me`` with a set of level 0 alone (``{1}``) and an empty level
+  set as A and as B,
 - ``check a-thick`` on a quotient of a level by a prime past the deterministic
   primality range, alone and in a union with N,
+- ``check a-thick`` on unpinned closures at horizon 9000000, past the window in
+  which they are counted first: ``fs(exgamma())``, refused there, and
+  ``fp(exgamma())``, which answers,
 - ``check a-pcws`` and ``check m-pcws`` on a finite set at horizon 1000000.
 
 Standard library only.
@@ -126,6 +131,8 @@ LEVEL_EXPRS = ("quot(level(2),2)", "quot(union(level(2),level(3)),2)",
                "inter(union(level(2),level(3)),quot(level(4),3))", "quot(level(2),4)",
                "union(level(0),quot(level(3),8))", "inter(level(1),level(2))",
                "quot(level(1),4)", "construct(sidon_levels,6,1)", "construct(sidon_levels,4,0)")
+# level 0 alone ({1}) and no level (empty)
+ZERO_LEVEL_EXPRS = ("quot(level(2),4)", "inter(level(1),level(2))")
 
 
 def c10_battery() -> list[list[str]]:
@@ -259,6 +266,12 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
              ["check", "a-thick", past_mr], ["check", "a-thick", f"union(N,{past_mr})"],
              *(["check", prop, "{5}", "--horizon", "1000000", "--json"]
                for prop in ("a-pcws", "m-pcws"))]
+    for expr in ZERO_LEVEL_EXPRS:
+        cmds += [["fe", expr, "N", "--json"], ["fe", "{1}", expr, "--json"],
+                 ["me", expr, "mult(2)", "--m", "1", "--json"],
+                 ["me", "{1,2}", expr, "--m", "1", "--json"]]
+    cmds += [["check", "a-thick", expr, "--horizon", "9000000"]
+             for expr in ("fs(exgamma())", "fp(exgamma())")]
     return cmds
 
 
