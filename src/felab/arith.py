@@ -7,8 +7,6 @@ is deterministic: the same inputs always produce the same outputs.
 from __future__ import annotations
 
 import math
-import os
-import struct
 from array import array
 
 from .errors import InputError, ResourceError
@@ -26,18 +24,15 @@ _MR_EXACT_BELOW = _MR_PASSED_BY[-1]  # where all the bases together stop being e
 # candidates one antichain search may try before it gives up
 _ANTICHAIN_STEP_CAP = 1_000_000
 
-_CACHE_MAGIC = b"FELABSPF"
-_CACHE_VERSION = 1
-
 
 class Sieve:
     """Smallest-prime-factor table for [2, limit]."""
 
-    def __init__(self, limit: int, table: array | None = None):
+    def __init__(self, limit: int):
         if limit < 2:
             raise InputError(f"sieve limit must be >= 2, got {limit}")
         self.limit = limit
-        self.table = table if table is not None else self._build(limit)
+        self.table = self._build(limit)
 
     @staticmethod
     def _build(limit: int) -> array:
@@ -57,56 +52,14 @@ class Sieve:
     def is_prime(self, n: int) -> bool:
         return n >= 2 and n <= self.limit and self.table[n] == n
 
-    def save(self, path: str) -> None:
-        """Persist the table with an integrity digest so stale caches are detected."""
-        import hashlib  # only the --cache path needs it; keeps it out of CLI start-up
-        payload = self.table.tobytes()
-        digest = hashlib.sha256(payload).digest()
-        header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, self.limit) + digest
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "Sieve | None":
-        import hashlib
-        try:
-            with open(path, "rb") as fh:
-                header = fh.read(len(_CACHE_MAGIC) + 12 + 32)
-                if not header.startswith(_CACHE_MAGIC):
-                    return None
-                version, limit = struct.unpack_from("<IQ", header, len(_CACHE_MAGIC))
-                digest = header[len(_CACHE_MAGIC) + 12:]
-                if version != _CACHE_VERSION:
-                    return None
-                payload = fh.read()
-        except OSError:
-            return None
-        if hashlib.sha256(payload).digest() != digest:
-            return None
-        table = array("I")
-        table.frombytes(payload)
-        if len(table) != limit + 1:
-            return None
-        return cls(limit, table=table)
-
 
 _sieve: Sieve | None = None
-_cache_dir: str | None = None
 # omega(n) at index n, for n from 0; omega < 25 below the sieve cap fits a byte
 _omega_table = array("B", [0, 0])
 
 
-def set_cache_dir(path: str | None) -> None:
-    """Enable (or disable with None) on-disk persistence of sieve tables."""
-    global _cache_dir
-    _cache_dir = path
-
-
 def ensure_sieve(limit: int) -> Sieve:
-    """Return the shared sieve, growing it (and caching to disk if enabled) as needed."""
+    """Return the shared sieve, growing it as needed."""
     global _sieve
     limit = max(limit, 2)
     if limit > DEFAULT_SIEVE_CAP:
@@ -116,21 +69,7 @@ def ensure_sieve(limit: int) -> Sieve:
         # grow geometrically so ascending requests amortize to one build
         have = _sieve.limit if _sieve is not None else 0
         target = min(DEFAULT_SIEVE_CAP, max(limit, 2 * have, 1 << 16))
-        loaded = None
-        cache_path = None
-        if _cache_dir is not None:
-            cache_path = os.path.join(_cache_dir, f"spf-{target}.bin")
-            loaded = Sieve.load(cache_path)
-        if loaded is None:
-            loaded = Sieve(target)
-            if cache_path is not None:
-                try:
-                    os.makedirs(_cache_dir, exist_ok=True)
-                    loaded.save(cache_path)
-                except OSError as exc:
-                    raise InputError(f"cannot use cache directory {_cache_dir}: {exc}") from exc
-        if _sieve is None or loaded.limit > _sieve.limit:
-            _sieve = loaded
+        _sieve = Sieve(target)
     return _sieve
 
 

@@ -454,8 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table", help="output format")
     common.add_argument("--json", action="store_true",
                         help="shorthand for --format json")
-    common.add_argument("--cache", default=None,
-                        help="sieve cache directory (FELAB_CACHE supplies a default)")
 
     bounds = argparse.ArgumentParser(add_help=False)
     for flag, _, help_text in _BOUND_FLAGS:
@@ -542,9 +540,6 @@ def main(argv=None) -> int:
                     f"horizon {args.horizon} exceeds the cap {arith.DEFAULT_SIEVE_CAP}")
             if args.json:
                 args.fmt = "json"
-            cache = args.cache if args.cache is not None else os.environ.get("FELAB_CACHE")
-            if cache:
-                arith.set_cache_dir(cache)
             code = args.func(args)
         except FelabError as exc:
             print(f"error: {exc}", file=sys.stderr)

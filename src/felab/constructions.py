@@ -17,7 +17,7 @@ from .errors import InputError, ResourceError
 from .record import record
 from .setlang import nodes
 from .setlang.evaluate import _closure_all, evaluate
-from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
+from .setlang.lazyset import DEFAULT_HORIZON, MAX_ELEMENTS, SUBSET_CAP, LazySet, over_cap
 
 _COUNT_CAP = 10_000
 
@@ -170,9 +170,10 @@ class ThickFixture:
 
 
 def thick_auto_nmax(horizon: int) -> int:
-    """Largest n_max whose final block still fits below the horizon."""
-    n_max = 1
-    while gen_thick_nonmaxstar(n_max + 1).blocks[-1][-1] <= horizon:
+    """Largest n_max whose final block still fits below the horizon (at least 1)."""
+    n_max, end = 1, 2  # block 1 is (2,)
+    # block n + 1 starts just past the next multiple of n after the end of block n
+    while (end := (end // n_max + 1) * n_max + n_max + 1) <= horizon:
         n_max += 1
     return n_max
 
@@ -180,6 +181,9 @@ def thick_auto_nmax(horizon: int) -> int:
 def gen_thick_nonmaxstar(n_max: int) -> ThickFixture:
     """Runs of every length up to n_max, skipping one designated multiple of each n."""
     _check_count(n_max, "n_max")
+    count = n_max * (n_max + 1) // 2  # block n holds n members
+    if count > MAX_ELEMENTS:
+        raise over_cap(count)
     blocks: list[tuple[int, ...]] = []
     avoided: list[int] = []
     a = 1

@@ -28,11 +28,9 @@ def module_env():
 
     The directory holding the imported ``felab`` package goes first on
     PYTHONPATH, so the child runs the felab under test whatever its working
-    directory and whatever other felab is installed. FELAB_CACHE is dropped so
-    no sieve cache from the caller's environment is read.
+    directory and whatever other felab is installed.
     """
     env = dict(os.environ)
-    env.pop("FELAB_CACHE", None)
     root = str(Path(felab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return env

@@ -407,7 +407,6 @@ def test_c10_json_determinism():
 
     def run_all(hashseed):
         env = dict(base_env)
-        env.pop("FELAB_CACHE", None)
         env["PYTHONHASHSEED"] = hashseed
         outputs = []
         for argv, expected in C10_BATTERY:

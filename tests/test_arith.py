@@ -1,9 +1,7 @@
 """Number-theory helpers: sieve, factorization, closures, antichains, CRT."""
 
-import hashlib
 import itertools
 import math
-import struct
 from array import array
 
 import pytest
@@ -49,8 +47,9 @@ def _naive_divisors(n):
 
 def test_sieve_spf_matches_trial_division():
     ref = _trial_spf(270_000)
+    # 1 << 16 is the size ensure_sieve builds first;
     # 270000 fills the slices of 2 and 3 in several pieces
-    for limit in [*range(2, 601), 131072, 270_000]:
+    for limit in [*range(2, 601), 1 << 16, 131072, 270_000]:
         assert arith.Sieve(limit).table.tolist() == ref[:limit + 1]
 
 
@@ -153,41 +152,6 @@ def test_omega_upto_is_one_shared_table(monkeypatch):
 @given(st.integers(min_value=1, max_value=20000), st.integers(min_value=1, max_value=20000))
 def test_omega_is_fully_additive(a, b):
     assert arith.omega(a * b) == arith.omega(a) + arith.omega(b)
-
-
-def test_sieve_cache_roundtrip(tmp_path):
-    path = str(tmp_path / "spf.bin")
-    s = arith.Sieve(1234)
-    s.save(path)
-    loaded = arith.Sieve.load(path)
-    assert loaded is not None
-    assert loaded.limit == 1234
-    assert loaded.table == s.table
-
-
-def test_sieve_cache_of_trial_division_bytes_loads(tmp_path):
-    """Cache files hold raw table bytes, so files written before the sieve was
-    built by slice assignment (with the same header and digest) still load."""
-    limit = 1 << 16  # the size ensure_sieve builds first
-    payload = array("I", _trial_spf(limit)).tobytes()
-    digest = hashlib.sha256(payload).digest()
-    # the digest of the table a 65536 sieve has always written
-    assert digest.hex() == "f42e03d049dbd11a1dc33c6e5c22013f8d6119eeba60ae1b06fd114e488e32e0"
-    old = tmp_path / "old.bin"
-    old.write_bytes(b"FELABSPF" + struct.pack("<IQ", 1, limit) + digest + payload)
-    loaded = arith.Sieve.load(str(old))
-    assert loaded is not None and loaded.table == arith.Sieve(limit).table
-    arith.Sieve(limit).save(str(tmp_path / "new.bin"))
-    assert (tmp_path / "new.bin").read_bytes() == old.read_bytes()
-
-
-def test_sieve_cache_rejects_corruption(tmp_path):
-    path = str(tmp_path / "spf.bin")
-    arith.Sieve(600).save(path)
-    raw = bytearray(open(path, "rb").read())
-    raw[-3] ^= 0xFF
-    open(path, "wb").write(bytes(raw))
-    assert arith.Sieve.load(path) is None
 
 
 # ---------------------------------------------------------------------------

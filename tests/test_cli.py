@@ -22,12 +22,6 @@ from felab.largeness import CHECKERS
 from felab.setlang import evaluate, parse
 
 
-@pytest.fixture(autouse=True)
-def _no_cache_dir():
-    yield
-    arith.set_cache_dir(None)
-
-
 def run(argv, capsys):
     code = cli.main(argv)
     out, err = capsys.readouterr()
@@ -421,19 +415,32 @@ def test_construct_emit_roundtrip(tmp_path, registry, capsys):
     (["parse", "@{path}"], "2\n\u00b2\n".encode()),
     (["parse", "@{path}"], b"1" * 5000 + b"\n"),
     (["construct", "exgamma", "3", "--emit", "{path}"], None),
-    (["check", "a-ip", "primes", "--L", "2", "--horizon", "2000", "--cache", "{path}"], b""),
 ], ids=["set-file-not-utf8", "batch-file-not-utf8", "set-file-superscript-digit",
-        "set-file-5000-digits", "emit-into-missing-dir", "cache-is-a-file"])
-def test_unreadable_and_unwritable_paths_exit_3(argv, content, tmp_path, monkeypatch, capsys):
+        "set-file-5000-digits", "emit-into-missing-dir"])
+def test_unreadable_and_unwritable_paths_exit_3(argv, content, tmp_path, capsys):
     path = tmp_path / "input"
     if content is None:
         path = tmp_path / "missing" / "x.txt"
     else:
         path.write_bytes(content)
-    monkeypatch.setattr(arith, "_sieve", None)  # so the cache case builds and saves a sieve
     code, out, err = run([a.format(path=path) for a in argv], capsys)
     assert code == 3 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["construct", "thick_nonmaxstar", "10000"], 50_005_000),
+    (["check", "a-thick", "construct(thick_nonmaxstar)", "--horizon", "20000000"], 10_001_628),
+], ids=["n_max-10000", "auto-n_max-at-the-horizon-cap"])
+def test_thick_fixture_over_the_cap_exits_4_before_it_is_built(argv, count, capsys):
+    """Block n holds n members, so n_max(n_max + 1)/2 over the element cap is refused
+    at once, not after the members are listed."""
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == f"error: evaluation produced {count} elements, over the cap 2000000; " \
+                  "lower the horizon\n"
 
 
 def test_set_file_rejects_unsorted(tmp_path, capsys):
@@ -566,7 +573,7 @@ def test_parse_nesting_cap(depth, capsys):
 
 
 # ---------------------------------------------------------------------------
-# determinism and cache
+# determinism, and no sieve on disk
 # ---------------------------------------------------------------------------
 
 def test_identical_runs_are_byte_identical(capsys):
@@ -662,27 +669,17 @@ def test_json_flag_matches_format_option(capsys):
     assert a == b
 
 
-def test_cache_env_populates_directory(tmp_path, monkeypatch, capsys):
+def test_sieve_is_never_read_or_written_on_disk(tmp_path, monkeypatch, capsys):
+    """The sieve is built in memory only: --cache is an unknown option, which
+    exits 3 like every usage error, and FELAB_CACHE in the environment is ignored."""
     cache = tmp_path / "sieves"
-    monkeypatch.setenv("FELAB_CACHE", str(cache))
-    monkeypatch.setattr(arith, "_sieve", None)  # force a rebuild so the cache is exercised
     argv = ["check", "a-ip", "primes", "--L", "2", "--horizon", "2000"]
-    code, out, err = run(argv, capsys)
-    assert code == 0
-    written = list(cache.glob("spf-*.bin"))
-    assert written, "expected a sieve cache file"
-    # a second run must reuse the cache without error and match exactly
-    code2, out2, err2 = run(argv, capsys)
-    assert (code, out) == (code2, out2)
-
-
-def test_cache_flag_overrides_env(tmp_path, monkeypatch, capsys):
-    env_dir = tmp_path / "env"
-    flag_dir = tmp_path / "flag"
-    monkeypatch.setenv("FELAB_CACHE", str(env_dir))
-    monkeypatch.setattr(arith, "_sieve", None)
-    code, _, _ = run(["check", "a-ip", "primes", "--L", "2", "--horizon", "2000",
-                      "--cache", str(flag_dir)], capsys)
-    assert code == 0
-    assert list(flag_dir.glob("spf-*.bin"))
-    assert not env_dir.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--cache", str(cache)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == "" and "unrecognized arguments: --cache" in err
+    monkeypatch.setenv("FELAB_CACHE", str(cache))
+    monkeypatch.setattr(arith, "_sieve", None)  # so the run builds a sieve
+    code, _, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert not cache.exists()

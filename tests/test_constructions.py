@@ -171,8 +171,14 @@ def test_thick_fixture_laws():
 
 
 def test_thick_auto_nmax():
+    """The largest n whose block ends at or below h, and at least 1: the least n
+    whose next block, n + 1, ends past h."""
     assert thick_auto_nmax(16) == 4
     assert thick_auto_nmax(15) == 3
+    ends = [block[-1] for block in gen_thick_nonmaxstar(200).blocks]
+    assert ends[-1] > 5000
+    for h in range(1, 5001):
+        assert thick_auto_nmax(h) == next(n for n in range(1, 200) if ends[n] > h)
     fx = gen_thick_nonmaxstar(thick_auto_nmax(100_000))
     assert fx.blocks[-1][-1] <= 100_000
     assert gen_thick_nonmaxstar(thick_auto_nmax(100_000) + 1).blocks[-1][-1] > 100_000

@@ -6,7 +6,8 @@ OLD and NEW are checkouts (each with a ``src/felab`` package), for example a
 copy of the parent commit made with ``git archive`` and the working tree.
 Every command of the battery runs through ``python -m felab`` with the tree's
 ``src`` first on PYTHONPATH, once under PYTHONHASHSEED 1 and once under 2, in
-a scratch working directory and without FELAB_CACHE. Every difference in
+a scratch working directory and without FELAB_CACHE, which an OLD tree from
+before the on-disk sieve cache was removed still reads. Every difference in
 stdout, stderr or exit code is printed, between the two trees and between the
 two hash seeds of one tree. The exit code is 1 if there was any difference.
 
@@ -71,7 +72,12 @@ The battery, read from this checkout:
 - ``check a-thick`` on unpinned closures at horizon 9000000, past the window in
   which they are counted first: ``fs(exgamma())``, refused there, and
   ``fp(exgamma())``, which answers,
-- ``check a-pcws`` and ``check m-pcws`` on a finite set at horizon 1000000.
+- ``check a-pcws`` and ``check m-pcws`` on a finite set at horizon 1000000,
+- ``construct thick_nonmaxstar`` at horizon 400000, and with n_max 3000, which
+  is over the element cap,
+- ``check a-ip`` with ``--cache`` on a scratch directory, an unknown option
+  since the sieve cache was removed: an OLD tree that had the cache exits 0
+  there, NEW exits 3 (a documented difference).
 
 Standard library only.
 """
@@ -272,6 +278,10 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
                  ["me", "{1,2}", expr, "--m", "1", "--json"]]
     cmds += [["check", "a-thick", expr, "--horizon", "9000000"]
              for expr in ("fs(exgamma())", "fp(exgamma())")]
+    cmds += [["construct", "thick_nonmaxstar", "--horizon", "400000", "--json"],
+             ["construct", "thick_nonmaxstar", "3000"],
+             ["check", "a-ip", "primes", "--L", "2", "--horizon", "2000",
+              "--cache", str(scratch / "sieves")]]
     return cmds
 
 
