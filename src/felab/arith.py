@@ -6,6 +6,7 @@ is deterministic: the same inputs always produce the same outputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 
@@ -264,11 +265,7 @@ def is_strong_antichain(S) -> bool:
     elems = _check_set(S)
     if elems[0] == 1:
         raise InputError("1 cannot belong to a strong antichain")
-    for i, a in enumerate(elems):
-        for b in elems[i + 1:]:
-            if math.gcd(a, b) != 1:
-                return False
-    return True
+    return all(math.gcd(a, b) == 1 for a, b in itertools.combinations(elems, 2))
 
 
 def extract_strong_antichain(A, s: int, H: int) -> list[int] | None:

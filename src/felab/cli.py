@@ -16,9 +16,11 @@ import sys
 
 from . import arith, constructions, embed, largeness
 from .errors import FelabError, InapplicableError, InputError, ResourceError
-from .setlang import LazySet, evaluate, parse, unparse
 from .setlang import nodes
-from .setlang.lazyset import DEFAULT_HORIZON
+from .setlang.evaluate import evaluate
+from .setlang.lazyset import DEFAULT_HORIZON, LazySet
+from .setlang.nodes import unparse
+from .setlang.parser import parse
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def _print_jsonl(payload: dict) -> None:
 
 def _show(args, payload: dict, table) -> int:
     """Print the payload as JSON or as the lines of table(payload); return its exit code."""
-    if args.fmt == "json":
+    if args.json:
         _print_json(payload)
     else:
         for line in table(payload):
@@ -338,8 +340,7 @@ def cmd_construct(args) -> int:
         "exit": 0,
     }
     if args.name == "thick_nonmaxstar":
-        n_max = int(args.params[0]) if args.params else constructions.thick_auto_nmax(args.horizon)
-        fx = constructions.gen_thick_nonmaxstar(n_max)
+        fx = constructions.thick_fixture(node.params, args.horizon)
         payload["blocks"] = [list(b) for b in fx.blocks]
         payload["avoided"] = list(fx.avoided)
     if args.emit is not None:
@@ -363,11 +364,14 @@ def cmd_chain(args) -> int:
     result = embed.decreasing_chain(args.depth, args.per_level)
     verified = None
     if args.verify:
+        # from the definition, not the dilation kernel that logged the refutation:
+        # k*(a, b) lies in a level exactly when some member x has b | x and (x/b)*a
+        # is a member too
         verified = 0
-        for level, ref in zip(result.levels[1:], result.refutations):
-            target = evaluate(nodes.Explicit(tuple(level)), args.horizon)
-            res = embed.fe_witness(ref.family, target, target.max_known())
-            if not isinstance(res, embed.FeRefutation) or not res.exact:
+        for (a, b), level, ref in zip(result.blocked, result.levels[1:], result.refutations):
+            members = set(level)
+            if ref.family != (a, b) or any(
+                    x % b == 0 and x // b * a in members for x in level):
                 print(f"re-check failed for pair {list(ref.family)} at level "
                       f"{verified + 1}", file=sys.stderr)
                 return 1
@@ -450,10 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
                         help=f"evaluation horizon (default {DEFAULT_HORIZON})")
-    common.add_argument("--format", dest="fmt", choices=("table", "json"),
-                        default="table", help="output format")
-    common.add_argument("--json", action="store_true",
-                        help="shorthand for --format json")
+    common.add_argument("--json", action="store_true", help="print the report as JSON")
 
     bounds = argparse.ArgumentParser(add_help=False)
     for flag, _, help_text in _BOUND_FLAGS:
@@ -531,15 +532,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            # the invocation settings are validated and resolved here, once
+            # the invocation settings are validated here, once
             if args.horizon < 1:
                 raise InputError(f"horizon must be >= 1, got {args.horizon}")
             if args.horizon > arith.DEFAULT_SIEVE_CAP:
                 # the largest horizon at which level and primes can be evaluated
                 raise ResourceError(
                     f"horizon {args.horizon} exceeds the cap {arith.DEFAULT_SIEVE_CAP}")
-            if args.json:
-                args.fmt = "json"
             code = args.func(args)
         except FelabError as exc:
             print(f"error: {exc}", file=sys.stderr)

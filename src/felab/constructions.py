@@ -34,32 +34,35 @@ class _IncreasingStream:
 
     def __init__(self, it: Iterator[int]):
         self._it = it
-        self._terms: list[int] = []
-        self._set: set[int] = set()
+        self.terms: list[int] = []
 
-    def _grow(self) -> int:
-        t = next(self._it)
-        self._terms.append(t)
-        self._set.add(t)
-        return t
+    def _grow(self) -> None:
+        self.terms.append(next(self._it))
+
+    def get(self, i: int) -> int:
+        """The term at index i (from 0)."""
+        while len(self.terms) <= i:
+            self._grow()
+        return self.terms[i]
 
     def take(self, count: int) -> list[int]:
-        while len(self._terms) < count:
-            self._grow()
-        return self._terms[:count]
+        """The first count terms."""
+        if count:
+            self.get(count - 1)
+        return self.terms[:count]
 
     def upto(self, bound: int) -> list[int]:
         """All terms <= bound; generates one term past the bound to be sure."""
-        while not self._terms or self._terms[-1] <= bound:
+        while not self.terms or self.terms[-1] <= bound:
             self._grow()
-        return self._terms[:bisect.bisect_right(self._terms, bound)]
+        return self.terms[:bisect.bisect_right(self.terms, bound)]
 
     def range_pred(self):
         """Total membership test for the full infinite range, extending on demand."""
         def pred(n: int) -> bool:
-            while not self._terms or self._terms[-1] < n:
+            while not self.terms or self.terms[-1] < n:
                 self._grow()
-            return n in self._set
+            return self.terms[bisect.bisect_left(self.terms, n)] == n
         return pred
 
 
@@ -82,6 +85,7 @@ def _fastgrowth_stream() -> Iterator[int]:
 
 
 def _sidon_stream() -> Iterator[int]:
+    """The greedy minimal increasing sequence whose pairwise differences are all distinct."""
     # Bit sets, relative to the newest term c: bit i of back is set when c - i is a
     # term, of diffs when i is a difference of two terms (0 too), of bad when c + i
     # cannot join. The candidates above c that c excludes are exactly c + diffs.
@@ -94,11 +98,6 @@ def _sidon_stream() -> Iterator[int]:
         back = back << step | 1
         bad >>= step
         c += step
-
-
-def sidon_sequence(length: int) -> list[int]:
-    """Greedy minimal increasing sequence whose pairwise differences are all distinct."""
-    return sequence_terms("sidon", (length,), 0)[0]
 
 
 _SEQ_STREAMS = {
@@ -148,7 +147,7 @@ def sidon_level_union_expr(count: int, side: int) -> nodes.SetExpr:
     """Expression for the union of levels at even (side 0) or odd (side 1) positions."""
     if side not in (0, 1):
         raise InputError(f"side must be 0 or 1, got {side}")
-    seq = sidon_sequence(count)
+    seq = sequence_terms("sidon", (count,), 0)[0]
     chosen = seq[side::2]
     if not chosen:
         raise InputError(f"count {count} leaves side {side} empty")
@@ -193,6 +192,11 @@ def gen_thick_nonmaxstar(n_max: int) -> ThickFixture:
         a = (block[-1] // n + 1) * n
         avoided.append(a)
     return ThickFixture(tuple(blocks), tuple(avoided))
+
+
+def thick_fixture(params: tuple, horizon: int) -> ThickFixture:
+    """construct(thick_nonmaxstar[,n_max]): n_max as given, else the largest that fits."""
+    return gen_thick_nonmaxstar(params[0] if params else thick_auto_nmax(horizon))
 
 
 def equal_exponent_pred(n: int) -> bool:
@@ -241,27 +245,23 @@ def gen_mj_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def gen_fp_prime_subset(index_rule="odd", count: int | None = None) -> tuple[int, ...]:
     """The primes chosen by index parity or explicit indices, whose subset products are
     construct(fp_primes, ...)."""
-    if isinstance(index_rule, (tuple, list)):
-        sel = sorted(set(index_rule))
-        if not sel:
-            raise InputError("explicit index list must be nonempty")
-        if sel[0] < 1:
-            raise InputError(f"prime indices must be >= 1, got {sel[0]}")
-    else:
+    def vet(k: int) -> None:
+        if (1 << k) - 1 > SUBSET_CAP:
+            raise ResourceError(f"closure of {k} primes exceeds the subset cap {SUBSET_CAP}")
+
+    if not isinstance(index_rule, (tuple, list)):
         if count is None:
             raise InputError("count is required with a parity rule")
         _check_count(count)
-        if index_rule == "odd":
-            sel = [2 * i + 1 for i in range(count)]
-        elif index_rule == "even":
-            sel = [2 * i + 2 for i in range(count)]
-        elif index_rule == "all":
-            sel = [i + 1 for i in range(count)]
-        else:
+        if index_rule not in ("odd", "even", "all"):
             raise InputError(f"index rule must be odd, even, all, or [i1,i2,...], got {index_rule!r}")
-    k = len(sel)
-    if (1 << k) - 1 > SUBSET_CAP:
-        raise ResourceError(f"closure of {k} primes exceeds the subset cap {SUBSET_CAP}")
+        return tuple(sequence_terms("primeseq", (index_rule, count), 0, vet)[0])
+    sel = sorted(set(index_rule))
+    if not sel:
+        raise InputError("explicit index list must be nonempty")
+    if sel[0] < 1:
+        raise InputError(f"prime indices must be >= 1, got {sel[0]}")
+    vet(len(sel))
     ps = arith.first_primes(sel[-1])
     return tuple(ps[i - 1] for i in sel)
 
@@ -412,11 +412,6 @@ def _fx_stream(rule: str, exact: bool):
     return build
 
 
-def _fx_thick(params, horizon, expr):
-    n_max = params[0] if params else thick_auto_nmax(horizon)
-    return LazySet.of_finite(expr, gen_thick_nonmaxstar(n_max).members)
-
-
 def _fx_sidon_levels(params, horizon, expr):
     """The level union itself: its LazySet carries that expression, which fe_refute_level reads."""
     return evaluate(sidon_level_union_expr(*params), horizon)
@@ -435,7 +430,9 @@ FIXTURES = {
     "sidon": ("construct(sidon[,count]) - greedy distinct-difference sequence",
               "n?", _fx_stream("sidon", exact=False)),
     "thick_nonmaxstar": ("construct(thick_nonmaxstar[,n_max]) - runs of every length dodging one "
-                         "multiple of each n", "n?", _fx_thick),
+                         "multiple of each n", "n?",
+                         lambda params, horizon, expr: LazySet.of_finite(
+                             expr, thick_fixture(params, horizon).members)),
     "equal_exponent": ("construct(equal_exponent) - numbers whose prime exponents are all equal",
                        "", lambda params, horizon, expr: LazySet(
                            expr, gen_equal_exponent(horizon), horizon, pred=equal_exponent_pred)),

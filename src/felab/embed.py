@@ -13,8 +13,10 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 
 from . import arith
+from .constructions import _IncreasingStream
 from .errors import InapplicableError, InputError, PrecisionError, ResourceError
 from .record import record
 from .setlang import analysis, nodes
@@ -212,9 +214,7 @@ def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
             f"A has only {len(pool)} elements within horizon {H}, need {m}")
     if m == 1:
         return _me_divisibility(pool, B, H, k_max)
-    total = 1
-    for i in range(m):
-        total = total * (len(pool) - i) // (i + 1)
+    total = math.comb(len(pool), m)
     if total > SUBSET_CAP:
         raise ResourceError(
             f"{total} subsets of size {m} exceed the cap {SUBSET_CAP}; "
@@ -317,28 +317,8 @@ class ChainResult:
 
 
 def _colex_pairs(count: int) -> list[tuple[int, int]]:
-    out = []
-    top = 2
-    while len(out) < count:
-        for low in range(1, top):
-            out.append((low, top))
-            if len(out) == count:
-                return out
-        top += 1
-    return out
-
-
-class _Level:
-    """Memoized accepted-element stream for one chain level."""
-
-    def __init__(self, it):
-        self._it = it
-        self.items: list[int] = []
-
-    def get(self, i: int) -> int:
-        while len(self.items) <= i:
-            self.items.append(next(self._it))
-        return self.items[i]
+    pairs = ((low, top) for top in itertools.count(2) for low in range(1, top))
+    return list(itertools.islice(pairs, count))
 
 
 def decreasing_chain(depth: int, per_level: int) -> ChainResult:
@@ -352,8 +332,8 @@ def decreasing_chain(depth: int, per_level: int) -> ChainResult:
     if per_level > _CHAIN_WIDTH_CAP:
         raise ResourceError(
             f"per_level {per_level} exceeds the chain width cap {_CHAIN_WIDTH_CAP}")
-    pairs = _colex_pairs(depth) if depth else []
-    levels: list[_Level] = [_Level(iter(itertools.count(1)))]
+    pairs = _colex_pairs(depth)
+    levels = [_IncreasingStream(itertools.count(1))]
     for n in range(depth):
         parent = levels[n]
         a0, a1 = parent.get(0), parent.get(1)
@@ -379,10 +359,8 @@ def decreasing_chain(depth: int, per_level: int) -> ChainResult:
                 aset.add(x)
                 yield x
 
-        levels.append(_Level(gen()))
-    displayed = []
-    for n, lvl in enumerate(levels):
-        displayed.append(tuple(lvl.get(i) for i in range(per_level)))
+        levels.append(_IncreasingStream(gen()))
+    displayed = [tuple(lvl.take(per_level)) for lvl in levels]
     refutations = []
     for n in range(depth):
         finite_view = LazySet.of_finite(nodes.Explicit(displayed[n + 1]), displayed[n + 1])
@@ -393,7 +371,7 @@ def decreasing_chain(depth: int, per_level: int) -> ChainResult:
         refutations.append(res)
     return ChainResult(
         tuple(displayed), tuple(pairs), tuple(refutations),
-        tuple(tuple(lvl.items) for lvl in levels))
+        tuple(tuple(lvl.terms) for lvl in levels))
 
 
 def mthick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:

@@ -24,29 +24,21 @@ from .nodes import SYNTAX, AllNat, Ap, Explicit, ExplicitSeq, NamedSeq, Primes, 
 # recursive walk of the tree far from Python's recursion limit.
 _MAX_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(){}\[\],]))")
+# one token per match; whitespace before a token is skipped, and any other
+# character is the bad group, which the tokenizer reports
+_TOKEN_RE = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+                       r"|(?P<punct>[(){}\[\],])|(?P<bad>\S))")
 
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                self._fail(f"unexpected character {stripped[0]!r}", at)
-            if m.group("nat") is not None:
-                self.items.append(("nat", m.group("nat"), m.start("nat")))
-            elif m.group("ident") is not None:
-                self.items.append(("ident", m.group("ident"), m.start("ident")))
-            elif m.group("punct") is not None:
-                self.items.append(("punct", m.group("punct"), m.start("punct")))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                self._fail(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.items.append((kind, m[kind], m.start(kind)))
         self.items.append(("eof", "", len(text)))
         self.i = 0
         self.depth = 0

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from felab import arith
 from felab.errors import InputError, ResourceError
-from felab.setlang import evaluate, parse
+from felab.setlang.evaluate import evaluate
+from felab.setlang.parser import parse
 
 
 # ---------------------------------------------------------------------------

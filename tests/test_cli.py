@@ -19,7 +19,8 @@ from referencing import Registry, Resource
 import conftest
 from felab import arith, cli, embed
 from felab.largeness import CHECKERS
-from felab.setlang import evaluate, parse
+from felab.setlang.evaluate import evaluate
+from felab.setlang.parser import parse
 
 
 def run(argv, capsys):
@@ -489,6 +490,21 @@ def test_chain_verify(registry, capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize("level, family", [((2, 3, 4, 5), (1, 2)), ((2, 3, 5, 7), (1, 3))],
+                         ids=["level-holds-2*(1,2)", "family-is-not-the-pair"])
+def test_chain_verify_rechecks_from_the_definition(level, family, monkeypatch, capsys):
+    """--verify does not trust the logged refutation: a first level that holds
+    2*(1, 2) = {2, 4}, or a refutation of another pair, fails the re-check."""
+    chain = embed.decreasing_chain(2, 4)
+    first = embed.FeRefutation("finite-target", family, {"bound": max(level)})
+    bad = embed.ChainResult((chain.levels[0], level, *chain.levels[2:]), chain.blocked,
+                            (first, *chain.refutations[1:]), chain.extended)
+    monkeypatch.setattr(embed, "decreasing_chain", lambda depth, per_level: bad)
+    code, out, err = run(["chain", "2", "4", "--verify"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"re-check failed for pair {list(family)} at level 1\n"
+
+
 def test_atlas_exit_and_duality(registry, capsys):
     code, out, _ = run(["atlas", "12"], capsys)
     assert code == 0
@@ -663,10 +679,14 @@ def test_nmaxstar_proof_is_valid_though_not_least_overall(capsys):
     assert all(A.contains(v) is True for c in C for v in range(c, H + 1, c))
 
 
-def test_json_flag_matches_format_option(capsys):
-    a = run(["check", "max", "ap(1,2)", "--json"], capsys)
-    b = run(["check", "max", "ap(1,2)", "--format", "json"], capsys)
-    assert a == b
+def test_json_is_the_only_format_switch(capsys):
+    """--format is gone: it is an unknown option, refused like every usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "max", "ap(1,2)", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 3 and out == ""
+    assert err.splitlines() == [cli.build_parser().format_usage().strip(),
+                                "felab: error: unrecognized arguments: --format json"]
 
 
 def test_sieve_is_never_read_or_written_on_disk(tmp_path, monkeypatch, capsys):

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from felab import arith
 from felab.constructions import (FIXTURES, SEQUENCE_RULES, PseudoResult, build_fixture,
-                                 _sidon_stream, gen_equal_exponent,
+                                 _IncreasingStream, _sidon_stream, gen_equal_exponent,
                                  gen_fp_prime_subset, gen_levelfix, gen_mj_funcs,
                                  gen_prophier, gen_thick_nonmaxstar,
                                  equal_exponent_pred, pseudointersection,
                                  sequence_terms, sidon_level_union_expr,
-                                 sidon_sequence, thick_auto_nmax)
-from felab.errors import InputError, ParseError
-from felab.setlang import evaluate, parse
+                                 thick_auto_nmax)
+from felab.errors import InputError, ParseError, ResourceError
 from felab.setlang import nodes
+from felab.setlang.evaluate import evaluate
+from felab.setlang.parser import parse
 
 
 # ---------------------------------------------------------------------------
@@ -47,16 +48,16 @@ def test_fastgrowth_prefix_and_law():
 
 
 def test_sidon_prefix_and_distinct_differences():
-    seq = sidon_sequence(10)
+    seq = sequence_terms("sidon", (10,), 0)[0]
     assert seq == [1, 2, 4, 8, 13, 21, 31, 45, 66, 81]
-    long = sidon_sequence(40)
+    long = sequence_terms("sidon", (40,), 0)[0]
     diffs = [b - a for i, a in enumerate(long) for b in long[i + 1:]]
     assert len(diffs) == len(set(diffs))
     assert sequence_terms("sidon", (5,), 0) == ([1, 2, 4, 8, 13], True)
 
 
 def test_sidon_is_greedy_minimal():
-    seq = sidon_sequence(25)
+    seq = sequence_terms("sidon", (25,), 0)[0]
     diffs = set()
     for i, a in enumerate(seq):
         prior = seq[:i]
@@ -82,6 +83,14 @@ def test_sidon_stream_matches_the_plain_scan():
     # the first 161 terms are those <= 100000; islice stops a stream that stalls
     got = list(itertools.islice(_sidon_stream(), 162))
     assert got[:161] == _plain_sidon_scan(100_000) and got[161] > 100_000
+
+
+def test_increasing_stream_get_and_take_agree():
+    """A stream read term by term and one read by prefixes hold the same terms."""
+    by_get, by_take = _IncreasingStream(_sidon_stream()), _IncreasingStream(_sidon_stream())
+    assert [by_get.get(i) for i in range(40)] == by_take.take(40) == by_get.take(40)
+    assert by_take.take(0) == [] and by_take.get(39) == by_get.terms[39]
+    assert by_take.take(50)[40:] == [by_get.get(i) for i in range(40, 50)]
 
 
 def test_sequence_terms_named_rules():
@@ -114,7 +123,6 @@ def test_sequence_terms_rejects(rule, params):
 
 
 def test_count_cap():
-    from felab.errors import ResourceError
     with pytest.raises(ResourceError):
         sequence_terms("exgamma", (10_001,), 0)
     with pytest.raises(InputError):
@@ -253,6 +261,18 @@ def test_fp_prime_subset_six():
 def test_fp_prime_subset_explicit_indices():
     assert gen_fp_prime_subset((2, 4)) == (3, 7)
     assert _fp_primes((2, 4)) == [3, 7, 21]
+
+
+@pytest.mark.parametrize("word", ["odd", "even", "all"])
+def test_fp_primes_lists_the_subset_products_of_primeseq(word):
+    """construct(fp_primes,W,n) is fp(primeseq(W,n)): the same primes, from the same rule."""
+    for n in range(1, 18):
+        fixture = evaluate(parse(f"construct(fp_primes,{word},{n})"), 1000)
+        closure = evaluate(parse(f"fp(primeseq({word},{n}))"), 1000)
+        assert fixture.elements() == closure.elements()
+    with pytest.raises(ResourceError) as exc:
+        gen_fp_prime_subset(word, 18)
+    assert str(exc.value) == "closure of 18 primes exceeds the subset cap 200000"
 
 
 def test_fp_prime_subset_rejects():

@@ -12,8 +12,9 @@ from felab.embed import (FeRefutation, FeWitness, decreasing_chain,
                          fe_fip_oracle, fe_prefix_check, fe_refute_level,
                          fe_refute_residue, fe_witness, me_check, mthick_check)
 from felab.errors import InapplicableError, InputError, PrecisionError, ResourceError
-from felab.setlang import evaluate, parse
+from felab.setlang.evaluate import evaluate
 from felab.setlang.lazyset import DEFAULT_HORIZON
+from felab.setlang.parser import parse
 
 
 def ev(text, horizon=DEFAULT_HORIZON):

@@ -12,8 +12,10 @@ from felab.largeness import (CHECKERS, PropertyParams, _add_funcs, a_pcws_check,
                              ip_search, ip_star_check, j_check, m_pcws_check,
                              max_check, maxstar_check, nmax_refute,
                              nmaxstar_check, poset_atlas)
-from felab.setlang import analysis, evaluate, parse
+from felab.setlang import analysis
+from felab.setlang.evaluate import evaluate
 from felab.setlang.lazyset import DEFAULT_HORIZON, LazySet
+from felab.setlang.parser import parse
 from felab.verdicts import Verdict
 
 

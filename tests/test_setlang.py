@@ -1,8 +1,8 @@
 """Expression language: parsing, evaluation semantics, structural analyses."""
 
 import functools
-import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 from felab import arith, cli, constructions, largeness
 from felab.constructions import FIXTURES
 from felab.errors import InputError, ParseError, PrecisionError, ResourceError
-from felab.setlang.lazyset import MAX_ELEMENTS, LazySet
-from felab.setlang import evaluate, lazyset, nodes, parse, unparse
+import felab.setlang.evaluate as evaluator
+from felab.setlang import lazyset, nodes
 from felab.setlang.analysis import (_contains_mult, empty_meet_mult, level_deltas,
                                     level_set_of, levels_of, period_of)
+from felab.setlang.evaluate import evaluate
+from felab.setlang.lazyset import MAX_ELEMENTS, LazySet
+from felab.setlang.nodes import unparse
+from felab.setlang.parser import parse
 
 HORIZON = 2000
 
@@ -36,6 +40,12 @@ workloads = _load_perfbench("workloads")
 
 def ev(text, horizon=HORIZON):
     return evaluate(parse(text), horizon)
+
+
+def test_the_package_does_not_shadow_its_submodules():
+    """felab.setlang re-exports nothing, so a dotted import of a submodule binds
+    the module, not the function of the same name."""
+    assert inspect.ismodule(evaluator) and evaluator.evaluate is evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +117,8 @@ _USAGE = {name: row[0] for name, row in FIXTURES.items()}
     ("up(fp(primeseq(odd,x)))", 4,
      "bad parameters for primeseq; usage: primeseq(all|odd|even[,count])"),
     ("mult(" + "9" * 5000 + ")", 6, "5000 digits are too many"),
+    # a tab and an information separator are whitespace; the non-ASCII letter is not
+    ("mult(\t\x1c2)\u00e9", 10, "unexpected character '\u00e9'"),
 ])
 def test_parse_error_text_and_column(text, col, msg):
     with pytest.raises(ParseError) as exc:
@@ -673,7 +685,6 @@ def test_member_cap_enforced():
 def test_closure_past_the_window_is_refused_on_its_count_there(monkeypatch):
     """Past the window an unpinned closure is refused when its marks within the
     window already exceed the cap; a sparse one is listed to the horizon."""
-    evaluator = importlib.import_module("felab.setlang.evaluate")
     sparse = ev("fp(exgamma())", horizon=1000).elements()
     for module in (lazyset, evaluator):
         monkeypatch.setattr(module, "MAX_ELEMENTS", 50)

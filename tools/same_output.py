@@ -20,8 +20,12 @@ The battery, read from this checkout:
   complements, and ``check a-ip*`` on a set whose complement it builds, at
   horizon 20000,
 - ``parse`` of nested expressions over every kind of syntax-tree node, as a
-  table and as JSON,
+  table and as JSON, and of texts with tabs, newlines, an information separator
+  (whitespace to the tokenizer) and non-ASCII characters, accepted and refused,
 - ``construct`` of every catalog fixture with valid parameters, at horizon 2000,
+  ``construct fp_primes`` with a bad word, with count 0 and with count 18 (over
+  the subset cap), and ``construct thick_nonmaxstar`` with and without n_max at
+  horizons 50 and 5000,
 - ``parse`` and ``check max`` of malformed expressions (one malformed parameter
   shape for each fixture and sequence rule among them) and of parameters whose
   values are refused, and a few other error paths of ``check``, ``diagram`` and
@@ -42,7 +46,9 @@ The battery, read from this checkout:
   the three combination searches again with ``--L`` 2 and 5,
 - the two places that validate bounds: every bound flag (``cli._BOUND_FLAGS``
   of NEW) at 0 on ``check`` and ``diagram``, ``--horizon 0`` on every
-  subcommand, ``--json`` over ``--format table``, and a run length past the
+  subcommand, ``--json`` alone, ``--format json`` (an unknown option since
+  ``--json`` became the only format switch: an OLD tree that had it exits 0
+  there, NEW exits 3, a documented difference), and a run length past the
   horizon, which the A-thick checker itself refuses,
 - the sets built as finite by their constructor (``level(0)``, a dilated finite
   set, a union with a finite part, ``fp_primes``) under ``diagram``, ``fe``,
@@ -54,7 +60,7 @@ The battery, read from this checkout:
   cap, and ``parse`` of a natural longer than ``int()`` converts,
 - ``check a-thick`` at horizon 5 with ``--n`` 2, 3 and 4 on periodic sets whose
   window passes the horizon and on finite sets whose runs cross it,
-- ``chain 100 40`` and ``chain 30 200``,
+- ``chain 100 40``, ``chain 30 200`` and ``chain 100 2000 --verify --json``,
 - ``diagram`` on sets where every audit passes (``N``), where the NMAX* audit
   fails (``compl(mult(4))``) and where every audit is skipped (``{5}``), at
   horizon 5000,
@@ -104,6 +110,9 @@ PARSE_EXPRS = ("pseudo(3,N,mult(2),mult(4))", "fs([1,2,4])", "fp(primeseq(odd))"
                "construct(sidon_levels,6,1)", "shift(quot(level(2),2),3)",
                "union(inter(compl(primes),ap(1,2)),dilate(2,{3,5}),up(level(0)))",
                "down(fp(exgamma()))")
+# whitespace the tokenizer skips, and characters it refuses or reads as digits
+SPACED_EXPRS = ("union(mult(2),\tlevel(3))", "union(mult(2),\n  level(3))", "mult(\t\x1c2)",
+                "level(\u0663)", "union(N,\n\x1c\u00e9)", "mult(2)\t\u00b2", "\t\n")
 # rejected by the parser: bad syntax, unknown names, and a malformed parameter
 # shape for every fixture and sequence rule
 BAD_EXPRS = ("pseudo(3)", "union()", "mult(2,3)", "fs(foo())", "construct(nope)",
@@ -186,12 +195,17 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         cmds.append(["check", "a-thick", expr, "--horizon", CLOSURE_HORIZON, "--json"])
     for expr in PARSE_EXPRS:
         cmds += [["parse", expr], ["parse", expr, "--json"]]
+    cmds += [["parse", expr, "--json"] for expr in SPACED_EXPRS]
     missing = set(table_keys(new, "felab.constructions", "FIXTURES")) - {a[0] for a in CONSTRUCT_ARGS}
     if missing:
         raise SystemExit(f"CONSTRUCT_ARGS has no parameters for {sorted(missing)}")
     for args in CONSTRUCT_ARGS:
         cmds += [["construct", *args, "--horizon", CONSTRUCT_HORIZON],
                  ["construct", *args, "--horizon", CONSTRUCT_HORIZON, "--json"]]
+    cmds += [["construct", "fp_primes", *args] for args in (("backwards", "3"), ("odd", "0"),
+                                                            ("even", "18"))]
+    cmds += [["construct", "thick_nonmaxstar", *n_max, "--horizon", h, "--json"]
+             for h in ("50", "5000") for n_max in ((), ("7",))]
     for expr in BAD_EXPRS:
         cmds += [["parse", expr], ["check", "max", expr, "--horizon", CHECK_HORIZON]]
     cmds += [
@@ -243,8 +257,9 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
                 ["diagram", "N"], ["construct", "exgamma"], ["chain", "3", "4"],
                 ["atlas", "3"], ["parse", "N"]):
         cmds.append([*cmd, "--horizon", "0"])
-    cmds += [["check", "max", "ap(1,2)", "--json", "--format", "table"],
-             ["diagram", "odd", "--horizon", CHECK_HORIZON, "--format", "table", "--json"],
+    cmds += [["check", "max", "ap(1,2)", "--json"],
+             ["diagram", "odd", "--horizon", CHECK_HORIZON, "--json"],
+             ["check", "max", "ap(1,2)", "--format", "json"],
              ["check", "a-thick", "N", "--n", "20", "--horizon", "10"]]
     cmds += [["diagram", expr, "--horizon", CHECK_HORIZON] for expr in FINITE_EXPRS]
     cmds += [["fe", "{2}", "dilate(3,{2,5})"], ["fe", "{1,3}", "union(level(0),level(1))"],
@@ -258,7 +273,8 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
              ["parse", "mult(" + "9" * 5000 + ")"]]
     cmds += [["check", "a-thick", expr, "--horizon", "5", "--n", n, "--json"]
              for expr in RUN_EXPRS for n in ("2", "3", "4")]
-    cmds += [["chain", "100", "40"], ["chain", "30", "200"]]
+    cmds += [["chain", "100", "40"], ["chain", "30", "200"],
+             ["chain", "100", "2000", "--verify", "--json"]]
     cmds += [["diagram", expr, "--horizon", "5000"] for expr in AUDIT_EXPRS]
     cmds += [["check", "m-ip", "fp(primeseq(odd,6))", "--L", "3", "--json"],
              ["check", "max*", "inter(quot(fs(sidon()),3),compl({7,14}))", "--horizon", "2000",
