@@ -79,6 +79,8 @@ def _scalar(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
+    if isinstance(value, (dict, list)):  # only an empty one is printed inline
+        return json.dumps(value)
     return str(value)
 
 
@@ -91,7 +93,7 @@ def _kv_lines(obj, indent: int = 0):
                 yield f"{pad}{key}:"
                 yield from _kv_lines(val, indent + 1)
             else:
-                yield f"{pad}{key}: {_scalar(val) if not isinstance(val, (dict, list)) else json.dumps(val)}"
+                yield f"{pad}{key}: {_scalar(val)}"
     elif isinstance(obj, list):
         if all(isinstance(v, (int, str, bool, type(None))) for v in obj):
             yield f"{pad}{' '.join(_scalar(v) for v in obj)}"
@@ -101,7 +103,7 @@ def _kv_lines(obj, indent: int = 0):
                     yield f"{pad}-"
                     yield from _kv_lines(val, indent + 1)
                 else:
-                    yield f"{pad}- {_scalar(val) if not isinstance(val, (dict, list)) else json.dumps(val)}"
+                    yield f"{pad}- {_scalar(val)}"
 
 
 def _print_json(payload: dict) -> None:
@@ -200,7 +202,7 @@ def cmd_check(args) -> int:
 
     def run_one(text: str) -> dict:
         node, A = _eval_expr(text, args.horizon)
-        verdict = check(A, params, args.horizon)
+        verdict = check(A, params)
         return {
             "command": "check",
             "property": prop,
@@ -328,8 +330,11 @@ def _emit_set_file(path: str, expr_text: str, horizon: int, values) -> None:
 
 def cmd_construct(args) -> int:
     expr_text = "construct(%s)" % ",".join([args.name] + list(args.params))
-    node, A = _eval_expr(expr_text, args.horizon)
-    members = A.elements()
+    node = _expr_node(expr_text)
+    # the thick fixture, built once, lists its members (ascending and distinct) and blocks
+    fx = (constructions.thick_fixture(node.params, args.horizon)
+          if args.name == "thick_nonmaxstar" else None)
+    members = fx.members if fx is not None else evaluate(node, args.horizon).elements()
     payload: dict[str, object] = {
         "command": "construct",
         "name": args.name,
@@ -339,8 +344,7 @@ def cmd_construct(args) -> int:
         "members": list(members),
         "exit": 0,
     }
-    if args.name == "thick_nonmaxstar":
-        fx = constructions.thick_fixture(node.params, args.horizon)
+    if fx is not None:
         payload["blocks"] = [list(b) for b in fx.blocks]
         payload["avoided"] = list(fx.avoided)
     if args.emit is not None:

@@ -299,14 +299,14 @@ def gen_prophier(prime_sets: Sequence[Sequence[int]], exponents: Sequence[int],
                 raise InputError("prime blocks must be pairwise disjoint or identical")
 
     out: set[int] = set()
-    used: dict[frozenset, set[int]] = {frozenset(b): set() for b in blocks}
+    # the blocks are disjoint or identical, so one set of used primes serves them all
+    used: set[int] = set()
 
     def rec(i: int, val: int) -> None:
         if i == len(blocks):
             out.add(val)
             return
-        key = frozenset(blocks[i])
-        pool = [p for p in blocks[i] if p not in used[key]]
+        pool = [p for p in blocks[i] if p not in used]
         for combo in itertools.combinations(pool, counts[i]):
             v = val
             for p in combo:
@@ -315,9 +315,9 @@ def gen_prophier(prime_sets: Sequence[Sequence[int]], exponents: Sequence[int],
                     break
             if v > H:
                 continue
-            used[key].update(combo)
+            used.update(combo)
             rec(i + 1, v)
-            used[key].difference_update(combo)
+            used.difference_update(combo)
 
     rec(0, 1)
     return sorted(out)
@@ -363,20 +363,12 @@ def gen_levelfix(positions: Sequence[int], primes: Sequence[int], n: int, H: int
     return sorted(out)
 
 
-@record
-class PseudoResult:
-    """Greedy transversal of a decreasing chain; partial when the horizon ran out."""
-
-    values: tuple[int, ...]
-    partial: bool
-    horizon: int
-
-
-def pseudointersection(chain: Sequence[LazySet], count: int, H: int) -> PseudoResult:
+def pseudointersection(chain: Sequence[LazySet], count: int, H: int) -> tuple[int, ...]:
     """Value n is the least element of the n-th chain set above all earlier values.
 
     The chain is verified decreasing on [1, H] first; the result leaves each
-    chain set only finitely often by construction (the first n-1 values).
+    chain set only finitely often by construction (the first n-1 values). When a
+    chain set has no member up to H above the last value, fewer values come back.
     """
     sets = list(chain)
     if not sets:
@@ -395,10 +387,10 @@ def pseudointersection(chain: Sequence[LazySet], count: int, H: int) -> PseudoRe
         pool = sets[i].elements(H)
         idx = bisect.bisect_right(pool, prev)
         if idx == len(pool):
-            return PseudoResult(tuple(values), True, H)
+            break
         values.append(pool[idx])
         prev = pool[idx]
-    return PseudoResult(tuple(values), False, H)
+    return tuple(values)
 
 
 def _fx_stream(rule: str, exact: bool):

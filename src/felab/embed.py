@@ -38,9 +38,6 @@ class FeWitness:
     family: tuple[int, ...]
     images: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"k": self.k, "family": list(self.family), "images": list(self.images)}
-
 
 @record
 class FeRefutation:
@@ -53,9 +50,6 @@ class FeRefutation:
     @property
     def exact(self) -> bool:
         return self.kind != "exhausted"
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "family": list(self.family), "detail": dict(self.detail)}
 
 
 def _check_family(F) -> tuple[int, ...]:
@@ -126,8 +120,6 @@ def _k_candidates(B: LazySet, fam: tuple[int, ...], k_max: int) -> tuple[list[in
 
 def _fe_search(F, B: LazySet, k_max: int, blocks) -> FeWitness | FeRefutation:
     fam = _check_family(F)
-    if k_max < 1:
-        raise InputError(f"k_max must be >= 1, got {k_max}")
     ks, closed = _k_candidates(B, fam, k_max)
     undecided: list[tuple[int, tuple[int, ...]]] = []
     k = _least_dilation(fam, B.contains, blocks(ks), undecided)
@@ -219,6 +211,7 @@ def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
         raise ResourceError(
             f"{total} subsets of size {m} exceed the cap {SUBSET_CAP}; "
             f"rerun with a smaller horizon")
+    bounds = {"horizon": H, "k_max": k_max, "m": m}
     worst: FeWitness | None = None
     exhausted: FeRefutation | None = None
     for sub in itertools.combinations(pool, m):
@@ -226,16 +219,13 @@ def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
         res = fe_refute_residue(sub, B) or fe_witness(sub, B, k_max)
         if isinstance(res, FeRefutation):
             if res.exact:
-                return Verdict.refuted({"refutation": res.to_json()},
-                                       {"horizon": H, "k_max": k_max, "m": m})
+                return Verdict.refuted({"refutation": res.to_json()}, bounds)
             exhausted = exhausted or res
         elif worst is None or res.k > worst.k:
             worst = res
     if exhausted is not None:
-        return Verdict.bounded("against", {"horizon": H, "k_max": k_max, "m": m},
-                               {"refutation": exhausted.to_json()})
-    return Verdict.proved({"subsets": total, "worst_witness": worst.to_json()},
-                          {"horizon": H, "k_max": k_max, "m": m})
+        return Verdict.bounded("against", bounds, {"refutation": exhausted.to_json()})
+    return Verdict.proved({"subsets": total, "worst_witness": worst.to_json()}, bounds)
 
 
 def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:

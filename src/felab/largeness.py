@@ -157,10 +157,9 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
         raise ResourceError(
             f"2^{L}-1 combinations exceed the subset cap {SUBSET_CAP}")
     bounds = {"horizon": H, "L": L, "mode": mode}
-    if A.is_exact:
-        elems = A.complete_elements(H)
-    else:
-        elems = A.elements(H)
+    # extend_to leaves a PREFIX set as it is
+    A.extend_to(H)
+    elems = A.elements(H)
     additive = mode == "additive"
     contains = A.contains
     attempts = 0
@@ -399,10 +398,10 @@ def crt_thickness_demo(C, n: int) -> int:
 
 @record
 class PropertyParams:
-    """Bounds for one report run, the one place they are validated; horizon None
-    defers to the evaluator default."""
+    """Bounds for one report run, the one place they are validated; the checkers
+    read their horizon here."""
 
-    horizon: int | None = None
+    horizon: int = DEFAULT_HORIZON
     run_length: int = 10
     t_max: int = 3
     ip_len: int = 3
@@ -415,11 +414,8 @@ class PropertyParams:
     def __post_init__(self):
         for name in self._fields:
             value, least = getattr(self, name), 2 if name == "antichain_s" else 1
-            if not (name == "horizon" and value is None) and value < least:
+            if value < least:
                 raise InputError(f"{name} must be >= {least}, got {value}")
-
-    def to_json(self) -> dict:
-        return {f: getattr(self, f) for f in self._fields}
 
 
 def _add_funcs(h_max: int) -> tuple[range, range]:
@@ -430,21 +426,21 @@ def _add_funcs(h_max: int) -> tuple[range, range]:
 # Each entry calls its checker by module-level name at call time, so a wrapper
 # installed on the module attribute (a tracer, a profiler) sees every call.
 CHECKERS = {
-    "A-thick": lambda A, p, H: a_thick_check(A, p.run_length, H),
-    "M-thick": lambda A, p, H: mthick_check(A, p.run_length, H),
-    "A-pcws": lambda A, p, H: a_pcws_check(A, p.t_max, p.run_length, H),
-    "M-pcws": lambda A, p, H: m_pcws_check(A, p.t_max, p.run_length, H),
-    "A-IP": lambda A, p, H: ip_search(A, p.ip_len, H, "additive"),
-    "M-IP": lambda A, p, H: ip_search(A, p.ip_len, H, "multiplicative"),
-    "A-IP*": lambda A, p, H: ip_star_check(A, p.ip_len, H),
-    "A-J": lambda A, p, H: j_check(
+    "A-thick": lambda A, p: a_thick_check(A, p.run_length, p.horizon),
+    "M-thick": lambda A, p: mthick_check(A, p.run_length, p.horizon),
+    "A-pcws": lambda A, p: a_pcws_check(A, p.t_max, p.run_length, p.horizon),
+    "M-pcws": lambda A, p: m_pcws_check(A, p.t_max, p.run_length, p.horizon),
+    "A-IP": lambda A, p: ip_search(A, p.ip_len, p.horizon, "additive"),
+    "M-IP": lambda A, p: ip_search(A, p.ip_len, p.horizon, "multiplicative"),
+    "A-IP*": lambda A, p: ip_star_check(A, p.ip_len, p.horizon),
+    "A-J": lambda A, p: j_check(
         A, _add_funcs(p.j_h_max), p.j_a_max, p.j_h_max, "additive"),
-    "M-J": lambda A, p, H: j_check(
+    "M-J": lambda A, p: j_check(
         A, gen_mj_funcs(p.j_h_max), p.j_a_max, p.j_h_max, "multiplicative"),
-    "MAX": lambda A, p, H: max_check(A, p.divisor_n, H),
-    "NMAX": lambda A, p, H: nmax_refute(A, p.antichain_s, H),
-    "MAX*": lambda A, p, H: maxstar_check(A, p.star_a_max, H),
-    "NMAX*": lambda A, p, H: nmaxstar_check(A, p.antichain_s, H),
+    "MAX": lambda A, p: max_check(A, p.divisor_n, p.horizon),
+    "NMAX": lambda A, p: nmax_refute(A, p.antichain_s, p.horizon),
+    "MAX*": lambda A, p: maxstar_check(A, p.star_a_max, p.horizon),
+    "NMAX*": lambda A, p: nmaxstar_check(A, p.antichain_s, p.horizon),
 }
 OUT_OF_SCOPE = ("A-central", "A-central*", "M-central", "M-central*")
 _OUT_OF_SCOPE_REASON = (
@@ -466,10 +462,7 @@ class LargenessReport:
         for name, value in self.entries:
             if isinstance(value, Verdict):
                 vj = value.to_json()
-                entry = {"name": name, "verdict": vj["status"],
-                         "certificate": vj["certificate"], "bounds": vj["bounds"]}
-                if "direction" in vj:
-                    entry["direction"] = vj["direction"]
+                entry = {"name": name, "verdict": vj.pop("status"), **vj}
             else:
                 entry = {"name": name, "verdict": "inapplicable",
                          "reason": value["inapplicable"]}
@@ -481,19 +474,19 @@ class LargenessReport:
                 "params": self.params.to_json()}
 
 
-def _audit_thick_pcws(A, premise, params, H) -> tuple[str, dict]:
-    w = a_pcws_check(A, 0, params.run_length, H)
+def _audit_thick_pcws(A, premise, params) -> tuple[str, dict]:
+    w = a_pcws_check(A, 0, params.run_length, params.horizon)
     return "pass" if w.is_proved else "fail", {"pcws_status": w.status}
 
 
-def _audit_maxstar_max(A, premise, params, H) -> tuple[str, dict]:
+def _audit_maxstar_max(A, premise, params) -> tuple[str, dict]:
     a = premise.certificate["a"]
-    N = max(1, H // a)
-    w = max_check(A, N, H)
+    N = max(1, params.horizon // a)
+    w = max_check(A, N, params.horizon)
     return "pass" if w.is_proved else "fail", {"a": a, "N": N, "max_status": w.status}
 
 
-def _audit_nmaxstar_thick(A, premise, params, H) -> tuple[str, dict]:
+def _audit_nmaxstar_thick(A, premise, params) -> tuple[str, dict]:
     C = list(premise.certificate["antichain"])
     x = crt_thickness_demo(C, len(C))
     checks = [A.contains(x + m) for m in range(1, len(C) + 1)]
@@ -510,14 +503,12 @@ def _audit_nmaxstar_thick(A, premise, params, H) -> tuple[str, dict]:
     return status, detail
 
 
-def diagram_report(A: LazySet, params: PropertyParams | None = None) -> LargenessReport:
+def diagram_report(A: LazySet, params: PropertyParams) -> LargenessReport:
     """Run every property checker on one set and audit the implications."""
-    params = params or PropertyParams()
-    H = params.horizon if params.horizon is not None else DEFAULT_HORIZON
     entries: list[tuple[str, object]] = []
     for name, check in CHECKERS.items():
         try:
-            entries.append((name, check(A, params, H)))
+            entries.append((name, check(A, params)))
         except InapplicableError as exc:
             entries.append((name, {"inapplicable": str(exc)}))
     produced = dict(entries)
@@ -530,7 +521,7 @@ def diagram_report(A: LazySet, params: PropertyParams | None = None) -> Largenes
             ("NMAX* antichain => interval inside its dilation cover", "NMAX*",
              _audit_nmaxstar_thick)):
         v = produced[premise]
-        status, detail = (audit(A, v, params, H) if isinstance(v, Verdict) and v.is_proved
+        status, detail = (audit(A, v, params) if isinstance(v, Verdict) and v.is_proved
                           else ("skipped", {"reason": "premise not proved"}))
         audits.append({"implication": implication, "status": status, "detail": detail})
     return LargenessReport(tuple(entries), OUT_OF_SCOPE, tuple(audits), params)
@@ -551,9 +542,6 @@ class AtlasReport:
     brute_up_count: int | None
     subsets_checked: int
     violations: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {f: getattr(self, f) for f in self._fields} | {"violations": list(self.violations)}
 
 
 def poset_atlas(n: int, exhaustive: bool | None = None) -> AtlasReport:

@@ -1,7 +1,10 @@
 """Frozen value records: one set of methods shared by every record class, so that
 defining a class generates and compiles no code. Fields come, in order, from the
 class's own annotations and defaults from class attributes; __post_init__ runs
-if defined; equality needs the same class."""
+if defined; equality needs the same class. A class that defines no to_json gets
+one that maps each field, in order, through jsonable."""
+
+from typing import Any, Mapping
 
 _MISSING = object()
 
@@ -11,6 +14,8 @@ def record(cls):
     cls._post_init = getattr(cls, "__post_init__", None)
     cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = _init, _eq, _hash, _repr
     cls.__setattr__ = cls.__delattr__ = _frozen
+    if "to_json" not in cls.__dict__:
+        cls.to_json = _to_json
     return cls
 
 
@@ -50,3 +55,18 @@ def _repr(self):
 
 def _frozen(self, name, *value):
     raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def _to_json(self) -> dict:
+    return {f: jsonable(getattr(self, f)) for f in self._fields}
+
+
+def jsonable(value: Any) -> Any:
+    """Recursively coerce tuples/sets into deterministic JSON-friendly forms."""
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return [jsonable(v) for v in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    return value

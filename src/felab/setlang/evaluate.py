@@ -22,7 +22,7 @@ from itertools import chain, filterfalse, islice
 from .. import arith
 from ..errors import InputError, ResourceError
 from . import analysis, nodes
-from .lazyset import DEFAULT_HORIZON, FS_MAX_LEN, MAX_ELEMENTS, SUBSET_CAP, LazySet, over_cap
+from .lazyset import DEFAULT_HORIZON, MAX_ELEMENTS, SUBSET_CAP, LazySet, over_cap
 
 # an unpinned closure is built up to this window first. Within it fs(exgamma())
 # has 5173054 members, fs(fastgrowth()) 3200003 and fs(sidon()) all 8000000,
@@ -89,8 +89,7 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
         from .. import constructions
 
         kids = [_eval(c, h) for c in expr.chain]
-        res = constructions.pseudointersection(kids, expr.count, h)
-        return LazySet.of_finite(expr, res.values)
+        return LazySet.of_finite(expr, constructions.pseudointersection(kids, expr.count, h))
     if isinstance(expr, nodes.Construct):
         from .. import constructions
 
@@ -138,11 +137,8 @@ def _eval_union(expr: nodes.Union, h: int) -> LazySet:
 
 def _eval_inter(expr: nodes.Inter, h: int) -> LazySet:
     kids = [_eval(a, h) for a in expr.args]
-    finite_kids = [k for k in kids if k.finite]
-    if finite_kids:
-        base = min(finite_kids, key=lambda k: k.count_known())
-    else:
-        base = min(kids, key=lambda k: k.count_known())
+    # the smallest finite kid if there is one, else the smallest kid
+    base = min(kids, key=lambda k: (not k.finite, k.count_known()))
     others = [k for k in kids if k is not base]
     # a kid with a predicate decides membership everywhere, one without only to its bound
     bound = min((k.complete_below for k in kids if k.pred is None), default=h)
@@ -225,7 +221,7 @@ def _eval_fsfp(expr, h: int) -> LazySet:
 
 
 def _check_pinned(count: int) -> None:
-    if count > FS_MAX_LEN or 2 ** count > SUBSET_CAP:
+    if 2 ** count > SUBSET_CAP:
         raise ResourceError(f"closure of {count} pinned terms exceeds the subset cap "
                             f"{SUBSET_CAP}; use an unpinned sequence or fewer terms")
 

@@ -22,7 +22,6 @@ from ..errors import PrecisionError, ResourceError
 # or one search may build
 DEFAULT_HORIZON = 100_000
 MAX_ELEMENTS = 2_000_000
-FS_MAX_LEN = 24
 SUBSET_CAP = 200_000
 
 

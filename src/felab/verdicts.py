@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .record import record
+from .record import jsonable, record
 
 PROVED = "proved"
 REFUTED = "refuted"
@@ -48,17 +48,6 @@ class Verdict:
         out: dict[str, Any] = {"status": self.status}
         if self.direction is not None:
             out["direction"] = self.direction
-        out["certificate"] = _jsonable(self.certificate)
-        out["bounds"] = _jsonable(self.bounds)
+        out["certificate"] = jsonable(self.certificate)
+        out["bounds"] = jsonable(self.bounds)
         return out
-
-
-def _jsonable(value: Any) -> Any:
-    """Recursively coerce tuples/sets into deterministic JSON-friendly forms."""
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(value)]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value

@@ -17,7 +17,7 @@ import pytest
 from referencing import Registry, Resource
 
 import conftest
-from felab import arith, cli, embed
+from felab import arith, cli, constructions, embed
 from felab.largeness import CHECKERS
 from felab.setlang.evaluate import evaluate
 from felab.setlang.parser import parse
@@ -388,6 +388,21 @@ def test_construct_thick_blocks(registry, capsys):
     assert payload["blocks"] == [[2], [4, 5], [7, 8, 9], [13, 14, 15, 16]]
     assert payload["avoided"] == [3, 6, 12, 20]
     validate(registry, "construct", payload)
+
+
+def test_construct_builds_the_thick_fixture_once(monkeypatch, capsys):
+    calls = []
+    build = constructions.gen_thick_nonmaxstar
+
+    def counted(n_max):
+        calls.append(n_max)
+        return build(n_max)
+
+    monkeypatch.setattr(constructions, "gen_thick_nonmaxstar", counted)
+    code, payload = run_json(["construct", "thick_nonmaxstar", "5"], capsys)
+    assert code == 0 and calls == [5]
+    assert payload["members"] == [x for block in payload["blocks"] for x in block]
+    assert payload["count"] == 15
 
 
 def test_construct_unknown_name(capsys):

@@ -77,8 +77,9 @@ def test_witness_validates_input():
         fe_witness([], B, 10)
     with pytest.raises(InputError):
         fe_witness([0, 2], B, 10)
-    with pytest.raises(InputError):
-        fe_witness([1], B, 0)
+    # k_max is validated where it is given (fe_prefix_check, me_check, felab fe):
+    # here a k_max of 0 tries no k
+    assert fe_witness([1], B, 0) == FeRefutation("exhausted", (1,), {"k_max": 0})
 
 
 def test_precision_errors_agree_between_routes(fs_exgamma):

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from felab import arith, largeness
 from felab.constructions import gen_mj_funcs
+from felab.embed import FeWitness, decreasing_chain, fe_refute_level
 from felab.errors import InapplicableError, InputError, ResourceError
-from felab.largeness import (CHECKERS, PropertyParams, _add_funcs, a_pcws_check,
+from felab.largeness import (CHECKERS, AtlasReport, PropertyParams, _add_funcs, a_pcws_check,
                              a_thick_check, crt_thickness_demo, diagram_report,
                              ip_search, ip_star_check, j_check, m_pcws_check,
                              max_check, maxstar_check, nmax_refute,
@@ -340,7 +341,7 @@ def test_diagram_audits_have_details(report_N):
         assert set(a) == {"implication", "status", "detail"}
 
 
-PARAMS_JSON = {"horizon": None, "run_length": 10, "t_max": 3, "ip_len": 3, "j_a_max": 500,
+PARAMS_JSON = {"horizon": 100000, "run_length": 10, "t_max": 3, "ip_len": 3, "j_a_max": 500,
                "j_h_max": 4, "divisor_n": 20, "star_a_max": 20, "antichain_s": 4}
 
 
@@ -351,6 +352,26 @@ def test_property_params_defaults_and_json():
     assert p.to_json() == {**PARAMS_JSON, "horizon": 500, "antichain_s": 3}
     assert p == PropertyParams(500, 10, 3, 3, 500, 4, 20, 20, 3)
     assert hash(p) == hash(PropertyParams(500, antichain_s=3))
+
+
+def test_records_share_one_json_rule():
+    """A record without its own to_json writes its fields in order, tuples as lists;
+    Verdict and ChainResult keep theirs, which drop or rename fields."""
+    assert FeWitness(3, (1, 2), (3, 6)).to_json() == {"k": 3, "family": [1, 2], "images": [3, 6]}
+    ref = fe_refute_level([2, 4], ev("union(level(1),level(3))", 1000))
+    assert ref.to_json() == {
+        "kind": "level-certificate", "family": [2, 4],
+        "detail": {"pair": [2, 4], "delta": 1, "target_levels": [1, 3],
+                   "achievable_deltas": [-2, 0, 2]}}
+    assert AtlasReport(15, False, 10, 11, None, 4097, ("x",)).to_json() == {
+        "n": 15, "exhaustive": False, "up_closed_count": 10, "down_closed_count": 11,
+        "brute_up_count": None, "subsets_checked": 4097, "violations": ["x"]}
+    assert list(PropertyParams().to_json().items()) == list(PARAMS_JSON.items())
+    assert Verdict.proved({"m": 1}).to_json() == {
+        "status": "proved", "certificate": {"m": 1}, "bounds": {}}
+    chain = decreasing_chain(2, 4).to_json()
+    assert list(chain) == ["levels", "blocked_pairs", "refutations"]
+    assert chain["blocked_pairs"] == [[1, 2], [1, 3]]
 
 
 @pytest.mark.parametrize("field, bad, least", [

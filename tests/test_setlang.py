@@ -367,6 +367,16 @@ def test_pinned_closure_cap_comes_before_generation(monkeypatch, text, error, ms
     assert str(exc.value) == msg
 
 
+def test_pinned_closure_at_the_subset_cap():
+    """2^17 subsets of 17 pinned terms fit under the cap; 18 terms are refused."""
+    powers = [2 ** i for i in range(18)]
+    A = ev("fs([%s])" % ",".join(map(str, powers[:17])))
+    assert A.finite and A.elements() == list(range(1, 2 ** 17))
+    with pytest.raises(ResourceError) as exc:
+        ev("fs([%s])" % ",".join(map(str, powers)))
+    assert str(exc.value) == "closure of 18 pinned terms " + _PINNED_CAP
+
+
 @pytest.mark.parametrize("finite", ["level(0)", "{2,5}", "dilate(3,{2,5})"])
 def test_union_with_a_finite_part_keeps_the_prefix_bound(finite):
     """A finite kid knows all its members, so only the PREFIX kid limits the

@@ -83,7 +83,16 @@ The battery, read from this checkout:
   is over the element cap,
 - ``check a-ip`` with ``--cache`` on a scratch directory, an unknown option
   since the sieve cache was removed: an OLD tree that had the cache exits 0
-  there, NEW exits 3 (a documented difference).
+  there, NEW exits 3 (a documented difference),
+- the records' JSON and tables: ``atlas 6``, ``fe`` refuted by a level
+  certificate and by a residue certificate, each as a table and as JSON, and
+  ``me --m 2`` proved, refuted and bounded,
+- ``check a-thick`` and ``diagram`` on ``pseudo(3,{2},{2},{2})``, a chain that
+  runs out after one value,
+- ``check a-thick`` on ``fs`` of 17 pinned terms, at the subset cap, and of 18,
+  over it,
+- ``construct thick_nonmaxstar 300`` as JSON and with ``--emit`` into the
+  scratch directory.
 
 Standard library only.
 """
@@ -298,6 +307,17 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
              ["construct", "thick_nonmaxstar", "3000"],
              ["check", "a-ip", "primes", "--L", "2", "--horizon", "2000",
               "--cache", str(scratch / "sieves")]]
+    for cmd in (["atlas", "6"], ["fe", "{2,4}", "union(level(1),level(3))"],
+                ["fe", "{2,3}", "compl(mult(2))"]):
+        cmds += [cmd, [*cmd, "--json"]]
+    cmds += [["me", "{1,2,3}", target, "--m", "2", "--horizon", "1000", "--kmax", "50", "--json"]
+             for target in ("N", "compl(mult(2))", "primes")]
+    cmds += [["check", "a-thick", "pseudo(3,{2},{2},{2})", "--json"],
+             ["diagram", "pseudo(3,{2},{2},{2})", "--horizon", "5000", "--json"]]
+    cmds += [["check", "a-thick", "fs([%s])" % ",".join(str(2 ** i) for i in range(count))]
+             for count in (17, 18)]
+    cmds += [["construct", "thick_nonmaxstar", "300", "--json"],
+             ["construct", "thick_nonmaxstar", "300", "--emit", str(scratch / "thick.set")]]
     return cmds
 
 
