@@ -38,6 +38,8 @@ _ATLAS_MAX_N = 20
 _ATLAS_EXHAUSTIVE_N = 14
 _ATLAS_SAMPLE = 4_096
 _ATLAS_FAMILY_CAP = 2_000_000
+_IP_WINDOW = 16  # the IP search's first window, in candidates
+_IP_SPARSE = 32  # the cells per candidate past which a window tests candidates, not cells
 
 
 # ---------------------------------------------------------------------------
@@ -157,46 +159,84 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
         raise ResourceError(
             f"2^{L}-1 combinations exceed the subset cap {SUBSET_CAP}")
     bounds = {"horizon": H, "L": L, "mode": mode}
-    # extend_to leaves a PREFIX set as it is
+    # extend_to leaves a PREFIX set as it is; either way contains(n) is True for
+    # n <= H exactly at the listed members, so their marks answer every test
     A.extend_to(H)
     elems = A.elements(H)
     additive = mode == "additive"
-    contains = A.contains
+    marks = bytearray()  # marks[n] is 1 for a member n, grown as far as a window reads
     attempts = 0
     truncated = False
     chosen: list[int] = []
 
-    def rec(start: int, vals: list[int]) -> list[int] | None:
+    def passing(vals: list[int], pos: int, q: int) -> list[int]:
+        """The indices in [pos, q) of the x whose combinations with vals are all members."""
+        lo, hi, top = elems[pos], elems[q - 1] + 1, max(vals)
+        need = hi + top if additive else (hi - 1) * top + 1
+        if need > len(marks):
+            old = len(marks)
+            marks.extend(bytes(min(max(need, 2 * old), H + 1) - old))
+            for n in elems[bisect.bisect_left(elems, old):bisect.bisect_left(elems, len(marks))]:
+                marks[n] = 1
+        if hi - lo > _IP_SPARSE * (q - pos):
+            # few candidates over a long span: test them, not the cells between
+            hits = range(pos, q)
+            for v in vals:
+                hits = ([i for i in hits if marks[elems[i] + v]] if additive
+                        else [i for i in hits if marks[elems[i] * v]])
+            return hits
+        # one byte per n in [lo, hi): x itself, then x + v or x * v for each v
+        live = int.from_bytes(marks[lo:hi], "little")
+        for v in vals:
+            live &= int.from_bytes(
+                marks[lo + v:hi + v] if additive else marks[lo * v:hi * v:v], "little")
+            if not live:
+                return []
+        ok = live.to_bytes(hi - lo, "little")
+        return [i for i in range(pos, q) if ok[elems[i] - lo]]
+
+    def spend(tries: int) -> bool:
+        """Count tries attempts as a one-by-one scan would, or end the search past the cap."""
         nonlocal attempts, truncated
+        if attempts + tries > SUBSET_CAP:
+            attempts, truncated = SUBSET_CAP, True
+            return False
+        attempts += tries
+        return True
+
+    def rec(start: int, end: int, vals: list[int]) -> list[int] | None:
         if len(chosen) == L:
             return vals
-        end = len(elems)
-        if vals:
-            # the largest fresh combination, top+x or top*x, grows along the
-            # candidate list: stop at the first x that takes it past the horizon
-            top = max(vals)
-            end = bisect.bisect_right(
-                elems, H - top if additive else H // top, start)
-        for idx in range(start, end):
-            if attempts >= SUBSET_CAP:
-                truncated = True
-                return None
-            attempts += 1
-            x = elems[idx]
-            for v in vals:
-                if contains(v + x if additive else v * x) is not True:
-                    break
-            else:
-                chosen.append(x)
-                found = rec(idx + 1, vals + [v + x if additive else v * x for v in vals] + [x])
-                if found is not None:
-                    return found
-                chosen.pop()
-                if truncated:
+        pos, width = start, _IP_WINDOW
+        while pos < end:
+            # a window of candidates, doubling while none passes; with no
+            # combination yet every candidate passes
+            q = min(end, pos + width, pos + SUBSET_CAP - attempts + 1)
+            hits = passing(vals, pos, q) if vals else range(pos, q)
+            for idx in hits:
+                if not spend(idx + 1 - pos):
                     return None
+                x = elems[idx]
+                fresh = vals + [v + x if additive else v * x for v in vals] + [x]
+                # x's successors end where top+x or top*x, the largest combination, passes H
+                top = max(fresh)
+                cut = bisect.bisect_right(elems, H - top if additive else H // top, idx + 1)
+                if cut == idx + 1 and len(chosen) + 1 < L:
+                    # no later x leaves its successor a candidate either
+                    spend(end - idx - 1)
+                    return None
+                chosen.append(x)
+                if (found := rec(idx + 1, cut, fresh)) is not None:
+                    return found
+                # past the cap every later spend fails, so the search unwinds
+                chosen.pop()
+                pos = idx + 1
+            if not spend(q - pos):
+                return None
+            pos, width = q, _IP_WINDOW if hits else 2 * width
         return None
 
-    values = rec(0, [])
+    values = rec(0, len(elems), [])
     if values is not None:
         return Verdict.proved(
             {"sequence": list(chosen), "values": sorted(set(values))}, bounds)

@@ -613,19 +613,40 @@ def _both(A, new, plain):
     return results
 
 
+# 1 and the 16 candidates 3, 5, ..., 33 after it, of which only 33 sums into the set
+_HIT_AT_16 = "{" + ",".join(map(str, [*range(1, 34, 2), 34])) + "}"
+
+
 @settings(max_examples=200, deadline=None)
 @given(_LOOP_SETS, st.integers(1, 4), st.sampled_from(["additive", "multiplicative"]),
        st.integers(20, 400), st.integers(15, 400))
 # 2 + 59 = 61 lies above the enumeration: unknown, so 59 is refused and [5, 17] proved
 @example(("fp(primeseq(odd))", 60), 2, "additive", 400, 400)
+# the root's candidates, until one leaves its successor no candidate (nor do later ones)
+@example(("primes", 5000), 2, "multiplicative", 5000, 100_000)
+# dense windows that pass nothing, until the cap
+@example(("shift(mult(3),2)", 400), 2, "additive", 400, 1000)
+# 1 + 33 = 34 passes at the 16th candidate after 1, the last of a first window; a cap
+# of 16 ends the search one candidate short of it
+@example((_HIT_AT_16, 60), 2, "additive", 60, 400)
+@example((_HIT_AT_16, 60), 2, "additive", 60, 16)
+# dense windows that pass candidates deeper in the search
+@example(("fp(primeseq(odd))", 400), 3, "additive", 400, 100_000)
+@example(("level(2)", 400), 3, "multiplicative", 400, 400)
+# sparse windows: few candidates over a long span of cells
+@example(("ap(5,1000)", 20000), 2, "additive", 20000, 400)
+@example(("construct(sidon)", 20000), 3, "additive", 20000, 400)
+@example(("dilate(1000,odd)", 20000), 2, "additive", 20000, 400)
+@example((f"dilate(1000,{_HIT_AT_16})", 40000), 2, "additive", 40000, 400)
+# 1 is a member, in both modes
+@example(("union({1},shift(mult(3),2))", 400), 3, "additive", 400, 400)
+@example(("union({1},dilate(2,odd))", 400), 3, "multiplicative", 400, 400)
 def test_ip_search_matches_the_plain_scan(set_at, L, mode, H, cap):
     # a cap of at least 2^4 - 1 lets every L run, and a low one truncates the search
     A = ev(*set_at)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(largeness, "SUBSET_CAP", cap)
-        new, plain = _both(A, lambda R: ip_search(R, L, H, mode),
-                           lambda R: _plain_ip_search(R, L, H, mode))
-    assert new == plain
+        assert ip_search(A, L, H, mode).to_json() == _plain_ip_search(A, L, H, mode).to_json()
 
 
 @settings(max_examples=200, deadline=None)

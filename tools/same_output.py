@@ -44,6 +44,10 @@ The battery, read from this checkout:
 - the candidate loops of A-IP, M-IP, A-IP*, A-J, M-J, A-pcws and NMAX* at
   horizon 5000 on the sets whose searches run longest or to the step cap, and
   the three combination searches again with ``--L`` 2 and 5,
+- the three combination searches at horizons 100000 and 1000000 on sparse sets
+  (``construct(sidon)``, ``ap(5,1000)``, ``dilate(1000,odd)``), on sets whose
+  multiplicative searches run long (``dilate(2,odd)``, ``level(4)``,
+  ``primes``) and on ``N``, which proves at once,
 - the two places that validate bounds: every bound flag (``cli._BOUND_FLAGS``
   of NEW) at 0 on ``check`` and ``diagram``, ``--horizon 0`` on every
   subcommand, ``--json`` alone, ``--format json`` (an unknown option since
@@ -144,6 +148,9 @@ LOOP_EXPRS = ("dilate(2,odd)", "shift(mult(3),2)", "fp(primeseq(odd))", "level(2
               "construct(sidon)")
 LOOP_PROPS = ("a-ip", "m-ip", "a-ip*", "a-j", "m-j", "a-pcws", "nmax*")
 LOOP_HORIZON = "5000"
+IP_EXPRS = ("construct(sidon)", "ap(5,1000)", "dilate(1000,odd)", "dilate(2,odd)", "level(4)",
+            "primes", "N")
+IP_HORIZONS = ("100000", "1000000")
 FINITE_EXPRS = ("level(0)", "dilate(3,{2,5})", "union(level(0),mult(2))",
                 "construct(fp_primes,odd,4)")
 RUN_EXPRS = ("union(mult(7),shift(mult(7),1))", "ap(3,7)", "compl(mult(3))",
@@ -259,6 +266,8 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         for prop in LOOP_PROPS[:3]:
             cmds += [["check", prop, expr, "--horizon", LOOP_HORIZON, "--L", L, "--json"]
                      for L in ("2", "5")]
+    cmds += [["check", prop, expr, "--horizon", h, "--json"]
+             for prop in LOOP_PROPS[:3] for expr in IP_EXPRS for h in IP_HORIZONS]
     for flag in table_keys(new, "felab.cli", "_BOUND_FLAGS"):
         cmds += [["check", "max", "N", flag, "0"], ["diagram", "N", flag, "0"]]
     cmds.append(["diagram", "N", "--star-a-max", "0"])
