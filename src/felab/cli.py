@@ -482,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dilation embeddability of A's prefix into B")
     p.add_argument("expr_a")
     p.add_argument("expr_b")
-    p.add_argument("--prefix", type=int, default=16, help="prefix length of A")
-    p.add_argument("--kmax", type=int, default=1_000_000, help="largest dilation tried")
+    p.add_argument("--prefix", type=int, default=embed.DEFAULT_PREFIX, help="prefix length of A")
+    p.add_argument("--kmax", type=int, default=embed.DEFAULT_K_MAX, help="largest dilation tried")
     p.set_defaults(func=cmd_fe)
 
     p = sub.add_parser("me", parents=[common],
@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr_a")
     p.add_argument("expr_b")
     p.add_argument("--m", type=int, required=True, help="subset cardinality")
-    p.add_argument("--kmax", type=int, default=1_000_000, help="largest dilation tried")
+    p.add_argument("--kmax", type=int, default=embed.DEFAULT_K_MAX, help="largest dilation tried")
     p.set_defaults(func=cmd_me)
 
     p = sub.add_parser("diagram", parents=[common, bounds],

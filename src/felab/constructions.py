@@ -209,8 +209,6 @@ def equal_exponent_pred(n: int) -> bool:
 
 def gen_equal_exponent(H: int) -> list[int]:
     """All n <= H whose prime exponents are all equal."""
-    if H < 2:
-        raise InputError(f"horizon must be >= 2, got {H}")
     table = arith.ensure_sieve(H).table
     out: list[int] = []
     for n in range(2, H + 1):

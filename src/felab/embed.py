@@ -23,6 +23,9 @@ from .setlang import analysis, nodes
 from .setlang.lazyset import DEFAULT_HORIZON, SUBSET_CAP, LazySet
 from .verdicts import Verdict
 
+# the prefix length and the largest dilation of fe and me when none is given
+DEFAULT_PREFIX = 16
+DEFAULT_K_MAX = 1_000_000
 _CHAIN_SCAN_CAP = 200_000
 # on a 2-core host a chain of depth 100 takes 0.13 s at width 8 and 2.7 s at width
 # 5000 (5.5 s at 10000): each level costs time and memory linear in its width
@@ -142,7 +145,7 @@ def fe_fip_oracle(F, B: LazySet, k_max: int) -> FeWitness | FeRefutation:
     return _fe_search(F, B, k_max, lambda ks: (ks,))
 
 
-def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
+def fe_prefix_check(A: LazySet, B: LazySet, p: int = DEFAULT_PREFIX, k_max: int = DEFAULT_K_MAX,
                     horizon: int = DEFAULT_HORIZON) -> tuple[Verdict, dict]:
     """Embed A's first p elements into B, refuting exactly when possible.
 
@@ -154,7 +157,9 @@ def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
     fam = prefix_of(A, p, horizon)
     found: dict = {"family": fam}
     try:
-        found["level"] = fe_refute_level(A.elements(horizon), B)
+        # any member makes a sound level certificate, so the listed ones up to the
+        # horizon do: completing A to it could pass the element cap for nothing
+        found["level"] = fe_refute_level(itertools.takewhile(horizon.__ge__, A.elements()), B)
     except InapplicableError as exc:
         found["level"] = exc
     found["residue"] = fe_refute_residue(fam, B)
@@ -172,18 +177,18 @@ def fe_prefix_check(A: LazySet, B: LazySet, p: int = 16, k_max: int = 1_000_000,
 
 
 def prefix_of(A: LazySet, p: int, horizon: int = DEFAULT_HORIZON) -> tuple[int, ...]:
-    """A's first p members, growing an EXACT enumeration once if too few are known."""
+    """A's first p members up to complete_below, past which a listed member may follow
+    unlisted ones; an EXACT enumeration grows once if too few are known."""
     if p < 1:
         raise InputError(f"prefix length must be >= 1, got {p}")
-    known = A.elements()
+    known = A.elements(A.complete_below)
     if len(known) < p:
         if A.finite:
             if not known:
                 raise InputError("prefix of an empty set is undefined")
             return tuple(known)
-        if A.pred is not None:
-            A.extend_to(max(A.complete_below * 2, horizon))
-            known = A.elements()
+        if A.is_exact:
+            known = A.elements(max(A.complete_below * 2, horizon))
         if len(known) < p:
             raise PrecisionError(
                 f"only {len(known)} elements of {A.describe_short()} are known; "
@@ -194,13 +199,16 @@ def prefix_of(A: LazySet, p: int, horizon: int = DEFAULT_HORIZON) -> tuple[int, 
 
 
 def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
-             k_max: int = 1_000_000) -> Verdict:
+             k_max: int = DEFAULT_K_MAX) -> Verdict:
     """All m-subsets of A within the horizon embed into B."""
     if m < 1:
         raise InputError(f"subset cardinality must be >= 1, got {m}")
     if k_max < 1:
         raise InputError(f"k_max must be >= 1, got {k_max}")
-    pool = A.complete_elements(H)
+    if H > A.complete_below and not A.is_exact:
+        raise PrecisionError(f"enumeration of {A.describe_short()} is only complete below "
+                             f"{A.complete_below}", required_horizon=H)
+    pool = A.elements(H)
     if len(pool) < m:
         raise InputError(
             f"A has only {len(pool)} elements within horizon {H}, need {m}")

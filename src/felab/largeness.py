@@ -159,9 +159,6 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
         raise ResourceError(
             f"2^{L}-1 combinations exceed the subset cap {SUBSET_CAP}")
     bounds = {"horizon": H, "L": L, "mode": mode}
-    # extend_to leaves a PREFIX set as it is; either way contains(n) is True for
-    # n <= H exactly at the listed members, so their marks answer every test
-    A.extend_to(H)
     elems = A.elements(H)
     additive = mode == "additive"
     marks = bytearray()  # marks[n] is 1 for a member n, grown as far as a window reads
@@ -304,12 +301,16 @@ def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
     if N > H:
         raise InputError(f"divisor bound {N} exceeds horizon {H}")
     bounds = {"N": N, "horizon": H}
-    # known members above the horizon (generated fixtures) are still sound witnesses
-    elems = A.elements()
+    elems = None
     witnesses: dict[int, int] = {}
     for m in range(1, N + 1):
         k = _least_dilation((m,), A.contains,
                             _one_by_one(range(1, min(H // m, _MULT_WALK_CAP) + 1)))
+        if k is None and elems is None:
+            # the members up to H, then the listed ones past it: all sound witnesses, read
+            # only now, since completing A to H may pass the cap where the walk decides
+            elems = A.elements(H)
+            elems = elems + A.elements()[len(elems):]
         w = k * m if k is not None else next((e for e in elems if e % m == 0), None)
         if w is None:
             if A.finite:
@@ -358,12 +359,8 @@ def maxstar_check(A: LazySet, a_max: int, H: int = DEFAULT_HORIZON) -> Verdict:
 
 def nmax_refute(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Seek s pairwise-coprime numbers none of which divides any member."""
-    if A.is_exact:
-        members = A.complete_elements(H)
-        complete_to = H
-    else:
-        complete_to = min(H, A.complete_below)
-        members = A.elements(complete_to)
+    complete_to = H if A.is_exact else min(H, A.complete_below)
+    members = A.elements(complete_to)
     bounds = {"horizon": H, "s": s, "members_complete_below": complete_to}
     used: set[int] = set()
     for e in members:

@@ -185,7 +185,6 @@ def complement(kid: LazySet, expr, h: int) -> LazySet:
 
 def _eval_up(expr: nodes.Up, h: int) -> LazySet:
     kid = _eval(expr.arg, h)
-    kid.extend_to(h)
     elems = kid.elements(h)
     # every multiple of the least element is a member: refuse before the marks exist
     if elems and h // elems[0] > MAX_ELEMENTS:

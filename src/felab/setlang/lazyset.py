@@ -4,7 +4,8 @@ A LazySet knows a sorted list of members and the bound `complete_below` up to
 which that list is exhaustive, so membership at or below the bound is a lookup
 in the list. EXACT sets additionally carry a total membership predicate, which
 answers every query above the bound; PREFIX sets answer True for listed members
-there and unknown (None) otherwise.
+there and unknown (None) otherwise. Reading the members up to a bound completes
+an EXACT set to that bound first, so no reader has to grow a set before it reads.
 Known members may legitimately sit above the bound: generated fixtures keep all
 their elements even past the evaluation horizon, because discarding them would
 only discard sound witnesses.
@@ -16,7 +17,7 @@ import bisect
 from itertools import compress
 from typing import Callable, Collection, Sequence
 
-from ..errors import PrecisionError, ResourceError
+from ..errors import ResourceError
 
 # the evaluation horizon when none is given, and the caps on what one evaluation
 # or one search may build
@@ -80,11 +81,15 @@ class LazySet:
         return True if n in self._member_set else None
 
     def elements(self, bound: int | None = None) -> list[int]:
-        """Known members, optionally cut at bound. A sound sublist of the set."""
+        """The members up to bound: every one for an EXACT set, whose list first grows
+        to bound, and the listed ones for a PREFIX set. With no bound, every listed
+        member, also those past complete_below. The list may be the set's own, so
+        callers do not write to it."""
         if bound is None:
-            return list(self._members)
+            return self._members
+        self.extend_to(bound)
         idx = bisect.bisect_right(self._members, bound)
-        return self._members[:idx]
+        return self._members if idx == len(self._members) else self._members[:idx]
 
     def extend_to(self, bound: int) -> None:
         """Grow the enumeration of an EXACT set so completeness reaches `bound`."""
@@ -103,16 +108,6 @@ class LazySet:
         self._member_set.update(fresh)
         self._members = sorted(self._member_set)
         self.complete_below = bound
-
-    def complete_elements(self, bound: int) -> list[int]:
-        """Every member <= bound; raises a precision error if that is not knowable."""
-        if bound > self.complete_below:
-            if self.pred is None:
-                raise PrecisionError(
-                    f"enumeration of {self.describe_short()} is only complete below "
-                    f"{self.complete_below}", required_horizon=bound)
-            self.extend_to(bound)
-        return self.elements(bound)
 
     def max_known(self) -> int:
         return self._members[-1] if self._members else 0

@@ -195,6 +195,34 @@ def _same_as_row(code, out, err, row):
     assert code == payload["exit"]
 
 
+def test_check_max_completes_the_set_as_diagram_does(capsys):
+    """quot(ap(8000,1),2) lists no member up to 2500, where its list is complete;
+    MAX finds 4000 for n = 1 whether or not A-IP grew the set before it."""
+    expr = "quot(ap(8000,1),2)"
+    code, out, err = run(["check", "max", expr, "--horizon", "5000", "--json"], capsys)
+    assert cli.main(["diagram", expr, "--horizon", "5000", "--json"]) == 0
+    row = next(r for r in json.loads(capsys.readouterr().out)["report"]["properties"]
+               if r["name"] == "MAX")
+    assert row["verdict"] == "proved" and row["certificate"]["witnesses"]["1"] == 4000
+    _same_as_row(code, out, err, row)
+
+
+def test_pseudo_reads_past_the_listed_members(capsys):
+    """The second chain set lists nothing up to 4800; its least member above 1 is 4900."""
+    chain = "pseudo(2,N,shift(ap(5100,1),200))"
+    assert evaluate(parse(chain), 5000).elements() == [1, 4900]
+    code, payload = run_json(["check", "max", chain, "--horizon", "5000"], capsys)
+    assert code == 1
+    assert payload["verdict"]["certificate"] == {"n0": 3, "reason": "finite set has no multiple"}
+
+
+def test_fe_prefix_reads_past_the_listed_members(capsys):
+    """The union lists 1000000 but is complete only to 2500; its least member is 4000."""
+    code, payload = run_json(["fe", "union({1000000},quot(ap(8000,1),2))", "mult(7)",
+                              "--prefix", "1", "--horizon", "5000"], capsys)
+    assert code == 0 and payload["verdict"]["certificate"]["witness"]["family"] == [4000]
+
+
 @pytest.mark.parametrize("name", CHECKERS)
 def test_check_agrees_with_diagram_row(name, diagram_rows, capsys):
     for expr in AGREE_EXPRS:

@@ -205,6 +205,13 @@ def test_equal_exponent_examples():
     assert gen_equal_exponent(36)[:12] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14]
 
 
+def test_equal_exponent_at_horizon_one():
+    """Below 2 the listing is simply empty, as every other set evaluates at horizon 1."""
+    assert gen_equal_exponent(1) == []
+    A = evaluate(parse("construct(equal_exponent)"), 1)
+    assert A.elements() == [] and A.complete_below == 1 and A.contains(4) is True
+
+
 def test_equal_exponent_listing_matches_pred():
     H = 5000
     assert gen_equal_exponent(H) == [n for n in range(2, H + 1) if equal_exponent_pred(n)]

@@ -163,6 +163,25 @@ def test_ip_star(N, evens, FG):
         ip_star_check(FG, 2)
 
 
+def _outcome(name, A, params):
+    try:
+        return CHECKERS[name](A, params).to_json()
+    except InapplicableError as exc:
+        return {"inapplicable": str(exc)}
+
+
+@pytest.mark.parametrize("text", ["quot(ap(8000,1),2)", "shift(ap(5100,1),200)",
+                                  "union({4500},quot(ap(8000,1),2))"])
+def test_checkers_answer_alike_before_and_after_a_diagram(text):
+    """Sets listed only below the horizon: a checker's answer does not depend on
+    whether the checkers before it in a diagram have completed the set."""
+    params = PropertyParams(horizon=5000)
+    grown = ev(text, 5000)
+    diagram_report(grown, params)
+    for name in CHECKERS:
+        assert _outcome(name, ev(text, 5000), params) == _outcome(name, grown, params), name
+
+
 def test_ip_star_leaves_its_set_alone():
     """The dual check reads A's members and predicate; it does not grow A."""
     A = ev("quot(compl(mult(8)),2)", horizon=5000)  # compl(mult(4)), complete to 2500
@@ -447,7 +466,7 @@ def _recorded(A):
 
 
 def _plain_ip_search(A, L, horizon, mode):
-    elems = A.complete_elements(horizon) if A.is_exact else A.elements(horizon)
+    elems = A.elements(horizon)
     additive = mode == "additive"
     attempts, truncated, chosen = 0, False, []
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from felab import arith, cli, constructions, largeness
+from felab import arith, cli, constructions, embed, largeness
 from felab.constructions import FIXTURES
 from felab.errors import InputError, ParseError, PrecisionError, ResourceError
 import felab.setlang.evaluate as evaluator
@@ -307,8 +307,9 @@ def test_fs_of_named_rule_is_prefix_class():
     assert A.contains(1) is True
     assert A.contains(2) is False  # below the completeness bound, absent
     assert A.contains(A.complete_below + 1) in (True, None)
+    # no member list of a PREFIX set is complete past its bound, so me refuses it
     with pytest.raises(PrecisionError):
-        A.complete_elements(10**9)
+        embed.me_check(A, ev("N"), 1, 10**9)
 
 
 _RULES = {
@@ -559,6 +560,29 @@ def test_evaluator_agrees_with_the_reference(tree, h):
     assert A.elements(bound) == [n for n in range(1, bound + 1) if member(n)]
 
 
+@st.composite
+def _pseudo_tree(draw):
+    """pseudo over a decreasing chain of infinite sets: N first or not, then quotients
+    by w (a divisor of a, so never empty) or shifts by w of ap(a, d), each d dividing
+    the next. Such a set is listed only up to h // w or h - w, short of the horizon h."""
+    kind, w = draw(st.sampled_from(["quot", "shift"])), draw(st.integers(1, 40))
+    a = draw(st.integers(1, 150)) * (w if kind == "quot" else 1)
+    ds = [draw(st.integers(1, 6))]
+    for _ in range(draw(st.integers(0, 3))):
+        ds.append(ds[-1] * draw(st.integers(1, 3)))
+    chain = [("N",)] * draw(st.booleans()) + [(kind, ("ap", a, d), w) for d in ds]
+    return ("pseudo", draw(st.integers(1, len(chain))), *chain)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pseudo_tree(), st.sampled_from([60, 200]))
+def test_pseudo_agrees_with_the_reference(tree, h):
+    """A pseudointersection reads every member of its chain sets up to the horizon,
+    so it lists exactly the reference values up to h."""
+    A = evaluate(parse(workloads.text(tree)), h)
+    assert A.elements() == [v for v in reference.finite_elements(tree) if v <= h]
+
+
 def test_level_set_of_is_exact_where_levels_of_only_covers():
     assert level_set_of(parse("level(3)")) == frozenset({3})
     assert level_set_of(parse("quot(union(level(2),level(3)),2)")) == frozenset({1, 2})
@@ -603,7 +627,7 @@ def test_level_sets_agree_with_the_reference(tree, h):
     assert A.is_exact and A.finite == (not any(levels))
     if any(levels):
         assert A.complete_below == h
-    assert A.complete_elements(h) == [n for n in range(1, h + 1) if member(n)]
+    assert A.elements(h) == [n for n in range(1, h + 1) if member(n)]
 
 
 def test_level_set_is_complete_where_the_children_were_not():
@@ -753,7 +777,7 @@ def test_membership_never_lies_below_bound(tree, n):
 @given(_tree)
 def test_member_list_agrees_with_predicate_below_bound(tree):
     """EXACT sets: contains() reads the member list at or below complete_below,
-    so the list must match the predicate there, also after extend_to. Checked
+    so the list must match the predicate there, also after elements grows it. Checked
     from 1 up and in the 400 numbers just below the bound, where an off-by-one
     bound shows."""
     A = evaluate(tree, HORIZON)
@@ -764,4 +788,4 @@ def test_member_list_agrees_with_predicate_below_bound(tree):
         ns = sorted({*range(1, min(top, 400) + 1), *range(max(top - 400, 1), top + 1)})
         listed = set(A.elements(top))
         assert [n for n in ns if A.pred(n)] == [n for n in ns if n in listed]
-        A.extend_to(top + min(top, 400))
+        A.elements(top + min(top, 400))

@@ -96,7 +96,16 @@ The battery, read from this checkout:
 - ``check a-thick`` on ``fs`` of 17 pinned terms, at the subset cap, and of 18,
   over it,
 - ``construct thick_nonmaxstar 300`` as JSON and with ``--emit`` into the
-  scratch directory.
+  scratch directory,
+- the reads of sets complete only below the horizon, at horizon 5000:
+  ``check max`` and ``diagram`` on ``quot(ap(8000,1),2)``, ``check max`` on a
+  ``pseudo`` chain through a shifted ``ap`` and ``fe --prefix 1`` of a union
+  with a member far past the horizon (an OLD tree that read only the listed
+  members answers these three wrongly, a documented difference), and ``check
+  max`` and ``fe`` on ``quot(mult(2),2)`` at horizon 3000000, which the walk and
+  the prefix decide without completing the set past the element cap,
+- ``check a-thick --n 1`` on ``construct(equal_exponent)`` at horizon 1, which
+  an OLD tree refused (a documented difference).
 
 Standard library only.
 """
@@ -327,6 +336,15 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
              for count in (17, 18)]
     cmds += [["construct", "thick_nonmaxstar", "300", "--json"],
              ["construct", "thick_nonmaxstar", "300", "--emit", str(scratch / "thick.set")]]
+    cmds += [["check", "max", "quot(ap(8000,1),2)", "--horizon", "5000", "--json"],
+             ["diagram", "quot(ap(8000,1),2)", "--horizon", "5000", "--json"],
+             ["check", "max", "pseudo(2,N,shift(ap(5100,1),200))", "--horizon", "5000", "--json"],
+             ["fe", "union({1000000},quot(ap(8000,1),2))", "mult(7)", "--prefix", "1",
+              "--horizon", "5000", "--json"],
+             ["check", "max", "quot(mult(2),2)", "--horizon", "3000000", "--json"],
+             ["fe", "quot(mult(2),2)", "mult(3)", "--horizon", "3000000", "--json"],
+             ["check", "a-thick", "construct(equal_exponent)", "--horizon", "1", "--n", "1",
+              "--json"]]
     return cmds
 
 
