@@ -332,7 +332,10 @@ def extract_strong_antichain(A, s: int, H: int) -> list[int] | None:
             count(last - pos + 1)
         return False
 
-    return chosen if rec((1 << len(pool)) - 1, 0) else None
+    try:
+        return chosen if rec((1 << len(pool)) - 1, 0) else None
+    finally:
+        del rec  # it refers to itself, a cycle that would hold pool and primes until a collection
 
 
 def crt_solve(congruences) -> int | None:

@@ -64,18 +64,38 @@ def _check_family(F) -> tuple[int, ...]:
     return fam
 
 
-def _least_dilation(fam, contains, blocks, undecided=None) -> int | None:
+class _Undecided:
+    """The k left alive only by unknown answers, kept as the four values their
+    PrecisionError names: how many, the first and the last k, and the largest
+    unknown point. Its size does not grow with the number of k."""
+
+    count = first = last = worst = 0
+
+    def add(self, k: int, point: int) -> None:
+        self.first = self.first or k
+        self.count += 1
+        self.last = k
+        self.worst = max(self.worst, point)
+
+    def error(self) -> PrecisionError:
+        return PrecisionError(
+            f"membership unknown for {self.count} candidate dilations "
+            f"(first k={self.first}, last k={self.last})",
+            required_horizon=self.worst,
+        )
+
+
+def _least_dilation(fam, contains, blocks, undecided: _Undecided | None = None) -> int | None:
     """Least k, block by block, with contains(k*a) True for every a in fam.
 
     Within a block each member a strikes out the k it refutes (contains False)
     and the first k left with every answer True wins. A block of one k tests
     that k's images in family order; one block of every k intersects the
     quotient sets B/a. The k of a block left alive only by unknown answers go
-    to `undecided` as (k, unknown points), ascending in k.
+    to `undecided`, ascending in k, each with its largest unknown point.
     """
-    unknown: dict[int, list[int]] = {}
     for block in blocks:
-        live = block
+        live, unknown = block, {}  # unknown[k]: the largest point left unknown for k
         for a in fam:
             kept = []
             for k in live:
@@ -83,7 +103,7 @@ def _least_dilation(fam, contains, blocks, undecided=None) -> int | None:
                 if r is not False:
                     kept.append(k)
                     if r is None:
-                        unknown.setdefault(k, []).append(k * a)
+                        unknown[k] = max(unknown.get(k, 0), k * a)
             live = kept
             if not live:
                 break
@@ -92,23 +112,14 @@ def _least_dilation(fam, contains, blocks, undecided=None) -> int | None:
                 if k not in unknown:
                     return k
             if undecided is not None:
-                undecided.extend((k, tuple(unknown[k])) for k in live)
+                for k in live:
+                    undecided.add(k, unknown[k])
     return None
 
 
 def _one_by_one(ks):
     """Blocks of one k each: the k-major scan that stops at the first witness."""
     return ((k,) for k in ks)
-
-
-def _precision(undecided: list[tuple[int, tuple[int, ...]]]) -> PrecisionError:
-    worst = max(max(pts) for _, pts in undecided)
-    ks = [k for k, _ in undecided]
-    return PrecisionError(
-        f"membership unknown for {len(ks)} candidate dilations "
-        f"(first k={ks[0]}, last k={ks[-1]})",
-        required_horizon=worst,
-    )
 
 
 def _k_candidates(B: LazySet, fam: tuple[int, ...], k_max: int) -> tuple[list[int] | range, bool]:
@@ -124,14 +135,14 @@ def _k_candidates(B: LazySet, fam: tuple[int, ...], k_max: int) -> tuple[list[in
 def _fe_search(F, B: LazySet, k_max: int, blocks) -> FeWitness | FeRefutation:
     fam = _check_family(F)
     ks, closed = _k_candidates(B, fam, k_max)
-    undecided: list[tuple[int, tuple[int, ...]]] = []
+    undecided = _Undecided()
     k = _least_dilation(fam, B.contains, blocks(ks), undecided)
     if k is not None:
         return FeWitness(k, fam, tuple(k * f for f in fam))
     if closed:
         return FeRefutation("finite-target", fam, {"bound": B.max_known() // fam[0]})
-    if undecided:
-        raise _precision(undecided)
+    if undecided.count:
+        raise undecided.error()
     return FeRefutation("exhausted", fam, {"k_max": k_max})
 
 

@@ -233,7 +233,10 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
             pos, width = q, _IP_WINDOW if hits else 2 * width
         return None
 
-    values = rec(0, len(elems), [])
+    try:
+        values = rec(0, len(elems), [])
+    finally:
+        del rec  # it refers to itself, a cycle that would hold the marks until a collection
     if values is not None:
         return Verdict.proved(
             {"sequence": list(chosen), "values": sorted(set(values))}, bounds)

@@ -190,10 +190,19 @@ def _eval_up(expr: nodes.Up, h: int) -> LazySet:
     if elems and h // elems[0] > MAX_ELEMENTS:
         raise over_cap()
     marks = bytearray(h)  # marks[n - 1] for n
+    minimal = []  # the members no smaller member divides; their multiples are the set
     for a in elems:
-        marks[a - 1::a] = b"\x01" * (h // a)
+        if not marks[a - 1]:
+            marks[a - 1::a] = b"\x01" * (h // a)
+            minimal.append(a)
     pred = None
-    if kid.pred is not None:
+    if kid.finite:
+        # every member is listed, also those past h, so no n needs its divisors
+        for a in kid.elements()[len(elems):]:
+            if all(a % b for b in minimal):
+                minimal.append(a)
+        pred = lambda n: any(n % a == 0 for a in minimal)
+    elif kid.pred is not None:
         p = kid.pred
         pred = lambda n: any(p(d) for d in arith.divisors(n))
     return LazySet.of_marks(expr, marks, min(kid.complete_below, h), pred=pred)

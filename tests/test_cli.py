@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -678,6 +679,25 @@ def test_src_defines_no_unused_names():
     tool = Path(__file__).resolve().parents[1] / "tools" / "unused_names.py"
     proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_a_long_undecided_scan_needs_little_memory(tmp_path):
+    """fe keeps four values of its undecided dilations, not one entry per k: under
+    an address-space limit that a record of all 995000 of them passes, the scan
+    still ends with exit 5 and one error line, not a MemoryError traceback."""
+    limit = 128 << 20
+
+    def cap_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "felab", "fe", "{4,8}", "fp(primeseq(all))",
+         "--horizon", "20000", "--json"],
+        capture_output=True, text=True, env=conftest.module_env(), cwd=tmp_path, timeout=120,
+        preexec_fn=cap_memory)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == ("error: membership unknown for 995000 candidate dilations "
+                           "(first k=5001, last k=1000000) (rerun with horizon >= 8000000)\n")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

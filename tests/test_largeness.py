@@ -1,5 +1,8 @@
 """Largeness-property deciders, the implication diagram, and the poset atlas."""
 
+import gc
+import types
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -666,6 +669,28 @@ def test_ip_search_matches_the_plain_scan(set_at, L, mode, H, cap):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(largeness, "SUBSET_CAP", cap)
         assert ip_search(A, L, H, mode).to_json() == _plain_ip_search(A, L, H, mode).to_json()
+
+
+def _live_recs():
+    """The recursive helpers of ip_search and the antichain search still alive."""
+    names = ("ip_search.<locals>.rec", "extract_strong_antichain.<locals>.rec")
+    return [f for f in gc.get_objects()
+            if isinstance(f, types.FunctionType) and f.__qualname__ in names]
+
+
+def test_the_recursive_searches_leave_no_cycle():
+    """ip_search and the antichain search free their recursive helper when they
+    return, instead of leaving it in a reference cycle with itself (and with the
+    tables it reads) until the collector runs: a batch process then peaks lower."""
+    A, B = ev("dilate(2,odd)", 5000), ev("up({6,10,15})", 5000)
+    gc.collect()
+    gc.disable()
+    try:
+        assert ip_search(A, 3, 5000).status == "bounded"
+        assert arith.extract_strong_antichain(B.elements(5000), 4, 5000) is None
+        assert _live_recs() == []
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=200, deadline=None)

@@ -546,6 +546,49 @@ def test_structural_analyses_agree_with_the_reference(tree, m):
         assert all(reference.omega(n) in cover for n in range(1, _WINDOW + 1) if member(n))
 
 
+def _check_above_bound(tree, h, points):
+    """contains of the set evaluated at h matches the reference membership at
+    every point above the set's bound."""
+    A = evaluate(parse(workloads.text(tree)), h)
+    above = [n for n in points if n > A.complete_below]
+    assert [A.contains(n) for n in above] == [reference.member(tree, n) for n in above]
+
+
+_finite_sets = st.lists(st.integers(min_value=2, max_value=300), min_size=1, max_size=4,
+                        unique=True).map(lambda v: ("set", tuple(sorted(v))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_finite_sets, st.sampled_from([None, "compl", "quot", "shift", "dilate"]),
+       st.integers(min_value=2, max_value=7), st.sampled_from([20, 60]))
+def test_up_of_a_finite_set_agrees_with_the_reference(F, wrap, k, h):
+    """up of a finite set answers from its minimal members, also those past the
+    horizon, under each one-child node above it."""
+    tree = {None: ("up", F), "compl": ("compl", ("up", F)), "quot": ("quot", ("up", F), k),
+            "shift": ("shift", ("up", F), k), "dilate": ("dilate", k, ("up", F))}[wrap]
+    _check_above_bound(tree, h, range(1, 2500))
+
+
+_UP = ("up", ("set", (6, 10, 15)))
+
+
+@pytest.mark.parametrize("tree, h, points", [
+    (_UP, 20, range(1, 400)),
+    # a minimal member past the horizon, which the listed marks do not hold
+    (("up", ("set", (6, 50000))), 20000,
+     [20001, 20004, 49999, 50000, 50001, 100000, 150000, 150001]),
+    (("up", ("set", (2, 30001))), 20000, [30001, 60002, 90003, 90005]),
+    (("compl", ("up", ("set", (4, 6)))), 20, range(1, 400)),
+    (("quot", _UP, 2), 20, range(1, 400)),
+    (("shift", _UP, 7), 20, range(1, 400)),
+    (("dilate", 3, _UP), 20, range(1, 400)),
+    (("up", ("inter", ("mult", 2), ("set", (3, 5)))), 20, range(1, 400)),  # up of the empty set
+    (("up", ("set", (4, 6, 8, 12, 30))), 20, range(1, 400)),  # members that are not minimal
+])
+def test_up_of_a_finite_set_hand_cases(tree, h, points):
+    _check_above_bound(tree, h, points)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.recursive(_tuple_leaf, _tuple_extend, max_leaves=6), st.sampled_from([20, 60]))
 def test_evaluator_agrees_with_the_reference(tree, h):

@@ -105,7 +105,14 @@ The battery, read from this checkout:
   max`` and ``fe`` on ``quot(mult(2),2)`` at horizon 3000000, which the walk and
   the prefix decide without completing the set past the element cap,
 - ``check a-thick --n 1`` on ``construct(equal_exponent)`` at horizon 1, which
-  an OLD tree refused (a documented difference).
+  an OLD tree refused (a documented difference),
+- sets of each node kind of the eventually periodic fragment (``N``, ``mult``,
+  ``ap``, ``{…}``, ``union``, ``inter``, ``compl``, ``dilate``, ``quot``,
+  ``shift`` and ``up`` of a finite set, also one with a member past the
+  horizon), as targets of ``fe`` and ``me`` and under ``check max`` and
+  ``diagram`` at horizon 5000, and ``check
+  max`` on a union that lists members past its bound at horizon 100,
+- ``fe`` on a target whose membership stays unknown for 995000 dilations.
 
 Standard library only.
 """
@@ -173,6 +180,13 @@ LEVEL_EXPRS = ("quot(level(2),2)", "quot(union(level(2),level(3)),2)",
                "quot(level(1),4)", "construct(sidon_levels,6,1)", "construct(sidon_levels,4,0)")
 # level 0 alone ({1}) and no level (empty)
 ZERO_LEVEL_EXPRS = ("quot(level(2),4)", "inter(level(1),level(2))")
+# each node kind of the eventually periodic fragment, whose membership above the
+# bound is read through the predicate
+PERIODIC_EXPRS = ("N", "mult(6)", "ap(4,6)", "union(mult(4),ap(3,10),{1,7})",
+                  "inter(compl(mult(3)),ap(1,2))", "compl(up({4,6}))", "dilate(3,up({6,10,15}))",
+                  "quot(up({6,10,15}),2)", "shift(up({6,10,15}),7)", "up({6,10,15})",
+                  "up({6,50000})", "union(dilate(2,N),mult(3))")
+PERIODIC_HORIZON = "5000"
 
 
 def c10_battery() -> list[list[str]]:
@@ -345,6 +359,14 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
              ["fe", "quot(mult(2),2)", "mult(3)", "--horizon", "3000000", "--json"],
              ["check", "a-thick", "construct(equal_exponent)", "--horizon", "1", "--n", "1",
               "--json"]]
+    h = PERIODIC_HORIZON
+    for expr in PERIODIC_EXPRS:
+        cmds += [["fe", "mult(5)", expr, "--horizon", h, "--kmax", "20000", "--json"],
+                 ["me", "{2,3,5,7}", expr, "--m", "2", "--horizon", h, "--kmax", "2000", "--json"],
+                 ["check", "max", expr, "--horizon", h, "--json"],
+                 ["diagram", expr, "--horizon", h, "--json"]]
+    cmds += [["check", "max", "union(dilate(2,N),mult(3))", "--horizon", "100", "--json"],
+             ["fe", "{4,8}", "fp(primeseq(all))", "--horizon", "20000", "--json"]]
     return cmds
 
 
