@@ -204,8 +204,7 @@ def prefix_of(A: LazySet, p: int, horizon: int = DEFAULT_HORIZON) -> tuple[int, 
             raise PrecisionError(
                 f"only {len(known)} elements of {A.describe_short()} are known; "
                 f"cannot take a {p}-element prefix",
-                required_horizon=max(A.complete_below * 2, horizon),
-            )
+                required_horizon=max(A.complete_below * 2, horizon), horizon=horizon)
     return tuple(known[:p])
 
 

@@ -37,13 +37,21 @@ class ResourceError(FelabError):
 
 
 class PrecisionError(FelabError):
-    """Membership was unknown at a point a decision needed; names the horizon that would settle it."""
+    """Membership was unknown at a point a decision needed; names a horizon that would
+    settle it, or says that none the CLI accepts (above `horizon`, the one used, and
+    up to the sieve cap) is known to."""
 
     exit_code = 5
 
-    def __init__(self, message: str, required_horizon: int | None = None):
+    def __init__(self, message: str, required_horizon: int | None = None, horizon: int = 0):
         if required_horizon is not None:
-            message = f"{message} (rerun with horizon >= {required_horizon})"
+            from .arith import DEFAULT_SIEVE_CAP as cap  # arith imports this module
+
+            if not horizon < required_horizon <= cap:
+                required_horizon = None
+                message = f"{message} (no horizon up to the cap {cap} is known to settle it)"
+            else:
+                message = f"{message} (rerun with horizon >= {required_horizon})"
         super().__init__(message)
         self.required_horizon = required_horizon
 

@@ -20,6 +20,7 @@ and verifies the finite characterizations of the dilation properties exactly.
 from __future__ import annotations
 
 import bisect
+from itertools import chain, islice, repeat
 
 from . import arith
 from .constructions import gen_mj_funcs
@@ -51,39 +52,39 @@ def a_thick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     if n > H:
         raise InputError(f"run length {n} exceeds horizon {H}")
     bounds = {"horizon": H, "n": n}
-    if A.finite:
-        # the member list decides a finite set globally: the end x of its first run
-        elems = A.elements()
-        x = next((e for i, e in enumerate(elems[n - 1:]) if e - elems[i] == n - 1), None)
-        if x is None:
-            return Verdict.refuted({"reason": "finite set", "members": len(elems)}, bounds)
-        if x > H:
-            return Verdict.bounded("against", bounds, {"run_beyond_horizon": x - n})
-        return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
-    # periodic exact sets admit a genuine refutation: the scan carries on past H
-    # to a window that holds a whole period past the preperiod
-    period = analysis.period_of(A.expr) if A.is_exact else None
+    # the first run of a finite set ends by its largest member, and that of a
+    # periodic exact set within a window that holds a whole period past the
+    # preperiod, so the scan stops there, also when that is past H
+    period = analysis.period_of(A.expr) if A.is_exact and not A.finite else None
     window = None
     if period is not None and period[0] + period[1] + n <= _PERIOD_WINDOW_CAP:
         window = period[0] + period[1] + n
-    run = best = best_end = 0
+    top = A.max_known() if A.finite else window or H
+    # the member list decides every point up to its bound, contains those above it
+    lim, elems = min(top, A.complete_below), A.elements()
+    above = range(lim + 1, top + 1)
+    points = chain(zip(islice(elems, bisect.bisect_right(elems, lim)), repeat(True)),
+                   zip(above, map(A.contains, above)))
+    run = best = best_end = last = 0
     undecided = False
-    for x in range(1, max(H, window or 0) + 1):
-        c = A.contains(x)
-        if c is True:
-            run += 1
-            if run > best:
-                best, best_end = run, x
-            if run >= n:
-                if x > H:
-                    # a run exists, but only beyond the requested horizon
-                    return Verdict.bounded(
-                        "against", bounds, {"run_beyond_horizon": x - n, "window": window})
-                return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
-        else:
-            if c is None:
-                undecided = True
-            run = 0
+    for x, c in points:
+        if c is not True:
+            undecided = undecided or c is None
+            continue
+        run = run + 1 if x == last + 1 else 1
+        last = x
+        if run > best:
+            best, best_end = run, x
+        if run >= n:
+            if x > H:
+                # a run exists, but only beyond the requested horizon
+                detail = {"run_beyond_horizon": x - n}
+                if window is not None:
+                    detail["window"] = window
+                return Verdict.bounded("against", bounds, detail)
+            return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
+    if A.finite:
+        return Verdict.refuted({"reason": "finite set", "members": len(elems)}, bounds)
     if window is not None:
         return Verdict.refuted(
             {"preperiod": period[0], "period": period[1], "window": window}, bounds)

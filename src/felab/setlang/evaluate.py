@@ -17,6 +17,7 @@ closures) is counted and listed by LazySet.of_marks.
 
 from __future__ import annotations
 
+import bisect
 from itertools import chain, filterfalse, islice
 
 from .. import arith
@@ -143,9 +144,12 @@ def _eval_inter(expr: nodes.Inter, h: int) -> LazySet:
     # a kid with a predicate decides membership everywhere, one without only to its bound
     bound = min((k.complete_below for k in kids if k.pred is None), default=h)
     base.extend_to(bound)
-    members = []
+    elems = base.elements()
+    # up to every other kid's bound, each decides by its list: one set intersection
+    cut = bisect.bisect_right(elems, min(o.complete_below for o in others))
+    members = sorted(set(islice(elems, cut)).intersection(*(o.elements() for o in others)))
     undecided = False
-    for x in base.elements():
+    for x in islice(elems, cut, None):
         verdicts = [o.contains(x) for o in others]
         if any(v is False for v in verdicts):
             continue
@@ -170,7 +174,7 @@ def complement(kid: LazySet, expr, h: int) -> LazySet:
     set A-IP* complements is shared with every other checker.
     """
     bound = min(kid.complete_below, h)
-    members = filterfalse(kid._member_set.__contains__, range(1, bound + 1))
+    members = filterfalse(kid.member_set().__contains__, range(1, bound + 1))
     pred = None
     if kid.pred is not None:
         p = kid.pred

@@ -2,13 +2,13 @@
 
 A LazySet knows a sorted list of members and the bound `complete_below` up to
 which that list is exhaustive, so membership at or below the bound is a lookup
-in the list. EXACT sets additionally carry a total membership predicate, which
-answers every query above the bound; PREFIX sets answer True for listed members
-there and unknown (None) otherwise. Reading the members up to a bound completes
-an EXACT set to that bound first, so no reader has to grow a set before it reads.
-Known members may legitimately sit above the bound: generated fixtures keep all
-their elements even past the evaluation horizon, because discarding them would
-only discard sound witnesses.
+in a set of the members, built on the first lookup. EXACT sets additionally
+carry a total membership predicate, which answers every query above the bound;
+PREFIX sets answer True for listed members there and unknown (None) otherwise.
+Reading the members up to a bound completes an EXACT set to that bound first,
+so no reader has to grow a set before it reads. Known members may legitimately
+sit above the bound: generated fixtures keep all their elements even past the
+evaluation horizon, because discarding them would only discard sound witnesses.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class LazySet:
             raise over_cap(len(members))
         self.expr = expr
         self._members = members if isinstance(members, list) else list(members)
-        self._member_set = set(self._members)
+        self._member_set: set[int] | None = None
         self.complete_below = complete_below
         self.pred = pred
         self.finite = False
@@ -54,7 +54,7 @@ class LazySet:
         ls = cls(expr, sorted(set(members)), 0)
         ls.finite = True
         ls.complete_below = ls.max_known()
-        ls.pred = ls._member_set.__contains__
+        ls.pred = ls.member_set().__contains__
         return ls
 
     @classmethod
@@ -75,10 +75,21 @@ class LazySet:
         if n < 1:
             return False
         if n <= self.complete_below:
-            return n in self._member_set
+            # inline, not through member_set: this is the hot path
+            members = self._member_set
+            if members is None:
+                members = self.member_set()
+            return n in members
         if self.pred is not None:
             return bool(self.pred(n))
-        return True if n in self._member_set else None
+        return True if n in self.member_set() else None
+
+    def member_set(self) -> set[int]:
+        """The listed members as a set, built on the first lookup: many sets are only
+        ever listed. Callers do not write to it."""
+        if self._member_set is None:
+            self._member_set = set(self._members)
+        return self._member_set
 
     def elements(self, bound: int | None = None) -> list[int]:
         """The members up to bound: every one for an EXACT set, whose list first grows
@@ -105,7 +116,7 @@ class LazySet:
             raise ResourceError(
                 f"enumerating {self.describe_short()} to {bound} exceeds the "
                 f"element cap {MAX_ELEMENTS}")
-        self._member_set.update(fresh)
+        self.member_set().update(fresh)
         self._members = sorted(self._member_set)
         self.complete_below = bound
 

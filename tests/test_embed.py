@@ -92,6 +92,27 @@ def test_precision_errors_agree_between_routes(fs_exgamma):
     assert errs[0][1] == 6336
 
 
+def test_a_precision_hint_names_a_horizon_the_cli_accepts_or_says_none_is_known():
+    """A hint names a horizon above the one used and up to the sieve cap (the largest
+    --horizon the CLI accepts); otherwise it says that no horizon is known to settle it."""
+    none_known = "(no horizon up to the cap 20000000 is known to settle it)"
+    undecided = embed._Undecided()
+    undecided.add(5001, 20_000_000)
+    err = undecided.error()
+    assert err.required_horizon == 20_000_000
+    assert str(err).endswith("(rerun with horizon >= 20000000)")
+    # fe "{4,8}" "fp(primeseq(all))" --kmax 2600000 leaves the point 8 * 2600000 unknown
+    undecided.add(2_600_000, 20_800_000)
+    err = undecided.error()
+    assert str(err).endswith(none_known) and err.required_horizon is None
+    with pytest.raises(PrecisionError, match=r"\(rerun with horizon >= 120\)$"):
+        embed.prefix_of(ev("fp(primeseq(odd))", 60), 50, 60)
+    # a divisor closure of an infinite set is complete below 0 at every horizon
+    with pytest.raises(PrecisionError) as exc:
+        embed.prefix_of(ev("down(union({12},mult(1001)))", 1000), 5, 1000)
+    assert str(exc.value).endswith(none_known) and exc.value.required_horizon is None
+
+
 def test_single_elements_embed_iff_divisible():
     for m in range(1, 40):
         for n in range(1, 40):

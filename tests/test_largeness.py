@@ -609,7 +609,8 @@ def _plain_a_thick(A, n, horizon):
 
 
 # finite, periodic and prefix-only sets (an unpinned closure answers None above
-# its enumeration), evaluated at 60 or 400
+# its enumeration, a divisor closure of an infinite set above 0), and sets complete
+# only below the horizon they are evaluated at, 60 or 400
 _LOOP_SETS = st.tuples(st.one_of(
     st.sampled_from(["N", "primes", "level(2)", "up({6,10,15})"]),
     st.sampled_from(["fs(fastgrowth())", "fp(primeseq(odd))", "fs(sidon())"]),
@@ -619,6 +620,13 @@ _LOOP_SETS = st.tuples(st.one_of(
     st.builds("compl(mult({}))".format, st.integers(2, 12)),
     st.builds("union(mult({}),ap({},{}))".format, st.integers(2, 12), st.integers(1, 20),
               st.integers(2, 12)),
+    st.builds("quot(mult({}),{})".format, st.integers(1, 12), st.integers(2, 6)),
+    st.builds("shift(mult({}),{})".format, st.integers(1, 12), st.integers(1, 50)),
+    st.builds("shift(quot(level(2),2),{})".format, st.integers(1, 50)),
+    st.builds("down({{{},{}}})".format, st.integers(1, 300), st.integers(1, 300)),
+    st.builds("down(union({{{}}},mult({})))".format, st.integers(1, 300), st.integers(2, 12)),
+    st.builds("quot(union(compl(mult({})),ap({},{})),{})".format, st.integers(2, 12),
+              st.integers(1, 20), st.integers(2, 12), st.integers(2, 4)),
 ), st.sampled_from([60, 400]))
 
 
@@ -733,6 +741,12 @@ def test_a_pcws_matches_the_plain_scan(set_at, t_max, n, H):
 @example(("{3,4,5,9}", 60), 3, 5)
 @example(("{1,2,3,9,10,11,12}", 60), 4, 5)
 @example(("union(mult(7),ap(1,7))", 60), 2, 5)
+# the run [29, 31] crosses the bound 30: two listed members, then the predicate's
+@example(("quot(union(ap(58,30),ap(60,30),ap(62,30)),2)", 60), 3, 400)
+# the first run, [7, 9], ends at the last point it can: one before the window 10, which
+# is H here and lies below H next
+@example(("union(mult(7),shift(mult(7),6),shift(mult(7),5))", 60), 3, 10)
+@example(("union(mult(7),shift(mult(7),6),shift(mult(7),5))", 60), 3, 400)
 def test_a_thick_matches_the_two_pass_scan(set_at, n, H):
     A = ev(*set_at)
     assert a_thick_check(A, n, H).to_json() == _plain_a_thick(A, n, H).to_json()

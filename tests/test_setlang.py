@@ -603,6 +603,37 @@ def test_evaluator_agrees_with_the_reference(tree, h):
     assert A.elements(bound) == [n for n in range(1, bound + 1) if member(n)]
 
 
+# children complete to different bounds: h // d, h - t, a finite set's largest
+# member, and h for an unpinned closure, which is PREFIX, as is its quotient
+_bounded_kid = st.one_of(
+    st.builds(lambda k, d: ("quot", ("mult", k), d), st.integers(1, 12), st.integers(2, 6)),
+    st.builds(lambda k, t: ("shift", ("mult", k), t), st.integers(1, 12), st.integers(1, 30)),
+    st.builds(lambda t: ("shift", ("quot", ("level", 2), 2), t), st.integers(1, 30)),
+    _finite_sets,
+    _finite_sets.map(lambda F: ("down", F)),
+    st.just(("fp", ("primeseq", "odd"))),
+    st.builds(lambda d: ("quot", ("fp", ("primeseq", "odd")), d), st.integers(2, 5)),
+    st.sampled_from([("N",), ("odd",), ("compl", ("mult", 3))]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_bounded_kid, min_size=2, max_size=3), st.sampled_from([60, 200]))
+def test_intersections_of_kids_with_different_bounds_agree_with_the_reference(kids, h):
+    """An intersection decides the base kid's members below every other kid's bound
+    by their lists and the rest by contains: its member list and every definite
+    contains answer up to three times the horizon match the reference membership."""
+    tree = ("inter", *kids)
+    A = evaluate(parse(workloads.text(tree)), h)
+    member = functools.lru_cache(maxsize=None)(lambda n: reference.member(tree, n))
+    bound = A.complete_below
+    assert A.elements(bound) == [n for n in range(1, bound + 1) if member(n)]
+    assert all(member(n) for n in A.elements())
+    for n in range(1, 3 * h + 1):
+        answer = A.contains(n)
+        assert answer is None or answer == member(n), n
+
+
 @st.composite
 def _pseudo_tree(draw):
     """pseudo over a decreasing chain of infinite sets: N first or not, then quotients

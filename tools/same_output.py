@@ -112,7 +112,14 @@ The battery, read from this checkout:
   horizon), as targets of ``fe`` and ``me`` and under ``check max`` and
   ``diagram`` at horizon 5000, and ``check
   max`` on a union that lists members past its bound at horizon 100,
-- ``fe`` on a target whose membership stays unknown for 995000 dilations.
+- ``fe`` on a target whose membership stays unknown for 995000 dilations,
+- the distinct ``eval_batch`` lines of seeds 1-3, rounds 0-2, as ``check a-thick
+  --batch`` with ``--n`` 2, 3 and 5 at horizons 60, 5000 and the default,
+- intersections whose children are complete to different bounds (quotients,
+  shifts, finite sets, divisor closures and ``fp(primeseq(odd))``), as ``check
+  a-thick --batch`` and ``diagram --batch --horizon 2000``, and ``fe`` with a
+  precision hint past the horizon cap or at the horizon used, which say that no
+  horizon is known to settle them (a documented difference).
 
 Standard library only.
 """
@@ -187,6 +194,18 @@ PERIODIC_EXPRS = ("N", "mult(6)", "ap(4,6)", "union(mult(4),ap(3,10),{1,7})",
                   "quot(up({6,10,15}),2)", "shift(up({6,10,15}),7)", "up({6,10,15})",
                   "up({6,50000})", "union(dilate(2,N),mult(3))")
 PERIODIC_HORIZON = "5000"
+THICK_SEEDS, THICK_ROUNDS, THICK_NS = (1, 2, 3), (0, 1, 2), ("2", "3", "5")
+THICK_HORIZONS = (("--horizon", "60"), ("--horizon", "5000"), ())
+INTER_EXPRS = ("inter(quot(mult(3),2),shift(mult(2),5))",
+               "inter({3,6,9,10,11,12,13,15,18,60},quot(mult(3),2),fp(primeseq(odd)))",
+               "inter(fp(primeseq(odd)),shift(quot(level(2),2),3))",
+               "inter(down({60,84}),quot(fp(primeseq(odd)),3))",
+               "inter(quot(fp(primeseq(odd)),3),shift(mult(5),7))",
+               "inter(N,quot(mult(4),3),shift(odd,9))",
+               "inter(compl(mult(3)),quot(mult(2),4),shift(quot(level(2),2),1))",
+               "inter(shift(compl(mult(7)),4),quot(compl(mult(5)),3))",
+               "inter(down({720,1001}),shift(N,30))",
+               "inter(quot(fp(primeseq(odd)),2),odd)")
 
 
 def c10_battery() -> list[list[str]]:
@@ -367,6 +386,17 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
                  ["diagram", expr, "--horizon", h, "--json"]]
     cmds += [["check", "max", "union(dilate(2,N),mult(3))", "--horizon", "100", "--json"],
              ["fe", "{4,8}", "fp(primeseq(all))", "--horizon", "20000", "--json"]]
+    thick = batch_file("thick_lines.txt", dict.fromkeys(
+        wl.text(t) for seed in THICK_SEEDS for r in THICK_ROUNDS
+        for t in wl.round_inputs("eval_batch", seed, r)))
+    cmds += [["check", "a-thick", "--n", n, "--batch", thick, *h]
+             for n in THICK_NS for h in THICK_HORIZONS]
+    inter = batch_file("inter_exprs.txt", INTER_EXPRS)
+    cmds += [["check", "a-thick", "--batch", inter],
+             ["diagram", "--batch", inter, "--horizon", "2000"],
+             ["fe", "{4,8}", "fp(primeseq(all))", "--horizon", "20", "--kmax", "2600000"],
+             ["fe", "down(union({12},mult(1001)))", "{1,2,3,4,6}", "--horizon", "1000",
+              "--prefix", "5"]]
     return cmds
 
 
