@@ -543,6 +543,9 @@ def main(argv=None) -> int:
                 # the largest horizon at which level and primes can be evaluated
                 raise ResourceError(
                     f"horizon {args.horizon} exceeds the cap {arith.DEFAULT_SIEVE_CAP}")
+            if getattr(args, "kmax", 0) > arith.DEFAULT_SIEVE_CAP:
+                # fe and me scan every k up to it, so it is capped like the horizon
+                raise ResourceError(f"kmax {args.kmax} exceeds the cap {arith.DEFAULT_SIEVE_CAP}")
             code = args.func(args)
         except FelabError as exc:
             print(f"error: {exc}", file=sys.stderr)

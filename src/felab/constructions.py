@@ -208,27 +208,17 @@ def equal_exponent_pred(n: int) -> bool:
 
 
 def gen_equal_exponent(H: int) -> list[int]:
-    """All n <= H whose prime exponents are all equal."""
-    table = arith.ensure_sieve(H).table
-    out: list[int] = []
-    for n in range(2, H + 1):
-        m = n
-        first = 0
-        ok = True
-        while m > 1:
-            p = table[m]
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if first == 0:
-                first = e
-            elif e != first:
-                ok = False
-                break
-        if ok:
-            out.append(n)
-    return out
+    """All n <= H whose prime exponents are all equal: the r**e with r >= 2 squarefree
+    and e >= 1, read from a squarefree sieve."""
+    if H > arith.DEFAULT_SIEVE_CAP:
+        arith.ensure_sieve(H)  # refused past the sieve cap, as every sieve-backed set is
+    sf = bytearray([1]) * (H + 1)
+    for p in arith.primes_upto(arith.integer_nth_root(H, 2)):
+        sf[p * p::p * p] = bytes(H // (p * p))
+    squarefree = list(itertools.compress(range(2, H + 1), sf[2:]))
+    powers = [r ** e for e in range(2, H.bit_length())
+              for r in squarefree[:bisect.bisect_right(squarefree, arith.integer_nth_root(H, e))]]
+    return sorted(squarefree + powers)
 
 
 def gen_mj_funcs(h_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -11,7 +11,6 @@ guessing in either direction.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 
@@ -217,7 +216,7 @@ def me_check(A: LazySet, B: LazySet, m: int, H: int = DEFAULT_HORIZON,
         raise InputError(f"k_max must be >= 1, got {k_max}")
     if H > A.complete_below and not A.is_exact:
         raise PrecisionError(f"enumeration of {A.describe_short()} is only complete below "
-                             f"{A.complete_below}", required_horizon=H)
+                             f"{A.complete_below}", required_horizon=H, horizon=H)
     pool = A.elements(H)
     if len(pool) < m:
         raise InputError(
@@ -268,19 +267,14 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
     return Verdict.proved({"divides_into": table}, {"horizon": horizon, "m": 1})
 
 
-@functools.lru_cache(maxsize=64)  # one target often meets many families in a row
-def _level_cover(expr: nodes.SetExpr) -> tuple[frozenset[int] | None, frozenset[int] | None]:
-    cover = analysis.levels_of(expr)
-    return cover, None if cover is None else analysis.level_deltas(cover)
-
-
 def fe_refute_level(members, B: LazySet) -> FeRefutation | None:
     """Exact refutation from factor-count bookkeeping, for level-covered targets:
     two of the members whose levels differ by no difference of target levels."""
-    cover, deltas = _level_cover(B.expr)
+    cover = analysis.levels_of(B.expr)
     if cover is None:
         raise InapplicableError(
             f"target {B.describe_short()} is not covered by finitely many levels")
+    deltas = analysis.level_deltas(cover)
     by_level: dict[int, int] = {}
     for c in members:
         o = arith.omega(c)

@@ -366,23 +366,12 @@ def nmax_refute(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     complete_to = H if A.is_exact else min(H, A.complete_below)
     members = A.elements(complete_to)
     bounds = {"horizon": H, "s": s, "members_complete_below": complete_to}
-    used: set[int] = set()
+    marks = bytearray(complete_to + 1)
     for e in members:
-        if e > 1:
-            for p, _ in arith.factorize(e):
-                used.add(p)
-    absent = []
-    for p in arith.primes_upto(H):
-        if p not in used:
-            absent.append(p)
-            if len(absent) == s:
-                break
+        marks[e] = 1
+    # p divides no listed member exactly when its stride over the marks holds no 1
+    absent = list(islice((p for p in arith.primes_upto(H) if 1 not in marks[p::p]), s))
     if len(absent) == s:
-        for c in absent:
-            bad = next((e for e in members if e % c == 0), None)
-            if bad is not None:
-                raise AssertionError(
-                    f"factor bookkeeping missed {c} dividing member {bad}")
         return Verdict.refuted(
             {"antichain": absent, "strength": s, "members_checked": len(members)},
             bounds)

@@ -42,10 +42,7 @@ def _eq(self, other):
 
 
 def _hash(self):
-    # the fields never change, so a record (a cache key, say) is hashed only once
-    if getattr(self, "_hash_value", None) is None:
-        object.__setattr__(self, "_hash_value", hash(_values(self)))
-    return self._hash_value
+    return hash(_values(self))
 
 
 def _repr(self):

@@ -157,6 +157,17 @@ def test_check_bound_flags_fail_before_any_expression(argv, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("cmd", [["fe", "{4,8}", "fp(primeseq(all))"],
+                                 ["me", "{4,8}", "N", "--m", "1"]])
+def test_kmax_past_the_cap_fails_before_any_expression(cmd, capsys, monkeypatch):
+    """fe and me scan every k up to --kmax, so a --kmax past the cap of --horizon
+    ends in exit 4 and one error line before any set is evaluated."""
+    monkeypatch.setattr(cli, "_eval_expr", lambda *a: pytest.fail("a set was evaluated"))
+    code, out, err = run([*cmd, "--kmax", "20000001"], capsys)
+    assert (code, out) == (4, "")
+    assert err == f"error: kmax 20000001 exceeds the cap {arith.DEFAULT_SIEVE_CAP}\n"
+
+
 # ---------------------------------------------------------------------------
 # check agrees with the matching diagram row
 # ---------------------------------------------------------------------------
@@ -679,6 +690,18 @@ def test_src_defines_no_unused_names():
     tool = Path(__file__).resolve().parents[1] / "tools" / "unused_names.py"
     proc = subprocess.run([sys.executable, str(tool)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_a_stale_keep_entry_fails_the_unused_names_tool(capsys, monkeypatch):
+    """A KEEP entry for a name src reads is listed as stale and makes the tool exit 1,
+    so the table cannot go on excusing a name that no longer needs it."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "unused_names.py"
+    spec = importlib.util.spec_from_file_location("unused_names", tool)
+    unused_names = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(unused_names)
+    monkeypatch.setitem(unused_names.KEEP, "evaluate", "read by src")
+    assert unused_names.main() == 1
+    assert "KEEP.evaluate: stale, no unused definition of it in src\n" in capsys.readouterr().out
 
 
 def test_a_long_undecided_scan_needs_little_memory(tmp_path):

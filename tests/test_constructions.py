@@ -217,6 +217,16 @@ def test_equal_exponent_listing_matches_pred():
     assert gen_equal_exponent(H) == [n for n in range(2, H + 1) if equal_exponent_pred(n)]
 
 
+def test_equal_exponent_generator_matches_the_predicate():
+    """The squarefree sieve lists what the predicate accepts, at every small horizon and
+    at two past the default sieve size; past the sieve cap it refuses, as every
+    sieve-backed set does."""
+    for H in [*range(401), 65536, 100_000]:
+        assert gen_equal_exponent(H) == [n for n in range(2, H + 1) if equal_exponent_pred(n)]
+    with pytest.raises(ResourceError, match=f"sieve limit {arith.DEFAULT_SIEVE_CAP + 1} exceeds cap"):
+        gen_equal_exponent(arith.DEFAULT_SIEVE_CAP + 1)
+
+
 @given(st.integers(min_value=2, max_value=10**6))
 def test_equal_exponent_pred_law(n):
     exps = {e for _, e in arith.factorize(n)}

@@ -107,6 +107,11 @@ def test_a_precision_hint_names_a_horizon_the_cli_accepts_or_says_none_is_known(
     assert str(err).endswith(none_known) and err.required_horizon is None
     with pytest.raises(PrecisionError, match=r"\(rerun with horizon >= 120\)$"):
         embed.prefix_of(ev("fp(primeseq(odd))", 60), 50, 60)
+    # me needs its subsets listed up to the horizon it was given, which a larger one
+    # does not settle: quot(fp(primeseq(odd)),2) is listed only below 50 at horizon 100
+    with pytest.raises(PrecisionError) as exc:
+        me_check(ev("quot(fp(primeseq(odd)),2)", 100), ev("N", 100), 1, 100)
+    assert str(exc.value).endswith(none_known) and exc.value.required_horizon is None
     # a divisor closure of an infinite set is complete below 0 at every horizon
     with pytest.raises(PrecisionError) as exc:
         embed.prefix_of(ev("down(union({12},mult(1001)))", 1000), 5, 1000)

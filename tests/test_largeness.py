@@ -769,6 +769,34 @@ def test_nmaxstar_matches_the_plain_scan(set_at, s, H):
     assert new == plain
 
 
+def _plain_nmax(A, s, H):
+    """NMAX by factorizing every member up to the bound it reads."""
+    complete_to = H if A.is_exact else min(H, A.complete_below)
+    members = A.elements(complete_to)
+    bounds = {"horizon": H, "s": s, "members_complete_below": complete_to}
+    used = {p for e in members if e > 1 for p, _ in arith.factorize(e)}
+    absent = [p for p in arith.primes_upto(H) if p not in used][:s]
+    if len(absent) == s:
+        return Verdict.refuted(
+            {"antichain": absent, "strength": s, "members_checked": len(members)}, bounds)
+    return Verdict.bounded("for", bounds, {"absent_primes": absent})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOOP_SETS, st.integers(2, 6), st.integers(4, 400))
+# a finite divisor closure, and one of an infinite set: complete below 0, so every
+# prime up to H is absent
+@example(("down({12,18})", 60), 4, 60)
+@example(("down(union({12},mult(5)))", 60), 4, 60)
+# 1 divides nothing but itself, so the first s primes are absent
+@example(("{1}", 60), 6, 400)
+# listed only below 60, which is less than H
+@example(("fp(primeseq(odd))", 60), 4, 400)
+def test_nmax_matches_the_plain_bookkeeping(set_at, s, H):
+    A = ev(*set_at)
+    assert nmax_refute(A, s, H).to_json() == _plain_nmax(A, s, H).to_json()
+
+
 def test_j_search_steps_are_capped_before_any_table(N):
     # the default bounds take 500 * 15 steps, well inside the cap
     assert j_check(N, _add_funcs(4), 500, 4).is_proved

@@ -119,7 +119,16 @@ The battery, read from this checkout:
   shifts, finite sets, divisor closures and ``fp(primeseq(odd))``), as ``check
   a-thick --batch`` and ``diagram --batch --horizon 2000``, and ``fe`` with a
   precision hint past the horizon cap or at the horizon used, which say that no
-  horizon is known to settle them (a documented difference).
+  horizon is known to settle them (a documented difference),
+- ``construct equal_exponent`` at horizons 1, 2, 36, 5000 and 100000, and
+  ``check nmax`` with ``--s`` 2, 4 and 6 at horizons 60 and 5000 on sets
+  listed only up to a bound (``fp(primeseq(odd))``, ``fs(fastgrowth())``),
+  finite sets (``{1}``, ``{2,3,5,7}``, ``down({234,320})``) and exact infinite
+  ones (``N``, ``level(2)``, ``dilate(2,odd)``, ``up({6,10,15})``),
+- ``me`` on a set listed only below the horizon it was given, whose precision
+  hint says that no horizon is known to settle it, and ``fe`` and ``me`` with a
+  ``--kmax`` past the cap of ``--horizon``, which NEW refuses with exit 4 (both
+  documented differences).
 
 Standard library only.
 """
@@ -206,6 +215,8 @@ INTER_EXPRS = ("inter(quot(mult(3),2),shift(mult(2),5))",
                "inter(shift(compl(mult(7)),4),quot(compl(mult(5)),3))",
                "inter(down({720,1001}),shift(N,30))",
                "inter(quot(fp(primeseq(odd)),2),odd)")
+NMAX_EXPRS = ("fp(primeseq(odd))", "down({234,320})", "fs(fastgrowth())", "{1}", "{2,3,5,7}",
+              "N", "level(2)", "dilate(2,odd)", "up({6,10,15})")
 
 
 def c10_battery() -> list[list[str]]:
@@ -397,6 +408,13 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
              ["fe", "{4,8}", "fp(primeseq(all))", "--horizon", "20", "--kmax", "2600000"],
              ["fe", "down(union({12},mult(1001)))", "{1,2,3,4,6}", "--horizon", "1000",
               "--prefix", "5"]]
+    cmds += [["construct", "equal_exponent", "--horizon", h, "--json"]
+             for h in ("1", "2", "36", "5000", "100000")]
+    cmds += [["check", "nmax", expr, "--s", s, "--horizon", h, "--json"]
+             for expr in NMAX_EXPRS for s in ("2", "4", "6") for h in ("60", "5000")]
+    cmds += [["me", "quot(fp(primeseq(odd)),2)", "N", "--m", "1", "--horizon", "100"],
+             ["fe", "{2,3}", "mult(6)", "--kmax", "20000001", "--json"],
+             ["me", "{4,8}", "N", "--m", "1", "--kmax", "20000001", "--json"]]
     return cmds
 
 

@@ -14,8 +14,10 @@ files under ``tests/``, ``tools/`` and ``perfbench/`` that use it.
 It then lists the names that a module under ``tests/`` or ``tools/`` imports
 and never reads (as a ``Name``, in that module).
 
-Names in ``KEEP`` are listed with their reason. The exit code is 1 if any other
-name or any unread import is listed, else 0. Standard library only.
+Names in ``KEEP`` are listed with their reason. A ``KEEP`` entry that names no
+unused definition (``src`` now reads the name, or no longer defines it) is
+listed as stale. The exit code is 1 if any other name, any stale entry or any
+unread import is listed, else 0. Standard library only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ IMPORTS_CHECKED = ("tests", "tools")
 # name -> why it stays although nothing in src uses it
 KEEP = {
     "nth_power_completion": "criterion C08 checks the n-th power completions of the kernel",
-    "integer_nth_root": "criterion C08 checks the n-th power completions of the kernel",
 }
 
 
@@ -108,6 +109,7 @@ def main() -> int:
             for name in names + attrs:
                 users.setdefault(name, set()).add(str(path.relative_to(ROOT)))
     unkept = 0
+    unused: set[str] = set()
     for path, tree in trees.items():
         module = ".".join(path.relative_to(SRC.parent).with_suffix("").parts)
         for qualname, name, node, method in definitions(tree):
@@ -117,7 +119,11 @@ def main() -> int:
             note = f"kept: {KEEP[name]}" if name in KEEP else "unused"
             print(f"{module}.{qualname}: {note}; outside src used by {where}")
             unkept += name not in KEEP
-    print(f"{unkept} unused names outside KEEP")
+            unused.add(name)
+    stale = sorted(KEEP.keys() - unused)
+    for name in stale:
+        print(f"KEEP.{name}: stale, no unused definition of it in src")
+    print(f"{unkept} unused names outside KEEP, {len(stale)} stale KEEP entries")
     unread = 0
     for top in IMPORTS_CHECKED:
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -125,7 +131,7 @@ def main() -> int:
                 print(f"{path.relative_to(ROOT)}:{line}: imports {name}, never read")
                 unread += 1
     print(f"{unread} unread imports in {', '.join(IMPORTS_CHECKED)}")
-    return 1 if unkept or unread else 0
+    return 1 if unkept or stale or unread else 0
 
 
 if __name__ == "__main__":
