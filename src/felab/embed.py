@@ -249,18 +249,13 @@ def _me_divisibility(pool, B: LazySet, horizon: int, k_max: int) -> Verdict:
     """Each single element must divide something in B (shadow of the closure test)."""
     table = {}
     for a in pool:
-        if analysis.empty_meet_mult(B.expr, a) is True:
-            return Verdict.refuted(
-                {"element": a, "reason": f"target provably misses every multiple of {a}"},
-                {"horizon": horizon, "m": 1})
-        ks, closed = _k_candidates(B, (a,), k_max)
-        k = _least_dilation((a,), B.contains, _one_by_one(ks))
-        if k is not None:
-            table[a] = a * k
-        elif closed:
-            return Verdict.refuted(
-                {"element": a, "reason": "no multiple in the finite target"},
-                {"horizon": horizon, "m": 1})
+        res = fe_refute_residue((a,), B) or fe_witness((a,), B, k_max)
+        if isinstance(res, FeWitness):
+            table[a] = res.images[0]
+        elif res.exact:
+            reason = ("no multiple in the finite target" if res.kind == "finite-target"
+                      else f"target provably misses every multiple of {a}")
+            return Verdict.refuted({"element": a, "reason": reason}, {"horizon": horizon, "m": 1})
         else:
             return Verdict.bounded("against", {"horizon": horizon, "m": 1, "k_max": k_max},
                                    {"element": a})

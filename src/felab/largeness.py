@@ -34,7 +34,6 @@ from .verdicts import Verdict
 
 _PERIOD_WINDOW_CAP = 2_000_000
 _J_MASK_CAP = 1 << 20
-_MULT_WALK_CAP = 2_048
 _ATLAS_MAX_N = 20
 _ATLAS_EXHAUSTIVE_N = 14
 _ATLAS_SAMPLE = 4_096
@@ -105,26 +104,22 @@ def a_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
     if n > H or t_max > H:
         raise InputError(f"bounds (t_max={t_max}, n={n}) exceed horizon {H}")
     bounds = {"horizon": H, "t_max": t_max, "n": n}
-    shifts = range(t_max + 1)
-    contains = A.contains
-    run = best = best_end = 0
-    # past the largest member of a finite set every x resets the run
-    for x in range(1, min(H, A.max_known()) + 1 if A.finite else H + 1):
-        for t in shifts:
-            if contains(x + t) is True:
-                break
-        else:
-            run = 0
-            continue
-        run += 1
-        if run > best:
-            best, best_end = run, x
-        if run >= n:
-            return Verdict.proved(
-                {"F": list(shifts), "m": x - n, "run": [x - n + 1, x]}, bounds)
+    # past the largest member of a finite set no x is covered
+    top = min(H, A.max_known()) if A.finite else H
+    marks = A.member_marks(top + t_max)
+    # covered[x - 1] is 1 when some x + t is a member: one OR of whole ints per shift
+    covered = 0
+    for t in range(t_max + 1):
+        covered |= int.from_bytes(marks[1 + t:top + 1 + t], "little")
+    covered = covered.to_bytes(top, "little")
+    m = covered.find(b"\x01" * n)
+    if m >= 0:
+        return Verdict.proved({"F": list(range(t_max + 1)), "m": m, "run": [m + 1, m + n]},
+                              bounds)
+    best = max(map(len, covered.split(b"\x00")))
     detail = {"max_run": best}
     if best:
-        detail["at"] = best_end - best
+        detail["at"] = covered.find(b"\x01" * best)
     return Verdict.bounded("against", bounds, detail)
 
 
@@ -305,17 +300,14 @@ def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
     if N > H:
         raise InputError(f"divisor bound {N} exceeds horizon {H}")
     bounds = {"N": N, "horizon": H}
-    elems = None
+    marks = A.member_marks(H)
+    listed = A.elements()
+    past = listed[bisect.bisect_right(listed, H):]  # sound witnesses too
     witnesses: dict[int, int] = {}
     for m in range(1, N + 1):
-        k = _least_dilation((m,), A.contains,
-                            _one_by_one(range(1, min(H // m, _MULT_WALK_CAP) + 1)))
-        if k is None and elems is None:
-            # the members up to H, then the listed ones past it: all sound witnesses, read
-            # only now, since completing A to H may pass the cap where the walk decides
-            elems = A.elements(H)
-            elems = elems + A.elements()[len(elems):]
-        w = k * m if k is not None else next((e for e in elems if e % m == 0), None)
+        # the least member multiple up to H, else the least listed one past H
+        k = marks[m::m].find(1) + 1
+        w = k * m if k else next((e for e in past if e % m == 0), None)
         if w is None:
             if A.finite:
                 return Verdict.refuted(
@@ -329,31 +321,21 @@ def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
     return Verdict.proved({"witnesses": witnesses}, bounds)
 
 
-def _first_non_member(A: LazySet, a: int, H: int) -> tuple[int, bool | None] | None:
-    """The least multiple of a up to H not known to be in A, with A's answer there;
-    None when every such multiple is a member."""
-    contains = A.contains
-    for v in range(a, H + 1, a):
-        c = contains(v)
-        if c is not True:
-            return v, c
-    return None
-
-
 def maxstar_check(A: LazySet, a_max: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Find a whose every multiple up to the horizon belongs to A."""
     if a_max > H:
         raise InputError(f"dilation cap {a_max} exceeds horizon {H}")
     bounds = {"a_max": a_max, "horizon": H}
+    marks = A.member_marks(H)
     missing: dict[int, int] = {}
     undecided: dict[int, int] = {}
     for a in range(1, a_max + 1):
-        gap = _first_non_member(A, a, H)
-        if gap is None:
+        # the least multiple of a that is not a known member, and A's answer there
+        k = marks[a::a].find(0) + 1
+        if not k:
             return Verdict.proved(
                 {"a": a, "multiples_checked": H // a}, bounds)
-        v, c = gap
-        (missing if c is False else undecided)[a] = v
+        (missing if A.contains(k * a) is False else undecided)[a] = k * a
     if undecided:
         return Verdict.bounded(
             "against", bounds,
@@ -364,16 +346,13 @@ def maxstar_check(A: LazySet, a_max: int, H: int = DEFAULT_HORIZON) -> Verdict:
 def nmax_refute(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Seek s pairwise-coprime numbers none of which divides any member."""
     complete_to = H if A.is_exact else min(H, A.complete_below)
-    members = A.elements(complete_to)
+    marks = A.member_marks(complete_to)
     bounds = {"horizon": H, "s": s, "members_complete_below": complete_to}
-    marks = bytearray(complete_to + 1)
-    for e in members:
-        marks[e] = 1
     # p divides no listed member exactly when its stride over the marks holds no 1
     absent = list(islice((p for p in arith.primes_upto(H) if 1 not in marks[p::p]), s))
     if len(absent) == s:
         return Verdict.refuted(
-            {"antichain": absent, "strength": s, "members_checked": len(members)},
+            {"antichain": absent, "strength": s, "members_checked": marks.count(1)},
             bounds)
     return Verdict.bounded("for", bounds, {"absent_primes": absent})
 
@@ -390,8 +369,9 @@ def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     pool: list[int] = []
     target = max(64, 8 * s)
     top = H // 2
+    marks = A.member_marks(H)
     for c in range(2, top + 1):
-        if _first_non_member(A, c, H) is None:
+        if 0 not in marks[c::c]:
             pool.append(c)
         if len(pool) >= target or (c == top and len(pool) >= s):
             try:

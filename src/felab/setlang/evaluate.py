@@ -11,14 +11,14 @@ horizon, without evaluating its children, so "quotient divides the bound"
 holds for the other sets only; with no positive level in S it is {1} or empty,
 so finite. A set made from one child (dilate, quot, shift, down) is finite
 when the child is, and exact only when the child is. Every finite set comes
-from LazySet.of_finite, and every table of marks (up, Omega-levels, unpinned
-closures) is counted and listed by LazySet.of_marks.
+from LazySet.of_finite, and every table of marks (up, complements, Omega-levels,
+unpinned closures) is counted and listed by LazySet.of_marks.
 """
 
 from __future__ import annotations
 
 import bisect
-from itertools import chain, filterfalse, islice
+from itertools import islice
 
 from .. import arith
 from ..errors import InputError, ResourceError
@@ -29,6 +29,7 @@ from .lazyset import DEFAULT_HORIZON, MAX_ELEMENTS, SUBSET_CAP, LazySet, over_ca
 # has 5173054 members, fs(fastgrowth()) 3200003 and fs(sidon()) all 8000000,
 # so each exceeds MAX_ELEMENTS there (fs of primeseq meets the sieve cap first)
 _CLOSURE_WINDOW = 4 * MAX_ELEMENTS
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def evaluate(expr: nodes.SetExpr, horizon: int = DEFAULT_HORIZON) -> LazySet:
@@ -113,7 +114,8 @@ def _eval_levels(expr: nodes.SetExpr, levels: frozenset[int], h: int) -> LazySet
     no positive level it is {1} or empty, so finite; a horizon past the sieve cap
     is refused all the same."""
     if not any(levels):
-        arith.ensure_sieve(h)
+        if h > arith.DEFAULT_SIEVE_CAP:
+            arith.ensure_sieve(h)
         return LazySet.of_finite(expr, (1,) if levels else ())
     table = memoryview(arith.omega_upto(h))[1:h + 1].tobytes()
     marks = table.translate(bytes(i in levels for i in range(256)))
@@ -167,24 +169,14 @@ def _eval_inter(expr: nodes.Inter, h: int) -> LazySet:
 
 
 def complement(kid: LazySet, expr, h: int) -> LazySet:
-    """Complement of kid, complete to h if kid is EXACT, else to kid's bound.
-
-    Below kid's bound the members come from kid's own member set, read in
-    place; above it kid's predicate decides. kid is never extended: the
-    set A-IP* complements is shared with every other checker.
+    """Complement of kid, complete to h if kid is EXACT, else to kid's bound: the
+    flipped marks of kid's members. kid is never extended: the set A-IP*
+    complements is shared with every other checker.
     """
-    bound = min(kid.complete_below, h)
-    members = filterfalse(kid.member_set().__contains__, range(1, bound + 1))
-    pred = None
-    if kid.pred is not None:
-        p = kid.pred
-        members = chain(members, filterfalse(p, range(bound + 1, h + 1)))
-        bound, pred = h, lambda n: not p(n)
-    # the scan stops one member past the cap: h may lie far beyond it
-    members = list(islice(members, MAX_ELEMENTS + 1))
-    if len(members) > MAX_ELEMENTS:
-        raise over_cap()
-    return LazySet(expr, members, bound, pred=pred)
+    p = kid.pred
+    bound = h if p is not None else min(kid.complete_below, h)
+    marks = kid.member_marks(bound)[1:].translate(_FLIP)
+    return LazySet.of_marks(expr, marks, bound, pred=None if p is None else lambda n: not p(n))
 
 
 def _eval_up(expr: nodes.Up, h: int) -> LazySet:

@@ -102,6 +102,19 @@ class LazySet:
         idx = bisect.bisect_right(self._members, bound)
         return self._members if idx == len(self._members) else self._members[:idx]
 
+    def member_marks(self, top: int) -> bytearray:
+        """One byte per n in [0, top], index n for n: marks[n] is 1 exactly when
+        contains(n) is True. The member list is read, never grown: an infinite EXACT
+        set asks its predicate above its bound, in one pass."""
+        exact = self.pred is not None and not self.finite
+        lim = min(top, self.complete_below) if exact else top
+        marks = bytearray(top + 1)
+        for n in self.elements(lim):
+            marks[n] = 1
+        if exact:
+            marks[lim + 1:] = bytes(map(self.pred, range(lim + 1, top + 1)))
+        return marks
+
     def extend_to(self, bound: int) -> None:
         """Grow the enumeration of an EXACT set so completeness reaches `bound`."""
         if bound <= self.complete_below or self.pred is None:

@@ -315,6 +315,19 @@ def test_fe_precision_exit(capsys):
     assert code == 5 and "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fe", "{4}"], ["me", "{4,8}", "--m", "2"], ["me", "{4}", "--m", "1"],
+], ids=["fe", "me-pairs", "me-elements"])
+def test_unknown_membership_at_a_needed_point_exits_5(argv, capsys):
+    """fp(primeseq(all)) at horizon 200 leaves 4k unknown for 950 of the 1000 k: no
+    route calls the scan bounded, single elements (me --m 1) included."""
+    code, out, err = run([*argv[:2], "fp(primeseq(all))", *argv[2:],
+                          "--horizon", "200", "--kmax", "1000", "--json"], capsys)
+    assert code == 5 and out == ""
+    assert err.startswith("error: membership unknown for 950 candidate dilations")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, witness_kmax, level", [
     # a refuter decides, so only the cross-check scans
     (["fe", "{6,8}", "union(level(2),level(5))", "--horizon", "5000"], [5000], "certificate"),

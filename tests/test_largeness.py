@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from felab import arith, largeness
 from felab.constructions import gen_mj_funcs
-from felab.embed import FeWitness, decreasing_chain, fe_refute_level
+from felab.embed import (FeWitness, _least_dilation, _one_by_one, decreasing_chain,
+                         fe_refute_level)
 from felab.errors import InapplicableError, InputError, ResourceError
 from felab.largeness import (CHECKERS, AtlasReport, PropertyParams, _add_funcs, a_pcws_check,
                              a_thick_check, crt_thickness_demo, diagram_report,
@@ -723,16 +724,14 @@ def test_j_check_matches_the_plain_scan(set_at, mode, h_max, a_max, cap, data):
 
 @settings(max_examples=200, deadline=None)
 @given(_LOOP_SETS, st.integers(0, 4), st.integers(1, 12), st.integers(12, 400))
+# complete below H: to 30, to 0 (a divisor closure of an infinite set) and, listed, to 60
+@example(("quot(mult(10),2)", 60), 3, 10, 400)
+@example(("down(union({12},mult(1001)))", 60), 2, 4, 400)
+@example(("fp(primeseq(odd))", 60), 1, 6, 400)
+@example(("{1}", 60), 4, 1, 60)
 def test_a_pcws_matches_the_plain_scan(set_at, t_max, n, H):
     A = ev(*set_at)
-    (new, new_calls), (plain, plain_calls) = _both(
-        A, lambda R: a_pcws_check(R, t_max, n, H), lambda R: _plain_a_pcws(R, t_max, n, H))
-    assert new == plain
-    if A.finite:
-        # the checker stops at the largest member, the plain scan goes on to H
-        assert new_calls == plain_calls[:len(new_calls)]
-    else:
-        assert new_calls == plain_calls
+    assert a_pcws_check(A, t_max, n, H).to_json() == _plain_a_pcws(A, t_max, n, H).to_json()
 
 
 @settings(max_examples=300, deadline=None)
@@ -762,11 +761,97 @@ def test_a_thick_single_member_runs():
 
 @settings(max_examples=100, deadline=None)
 @given(_LOOP_SETS, st.integers(2, 4), st.integers(4, 400))
+@example(("quot(mult(10),2)", 60), 2, 400)
+@example(("down(union({12},mult(1001)))", 60), 2, 400)
+@example(("fp(primeseq(odd))", 60), 3, 400)
+@example(("{1}", 60), 2, 60)
 def test_nmaxstar_matches_the_plain_scan(set_at, s, H):
     A = ev(*set_at)
-    new, plain = _both(A, lambda R: nmaxstar_check(R, s, H),
-                       lambda R: _plain_nmaxstar(R, s, H))
-    assert new == plain
+    assert nmaxstar_check(A, s, H).to_json() == _plain_nmaxstar(A, s, H).to_json()
+
+
+def _walked_max(A, N, H):
+    """MAX as the embed kernel walked it: at most 2048 multiples of each n, then
+    the members up to H (completing A there) and the listed ones past it."""
+    bounds = {"N": N, "horizon": H}
+    elems = None
+    witnesses = {}
+    for m in range(1, N + 1):
+        k = _least_dilation((m,), A.contains, _one_by_one(range(1, min(H // m, 2048) + 1)))
+        if k is None and elems is None:
+            elems = A.elements(H)
+            elems = elems + A.elements()[len(elems):]
+        w = k * m if k is not None else next((e for e in elems if e % m == 0), None)
+        if w is None:
+            if A.finite:
+                return Verdict.refuted({"n0": m, "reason": "finite set has no multiple"}, bounds)
+            if analysis.empty_meet_mult(A.expr, m) is True:
+                return Verdict.refuted(
+                    {"n0": m, "reason": "set provably misses every multiple"}, bounds)
+            return Verdict.bounded("against", bounds, {"n0": m, "witnessed_up_to": m - 1})
+        witnesses[m] = w
+    return Verdict.proved({"witnesses": witnesses}, bounds)
+
+
+def _walked_maxstar(A, a_max, H):
+    """MAX* asking contains of each multiple of a in turn, up to the first that is
+    not a known member."""
+    bounds = {"a_max": a_max, "horizon": H}
+    missing, undecided = {}, {}
+    for a in range(1, a_max + 1):
+        gap = next(((v, c) for v in range(a, H + 1, a) if (c := A.contains(v)) is not True),
+                   None)
+        if gap is None:
+            return Verdict.proved({"a": a, "multiples_checked": H // a}, bounds)
+        v, c = gap
+        (missing if c is False else undecided)[a] = v
+    if undecided:
+        return Verdict.bounded("against", bounds,
+                               {"missing_multiple": missing, "undecided_multiple": undecided})
+    return Verdict.refuted({"missing_multiple": missing}, bounds)
+
+
+# the horizon H, the divisor bound N and the dilation cap a_max, both within H
+_MAX_BOUNDS = st.integers(1, 400).flatmap(
+    lambda H: st.tuples(st.just(H), st.integers(1, H), st.integers(1, H)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOOP_SETS, _MAX_BOUNDS)
+@example(("quot(mult(10),2)", 60), (400, 400, 400))
+@example(("down(union({12},mult(1001)))", 60), (400, 20, 20))
+@example(("fp(primeseq(odd))", 60), (400, 400, 20))
+@example(("{1}", 60), (60, 20, 20))
+# members listed past H, every n up to H a member, and a least member past the
+# kernel's 2048 steps
+@example(("construct(thick_nonmaxstar,8)", 20), (20, 20, 20))
+@example(("compl(mult(6000))", 5000), (5000, 5000, 20))
+@example(("mult(4100)", 5000), (5000, 20, 20))
+def test_max_and_maxstar_match_the_plain_walks(set_at, bounds):
+    H, N, a_max = bounds
+    # each on a fresh set: the walk completes A to H when the kernel gives up
+    assert max_check(ev(*set_at), N, H).to_json() == _walked_max(ev(*set_at), N, H).to_json()
+    assert (maxstar_check(ev(*set_at), a_max, H).to_json()
+            == _walked_maxstar(ev(*set_at), a_max, H).to_json())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOOP_SETS.flatmap(lambda s: st.tuples(st.just(s), st.integers(0, 2 * s[1]))))
+@example((("quot(mult(10),2)", 60), 120))
+@example((("down(union({12},mult(1001)))", 60), 100))
+@example((("fp(primeseq(odd))", 60), 120))
+@example((("{1}", 60), 0))
+def test_member_marks_agree_with_contains(case):
+    set_at, top = case
+    A = ev(*set_at)
+    before = (list(A.elements()), A.complete_below)
+    marks = A.member_marks(top)
+    assert len(marks) == top + 1
+    assert [n for n in range(top + 1) if marks[n]] == [
+        n for n in range(top + 1) if A.contains(n) is True]
+    if not A.finite:
+        # the table grows no member list
+        assert (A.elements(), A.complete_below) == before
 
 
 def _plain_nmax(A, s, H):

@@ -3,6 +3,8 @@
 import functools
 import importlib.util
 import inspect
+import json
+from itertools import filterfalse
 from pathlib import Path
 
 import pytest
@@ -394,6 +396,65 @@ def test_level_zero_refuses_a_horizon_past_the_sieve_cap():
     """level(0) is {1} without a table, yet refused past the sieve cap like every level."""
     with pytest.raises(ResourceError, match=f"sieve limit {arith.DEFAULT_SIEVE_CAP + 1} exceeds cap"):
         ev("level(0)", horizon=arith.DEFAULT_SIEVE_CAP + 1)
+
+
+def test_a_set_without_positive_levels_builds_no_sieve(monkeypatch, capsys):
+    """{1} below the sieve cap needs no sieve: the largest horizon builds none and
+    answers as a small one does (past the cap it is refused, as the test above shows)."""
+    builds, build = [], arith.Sieve._build
+    monkeypatch.setattr(arith, "_sieve", None)
+    monkeypatch.setattr(arith.Sieve, "_build",
+                        staticmethod(lambda limit: builds.append(limit) or build(limit)))
+    argv = ["check", "a-thick", "level(0)", "--n", "1", "--json", "--horizon"]
+    assert cli.main(argv + [str(arith.DEFAULT_SIEVE_CAP)]) == 0
+    big = json.loads(capsys.readouterr().out)
+    assert builds == []
+    assert cli.main(argv + ["1000"]) == 0
+    small = json.loads(capsys.readouterr().out)
+    assert big["verdict"]["certificate"] == small["verdict"]["certificate"] == {
+        "m": 0, "run": [1, 1]}
+    assert big["verdict"]["status"] == "proved"
+
+
+def _plain_complement(kid, expr, h):
+    """The complement as a filterfalse scan: kid's member set up to its bound, then
+    kid's predicate up to h."""
+    bound = min(kid.complete_below, h)
+    members = list(filterfalse(kid.member_set().__contains__, range(1, bound + 1)))
+    pred = None
+    if kid.pred is not None:
+        p = kid.pred
+        members += filterfalse(p, range(bound + 1, h + 1))
+        bound, pred = h, lambda n: not p(n)
+    return LazySet(expr, members, bound, pred=pred)
+
+
+# finite, PREFIX, complete only below h, and Omega-level children
+_COMPL_KIDS = ("{2,5,9}", "level(0)", "construct(thick_nonmaxstar,8)", "fs(sidon())",
+               "fp(primeseq(odd))", "down(union({12},mult(1001)))", "quot(mult(10),2)",
+               "shift(quot(level(2),2),3)", "level(2)", "union(level(1),level(3))",
+               "up({6,10,15})")
+
+
+@pytest.mark.parametrize("h", [60, 400])
+@pytest.mark.parametrize("text", _COMPL_KIDS)
+def test_complement_matches_the_filterfalse_scan(text, h, monkeypatch):
+    """The same members, bound and predicate on [1, 2h] as the plain scan, and,
+    under a cap of 50 members, the same inputs refused."""
+    def build(complement):
+        kid = ev(text, h)
+        with monkeypatch.context() as mp:
+            for module in (lazyset, evaluator):
+                mp.setattr(module, "MAX_ELEMENTS", cap)
+            try:
+                A = complement(kid, nodes.Compl(kid.expr), h)
+            except ResourceError:
+                return "refused"
+        return (A.elements(), A.complete_below,
+                A.pred and [A.pred(n) for n in range(1, 2 * h + 1)])
+
+    for cap in (MAX_ELEMENTS, 50):
+        assert build(evaluator.complement) == build(_plain_complement)
 
 
 @pytest.mark.parametrize("depth", [99, 98])

@@ -128,7 +128,17 @@ The battery, read from this checkout:
 - ``me`` on a set listed only below the horizon it was given, whose precision
   hint says that no horizon is known to settle it, and ``fe`` and ``me`` with a
   ``--kmax`` past the cap of ``--horizon``, which NEW refuses with exit 4 (both
-  documented differences).
+  documented differences),
+- the checkers that read one table of a set's members (``check a-pcws``,
+  ``max``, ``max*``, ``nmax*`` and ``nmax``) at horizons 60 and 5000 on sets
+  complete below the horizon, listed only to a bound, listed past it, and
+  finite, and ``check a-thick`` and ``check a-ip*`` on complements of such
+  sets at horizons 60, 5000 and the default,
+- ``me --m 1`` where membership stays unknown, which NEW refuses with exit 5
+  where OLD answered bounded, ``check a-thick`` on a complement over the element
+  cap at the largest horizon, whose message NEW gives with the count (both
+  documented differences), and ``check a-thick level(0)`` at the largest
+  horizon.
 
 Standard library only.
 """
@@ -215,6 +225,13 @@ INTER_EXPRS = ("inter(quot(mult(3),2),shift(mult(2),5))",
                "inter(shift(compl(mult(7)),4),quot(compl(mult(5)),3))",
                "inter(down({720,1001}),shift(N,30))",
                "inter(quot(fp(primeseq(odd)),2),odd)")
+# complete below the horizon (to half of it, to a tenth, to 0), listed only to a
+# bound, listed past the horizon, finite
+MARKS_EXPRS = ("quot(mult(10),2)", "quot(mult(10),10)", "shift(quot(level(2),2),3)",
+               "down(union({12},mult(1001)))", "fp(primeseq(odd))",
+               "construct(thick_nonmaxstar,8)", "{1}")
+MARKS_PROPS = ("a-pcws", "max", "max*", "nmax*", "nmax")
+COMPL_EXPRS = ("compl(fp(primeseq(odd)))", "compl({5,9})", "compl(quot(mult(7),3))")
 NMAX_EXPRS = ("fp(primeseq(odd))", "down({234,320})", "fs(fastgrowth())", "{1}", "{2,3,5,7}",
               "N", "level(2)", "dilate(2,odd)", "up({6,10,15})")
 
@@ -415,6 +432,14 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
     cmds += [["me", "quot(fp(primeseq(odd)),2)", "N", "--m", "1", "--horizon", "100"],
              ["fe", "{2,3}", "mult(6)", "--kmax", "20000001", "--json"],
              ["me", "{4,8}", "N", "--m", "1", "--kmax", "20000001", "--json"]]
+    cmds += [["check", prop, expr, "--horizon", h, "--json"]
+             for prop in MARKS_PROPS for expr in MARKS_EXPRS for h in ("60", "5000")]
+    cmds += [["check", prop, expr, *h, "--json"] for prop in ("a-thick", "a-ip*")
+             for expr in COMPL_EXPRS for h in THICK_HORIZONS]
+    cmds += [["me", "{4}", "fp(primeseq(all))", "--m", "1", "--horizon", "200", "--kmax", "1000",
+              "--json"],
+             ["check", "a-thick", "compl(mult(100))", "--horizon", "20000000"],
+             ["check", "a-thick", "level(0)", "--n", "1", "--horizon", "20000000"]]
     return cmds
 
 
