@@ -361,29 +361,57 @@ def nmaxstar_check(A: LazySet, s: int, H: int = DEFAULT_HORIZON) -> Verdict:
     """Seek a pairwise-coprime C whose dilations up to the horizon all lie in A."""
     bounds = {"horizon": H, "s": s}
     # Generators are collected in ascending order and searched in growing
-    # prefixes, so a proof gives the lexicographically least antichain among the
-    # generators collected so far; a smaller one may use a later generator.
+    # prefixes (first, 2·first, 4·first, ..., then the whole pool), so a proof
+    # gives the lexicographically least antichain of the first prefix that holds
+    # one; a smaller one may use a later generator.
     # The cap at horizon//2 keeps the evidence honest: every accepted generator
     # has at least two of its dilations verified, never just itself.
     # A search that hits its step cap ends the check with bounded evidence.
-    pool: list[int] = []
-    target = max(64, 8 * s)
-    top = H // 2
     marks = A.member_marks(H)
-    for c in range(2, top + 1):
-        if 0 not in marks[c::c]:
-            pool.append(c)
-        if len(pool) >= target or (c == top and len(pool) >= s):
-            try:
-                C = arith.extract_strong_antichain(pool, s, H)
-            except ResourceError:
-                return Verdict.bounded("against", bounds, {
-                    "dilation_generators": pool[:32], "antichain_search_capped": True})
-            if C is not None:
-                return Verdict.proved({"antichain": C, "strength": s}, bounds)
-            target *= 2
+    gens = (c for c in range(2, H // 2 + 1) if 0 not in marks[c::c])
+    first = max(64, 8 * s)
+    pool = list(islice(gens, first))  # the rest only once this prefix has failed
+    try:
+        C = arith.extract_strong_antichain(pool, s, H) if len(pool) >= s else None
+        if C is None and len(pool) == first:
+            pool += gens
+            if len(pool) > first:
+                C = _least_prefix_antichain(pool, first, s, H)
+    except ResourceError:
+        return Verdict.bounded("against", bounds, {
+            "dilation_generators": pool[:32], "antichain_search_capped": True})
+    if C is not None:
+        return Verdict.proved({"antichain": C, "strength": s}, bounds)
     return Verdict.bounded(
         "against", bounds, {"dilation_generators": pool[:32]})
+
+
+def _least_prefix_antichain(pool: list[int], first: int, s: int, H: int) -> list[int] | None:
+    """The antichain of the least prefix 2·first, 4·first, ... or pool itself
+    that holds one, as searching them in turn would give it, or its ResourceError.
+
+    The whole pool is searched first, and when that search ends under the step
+    cap without an antichain, no prefix is searched: a prefix's indices are the
+    pool's first n, and its primes' bit sets are the pool's masked to n bits, so
+    a failing prefix search visits a subset of the failing pool search's nodes.
+    At each node it counts max(0, last - pos + 1) steps, and last only grows
+    with n, so its count stays within the pool's and the cap fires on none.
+    """
+    try:
+        whole = arith.extract_strong_antichain(pool, s, H)
+    except ResourceError as capped:
+        whole = capped
+    if whole is None:
+        return None
+    n = 2 * first
+    while n < len(pool):
+        C = arith.extract_strong_antichain(pool[:n], s, H)
+        if C is not None:
+            return C
+        n *= 2
+    if isinstance(whole, ResourceError):
+        raise whole
+    return whole
 
 
 def crt_thickness_demo(C, n: int) -> int:

@@ -310,6 +310,37 @@ def test_extract_strong_antichain_matches_the_plain_scan(pool, s, cap):
     assert got == _plain_antichain_scan(pool, s, 5000, cap)
 
 
+@st.composite
+def _pools_and_sizes(draw):
+    """A pool from [2, 400] and s in [2, 5]; half of the pools share one of the
+    first s - 1 primes with every member, so that no s members are pairwise
+    coprime and the search fails however long the pool."""
+    s = draw(st.integers(min_value=2, max_value=5))
+    primorial = (2, 6, 30, 210)[s - 2]
+    hits = [x for x in range(2, 401) if math.gcd(x, primorial) > 1]
+    pool = draw(st.one_of(st.sets(st.integers(min_value=2, max_value=400), max_size=60),
+                          st.sets(st.sampled_from(hits), min_size=20, max_size=120)))
+    return sorted(pool), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pools_and_sizes(), st.integers(min_value=50, max_value=5000))
+def test_a_failing_search_fails_on_every_prefix(pool_and_s, cap):
+    """When the search over a whole pool ends under the step cap without an
+    antichain, so does the search over each of its ascending prefixes: NMAX*
+    relies on this to settle a pool with one search."""
+    pool, s = pool_and_s
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_ANTICHAIN_STEP_CAP", cap)
+        try:
+            whole = arith.extract_strong_antichain(pool, s, 400)
+        except ResourceError:
+            return
+        if whole is None:
+            for n in range(len(pool)):
+                assert arith.extract_strong_antichain(pool[:n], s, 400) is None
+
+
 @given(st.sets(st.integers(min_value=2, max_value=120), min_size=1, max_size=14),
        st.integers(min_value=1, max_value=4))
 def test_extract_antichain_result_is_valid_and_least(pool, s):

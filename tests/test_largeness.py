@@ -765,9 +765,42 @@ def test_a_thick_single_member_runs():
 @example(("down(union({12},mult(1001)))", 60), 2, 400)
 @example(("fp(primeseq(odd))", 60), 3, 400)
 @example(("{1}", 60), 2, 60)
+# the first prefix proves; the whole pool holds no antichain; the first prefix
+# fails and the 128-prefix proves [6, 35, 143, 437]; the search is capped
+@example(("N", 400), 4, 400)
+@example(("up({6,10,15})", 5000), 4, 5000)
+@example(("union(mult(6),mult(35),mult(143),mult(437))", 5000), 4, 5000)
+@example(("mult(2)", 6000), 4, 6000)
+# the 128-prefix proves [10, 303], though the whole pool holds the smaller [6, 1001]
+@example(("up({6,10,303,1001})", 5000), 2, 5000)
 def test_nmaxstar_matches_the_plain_scan(set_at, s, H):
     A = ev(*set_at)
     assert nmaxstar_check(A, s, H).to_json() == _plain_nmaxstar(A, s, H).to_json()
+
+
+def _antichain_searches(monkeypatch, text, H, s=4):
+    """The pool sizes NMAX* hands the antichain search on text at H, in call order."""
+    sizes, search = [], arith.extract_strong_antichain
+
+    def counted(pool, s, H):
+        sizes.append(len(pool))
+        return search(pool, s, H)
+    monkeypatch.setattr(arith, "extract_strong_antichain", counted)
+    nmaxstar_check(ev(text, H), s, H)
+    return sizes
+
+
+def test_nmaxstar_searches_no_pool_twice(monkeypatch):
+    """mult(39)'s pool stops growing at 64 generators, well below H // 2: it is
+    searched once, not again when the collection reaches H // 2."""
+    assert _antichain_searches(monkeypatch, "mult(39)", 5000) == [64]
+
+
+def test_nmaxstar_settles_a_pool_without_antichain_in_two_searches(monkeypatch):
+    """The first prefix, then the whole pool, whose failure settles every prefix
+    between them; a proved set stops at the first prefix without collecting more."""
+    assert _antichain_searches(monkeypatch, "up({6,10,15})", 5000) == [64, 666]
+    assert _antichain_searches(monkeypatch, "N", 131072) == [64]
 
 
 def _walked_max(A, N, H):

@@ -36,6 +36,10 @@ The battery, read from this checkout:
   ``--horizon`` below ``--kmax``, and ``fe``/``me`` with a ``--kmax`` below 1,
 - ``check nmax*`` at horizon 5000 on the sets whose coprime-antichain searches
   cost most, on one that ends at the search's step cap, and with ``--s`` 2 and 6,
+  on pools that are proved only past the first prefix of 64 generators (also
+  where the whole pool holds a smaller antichain) and on one that stops growing
+  at 64, and ``mult(2)`` at horizon 6000 (capped), ``up({6,10,15})`` at 20000 and
+  ``N`` at 131072 (proved at the first prefix),
 - the greedy Sidon sequence: ``check a-thick fs(sidon())`` at horizons 100000
   and 1000000, ``construct sidon 300``, and the closure of 600 pinned terms,
   refused at the subset cap,
@@ -184,7 +188,8 @@ CONSTRUCT_ARGS = (("exgamma", "8"), ("fastgrowth",), ("sidon", "10"), ("sidon",)
                   ("levelfix", "[1]", "[2]", "3"), ("sidon_levels", "6", "1"))
 CONSTRUCT_HORIZON = "2000"
 NMAXSTAR_EXPRS = ("up({6,10,15})", "quot(mult(10),2)", "inter(mult(6),compl(level(3)))",
-                  "mult(2)", "union(up({3,5}),{4,9,49})")
+                  "mult(2)", "union(up({3,5}),{4,9,49})",
+                  "union(mult(6),mult(35),mult(143),mult(437))", "mult(39)")
 NMAXSTAR_HORIZON = "5000"
 LOOP_EXPRS = ("dilate(2,odd)", "shift(mult(3),2)", "fp(primeseq(odd))", "level(2)",
               "construct(sidon)")
@@ -322,6 +327,12 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
         ["check", "nmax*", "up({6,10,21,385})", "--horizon", NMAXSTAR_HORIZON, "--s", "2",
          "--json"],
         ["check", "nmax*", "N", "--horizon", NMAXSTAR_HORIZON, "--s", "6", "--json"],
+        ["check", "nmax*", "up({6,10,303,1001})", "--horizon", NMAXSTAR_HORIZON, "--s", "2",
+         "--json"],
+        # a capped search, a pool without an antichain, and a proof at the first prefix
+        ["check", "nmax*", "mult(2)", "--horizon", "6000", "--json"],
+        ["check", "nmax*", "up({6,10,15})", "--horizon", "20000", "--json"],
+        ["check", "nmax*", "N", "--horizon", "131072", "--json"],
         # the greedy Sidon stream, and a pinned closure refused before its terms exist
         *(["check", "a-thick", "fs(sidon())", "--horizon", h, "--json"]
           for h in ("100000", "1000000")),
