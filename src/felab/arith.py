@@ -27,28 +27,33 @@ _ANTICHAIN_STEP_CAP = 1_000_000
 
 
 class Sieve:
-    """Smallest-prime-factor table for [2, limit]."""
+    """Smallest-prime-factor table for [2, limit], and beside it prime_marks, one
+    byte per n in [0, limit] that is 1 exactly when n is prime."""
 
     def __init__(self, limit: int):
         if limit < 2:
             raise InputError(f"sieve limit must be >= 2, got {limit}")
         self.limit = limit
-        self.table = self._build(limit)
+        self.table, self.prime_marks = self._build(limit)
 
     @staticmethod
-    def _build(limit: int) -> array:
+    def _build(limit: int) -> tuple[array, bytearray]:
         spf = array("I", range(limit + 1))
         spf[1] = 0
+        prime = bytearray(b"\x01") * (limit + 1)
+        prime[:2] = b"\x00\x00"
         # every composite j has spf(j)**2 <= j, so the primes up to the root
         # mark all composites; going from the largest down, the least writes last.
-        # Slices of at most 2**16 slots keep the fill array small beside the table.
+        # Slices of at most 2**16 slots keep the fill arrays small beside the tables.
         for p in range(math.isqrt(limit), 1, -1):
             if all(p % d for d in range(2, math.isqrt(p) + 1)):
                 fill = array("I", [p]) * min((limit - p * p) // p + 1, 1 << 16)
+                zeros = bytes(len(fill))
                 for lo in range(p * p, limit + 1, len(fill) * p):
                     slots = min(len(fill), (limit - lo) // p + 1)
                     spf[lo:lo + slots * p:p] = fill[:slots]
-        return spf
+                    prime[lo:lo + slots * p:p] = zeros[:slots]
+        return spf, prime
 
     def is_prime(self, n: int) -> bool:
         return n >= 2 and n <= self.limit and self.table[n] == n
@@ -224,9 +229,9 @@ def omega_upto(limit: int) -> array:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Primes <= limit, scanning the shared sieve's table no further than limit."""
-    t = ensure_sieve(limit).table
-    return [i for i in range(2, limit + 1) if t[i] == i]
+    """Primes <= limit, listed from the shared sieve's prime marks no further than limit."""
+    marks = ensure_sieve(limit).prime_marks
+    return list(itertools.compress(range(limit + 1), marks[:limit + 1]))
 
 
 def first_primes(count: int) -> list[int]:

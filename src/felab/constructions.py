@@ -364,21 +364,27 @@ def pseudointersection(chain: Sequence[LazySet], count: int, H: int) -> tuple[in
     _check_count(count)
     if count > len(sets):
         raise InputError(f"chain provides {len(sets)} sets but {count} values were requested")
-    for i in range(len(sets) - 1):
-        for x in sets[i + 1].elements(H):
-            if sets[i].contains(x) is False:
-                raise InputError(
-                    f"chain is not decreasing: {x} belongs to set {i + 2} but not to set {i + 1}")
-    values: list[int] = []
-    prev = 0
-    for i in range(count):
-        pool = sets[i].elements(H)
-        idx = bisect.bisect_right(pool, prev)
-        if idx == len(pool):
+    # marks[i][x] is 1 when x <= H belongs to set i + 1; one AND-NOT per link finds
+    # the least x of set i + 2 that set i + 1 decides against
+    marks = [sets[0].member_marks(H)]
+    for i, s in enumerate(sets[1:]):
+        s.extend_to(H)
+        marks.append(s.member_marks(H))
+        decided = H if sets[i].is_exact else min(sets[i].complete_below, H)
+        stray = (int.from_bytes(marks[i + 1][:decided + 1], "little")
+                 & ~int.from_bytes(marks[i][:decided + 1], "little"))
+        if stray:
+            x = (stray & -stray).bit_length() // 8
+            raise InputError(
+                f"chain is not decreasing: {x} belongs to set {i + 2} but not to set {i + 1}")
+    sets[0].extend_to(H)
+    values = [0]
+    for m in marks[:count]:
+        x = m.find(1, values[-1] + 1)
+        if x < 0:
             break
-        values.append(pool[idx])
-        prev = pool[idx]
-    return tuple(values)
+        values.append(x)
+    return tuple(values[1:])
 
 
 def _fx_stream(rule: str, exact: bool):
@@ -387,9 +393,14 @@ def _fx_stream(rule: str, exact: bool):
         stream = _IncreasingStream(_SEQ_STREAMS[rule]())
         terms, pinned = _stream_terms(stream, params, horizon)
         if pinned:
-            return LazySet.of_finite(expr, terms)
+            return LazySet.of_finite(expr, terms, horizon)
         return LazySet(expr, terms, horizon, pred=stream.range_pred() if exact else None)
     return build
+
+
+def _fx_finite(gen):
+    """Builder for finitely many members gen(params, horizon), tabled up to the horizon."""
+    return lambda params, horizon, expr: LazySet.of_finite(expr, gen(params, horizon), horizon)
 
 
 def _fx_sidon_levels(params, horizon, expr):
@@ -411,23 +422,19 @@ FIXTURES = {
               "n?", _fx_stream("sidon", exact=False)),
     "thick_nonmaxstar": ("construct(thick_nonmaxstar[,n_max]) - runs of every length dodging one "
                          "multiple of each n", "n?",
-                         lambda params, horizon, expr: LazySet.of_finite(
-                             expr, thick_fixture(params, horizon).members)),
+                         _fx_finite(lambda p, h: thick_fixture(p, h).members)),
     "equal_exponent": ("construct(equal_exponent) - numbers whose prime exponents are all equal",
                        "", lambda params, horizon, expr: LazySet(
                            expr, gen_equal_exponent(horizon), horizon, pred=equal_exponent_pred)),
     "fp_primes": ("construct(fp_primes,odd|even|all,count) or construct(fp_primes,[i1,...]) - "
                   "subset products of selected primes", "l|wn",
-                  lambda params, horizon, expr: LazySet.of_finite(
-                      expr, _closure_all(gen_fp_prime_subset(*params), additive=False))),
+                  _fx_finite(lambda p, h: _closure_all(gen_fp_prime_subset(*p), additive=False))),
     "prophier": ("construct(prophier,[p,...],k,n[,[p,...],k,n]...) - distinct-prime products, "
                  "one power per block", "(lnn)+",
-                 lambda params, horizon, expr: LazySet.of_finite(expr, gen_prophier(
-                     params[0::3], params[1::3], params[2::3], horizon))),
+                 _fx_finite(lambda p, h: gen_prophier(p[0::3], p[1::3], p[2::3], h))),
     "levelfix": ("construct(levelfix,[pos,...],[prime,...],n) - sorted n-factor products with "
                  "pinned factors", "lln",
-                 lambda params, horizon, expr: LazySet.of_finite(
-                     expr, gen_levelfix(*params, horizon))),
+                 _fx_finite(lambda p, h: gen_levelfix(*p, h))),
     "sidon_levels": ("construct(sidon_levels,count,side) - union of levels at alternating "
                      "distinct-difference indices", "nn", _fx_sidon_levels),
 }

@@ -169,7 +169,7 @@ def fe_prefix_check(A: LazySet, B: LazySet, p: int = DEFAULT_PREFIX, k_max: int 
     try:
         # any member makes a sound level certificate, so the listed ones up to the
         # horizon do: completing A to it could pass the element cap for nothing
-        found["level"] = fe_refute_level(itertools.takewhile(horizon.__ge__, A.elements()), B)
+        found["level"] = fe_refute_level(A.iter_members(horizon), B)
     except InapplicableError as exc:
         found["level"] = exc
     found["residue"] = fe_refute_residue(fam, B)
@@ -191,7 +191,7 @@ def prefix_of(A: LazySet, p: int, horizon: int = DEFAULT_HORIZON) -> tuple[int, 
     unlisted ones; an EXACT enumeration grows once if too few are known."""
     if p < 1:
         raise InputError(f"prefix length must be >= 1, got {p}")
-    known = A.elements(A.complete_below)
+    known = list(itertools.islice(A.iter_members(A.complete_below), p))
     if len(known) < p:
         if A.finite:
             if not known:

@@ -20,7 +20,7 @@ and verifies the finite characterizations of the dilation properties exactly.
 from __future__ import annotations
 
 import bisect
-from itertools import chain, islice, repeat
+from itertools import islice
 
 from . import arith
 from .constructions import gen_mj_funcs
@@ -59,40 +59,46 @@ def a_thick_check(A: LazySet, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
     if period is not None and period[0] + period[1] + n <= _PERIOD_WINDOW_CAP:
         window = period[0] + period[1] + n
     top = A.max_known() if A.finite else window or H
-    # the member list decides every point up to its bound, contains those above it
-    lim, elems = min(top, A.complete_below), A.elements()
-    above = range(lim + 1, top + 1)
-    points = chain(zip(islice(elems, bisect.bisect_right(elems, lim)), repeat(True)),
-                   zip(above, map(A.contains, above)))
-    run = best = best_end = last = 0
-    undecided = False
-    for x, c in points:
-        if c is not True:
-            undecided = undecided or c is None
-            continue
-        run = run + 1 if x == last + 1 else 1
-        last = x
-        if run > best:
-            best, best_end = run, x
-        if run >= n:
-            if x > H:
-                # a run exists, but only beyond the requested horizon
-                detail = {"run_beyond_horizon": x - n}
-                if window is not None:
-                    detail["window"] = window
-                return Verdict.bounded("against", bounds, detail)
-            return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
+    # one table answers every point; a finite set's members past its table are listed
+    marks = A.member_marks(A.top if A.finite else top)
+    m = marks.find(b"\x01" * n)
+    if m >= 0:
+        return _thick_run(m + n - 1, n, H, bounds, window)
     if A.finite:
-        return Verdict.refuted({"reason": "finite set", "members": len(elems)}, bounds)
+        # a run at the table's end goes on among the listed members
+        run, last = A.top - marks.rfind(0), A.top
+        for x in A.past:
+            run, last = run + 1 if x == last + 1 else 1, x
+            if run >= n:
+                return _thick_run(x, n, H, bounds, window)
+        return Verdict.refuted({"reason": "finite set", "members": A.count_known()}, bounds)
     if window is not None:
         return Verdict.refuted(
             {"preperiod": period[0], "period": period[1], "window": window}, bounds)
-    detail: dict = {"max_run": best}
-    if best:
-        detail["at"] = best_end - best
-    if undecided:
+    detail = _longest_run(marks, n)
+    # past its bound a set without a predicate answers only for its listed members
+    if A.pred is None and 0 in marks[A.complete_below + 1:]:
         detail["undecided_points"] = True
     return Verdict.bounded("against", bounds, detail)
+
+
+def _longest_run(marks: bytes, n: int) -> dict:
+    """The longest run of 1s in marks, which holds no run of n, found by bisecting on
+    whether a run of r occurs, and the index before the first such run (the `at` of
+    a verdict on a table indexed by n)."""
+    best = bisect.bisect_left(range(n), True, key=lambda r: b"\x01" * r not in marks) - 1
+    return {"max_run": best, "at": marks.find(b"\x01" * best) - 1} if best else {"max_run": 0}
+
+
+def _thick_run(x: int, n: int, H: int, bounds: dict, window: int | None) -> Verdict:
+    """The verdict on the first run of n members, which ends at x."""
+    if x > H:
+        # a run exists, but only beyond the requested horizon
+        detail = {"run_beyond_horizon": x - n}
+        if window is not None:
+            detail["window"] = window
+        return Verdict.bounded("against", bounds, detail)
+    return Verdict.proved({"m": x - n, "run": [x - n + 1, x]}, bounds)
 
 
 def a_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
@@ -107,20 +113,16 @@ def a_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Ve
     # past the largest member of a finite set no x is covered
     top = min(H, A.max_known()) if A.finite else H
     marks = A.member_marks(top + t_max)
-    # covered[x - 1] is 1 when some x + t is a member: one OR of whole ints per shift
+    # covered[x] is 1 when some x + t is a member: one OR of whole ints per shift
     covered = 0
     for t in range(t_max + 1):
-        covered |= int.from_bytes(marks[1 + t:top + 1 + t], "little")
-    covered = covered.to_bytes(top, "little")
-    m = covered.find(b"\x01" * n)
+        covered |= int.from_bytes(marks[t:top + 1 + t], "little")
+    covered = (covered & ~1).to_bytes(top + 1, "little")
+    m = covered.find(b"\x01" * n) - 1
     if m >= 0:
         return Verdict.proved({"F": list(range(t_max + 1)), "m": m, "run": [m + 1, m + n]},
                               bounds)
-    best = max(map(len, covered.split(b"\x00")))
-    detail = {"max_run": best}
-    if best:
-        detail["at"] = covered.find(b"\x01" * best)
-    return Verdict.bounded("against", bounds, detail)
+    return Verdict.bounded("against", bounds, _longest_run(covered, n))
 
 
 def m_pcws_check(A: LazySet, t_max: int, n: int, H: int = DEFAULT_HORIZON) -> Verdict:
@@ -157,20 +159,14 @@ def ip_search(A: LazySet, L: int, H: int = DEFAULT_HORIZON,
     bounds = {"horizon": H, "L": L, "mode": mode}
     elems = A.elements(H)
     additive = mode == "additive"
-    marks = bytearray()  # marks[n] is 1 for a member n, grown as far as a window reads
+    marks = A.member_marks(H)  # marks[n] is 1 for a member n
     attempts = 0
     truncated = False
     chosen: list[int] = []
 
     def passing(vals: list[int], pos: int, q: int) -> list[int]:
         """The indices in [pos, q) of the x whose combinations with vals are all members."""
-        lo, hi, top = elems[pos], elems[q - 1] + 1, max(vals)
-        need = hi + top if additive else (hi - 1) * top + 1
-        if need > len(marks):
-            old = len(marks)
-            marks.extend(bytes(min(max(need, 2 * old), H + 1) - old))
-            for n in elems[bisect.bisect_left(elems, old):bisect.bisect_left(elems, len(marks))]:
-                marks[n] = 1
+        lo, hi = elems[pos], elems[q - 1] + 1
         if hi - lo > _IP_SPARSE * (q - pos):
             # few candidates over a long span: test them, not the cells between
             hits = range(pos, q)
@@ -301,20 +297,22 @@ def max_check(A: LazySet, N: int, H: int = DEFAULT_HORIZON) -> Verdict:
         raise InputError(f"divisor bound {N} exceeds horizon {H}")
     bounds = {"N": N, "horizon": H}
     marks = A.member_marks(H)
-    listed = A.elements()
-    past = listed[bisect.bisect_right(listed, H):]  # sound witnesses too
     witnesses: dict[int, int] = {}
     for m in range(1, N + 1):
-        # the least member multiple up to H, else the least listed one past H
+        # the least member multiple up to H, else the least one the set knows past H
+        # (sound witnesses too), unless the set provably misses every multiple
         k = marks[m::m].find(1) + 1
-        w = k * m if k else next((e for e in past if e % m == 0), None)
+        if k:
+            witnesses[m] = k * m
+            continue
+        if not A.finite and analysis.empty_meet_mult(A.expr, m) is True:
+            return Verdict.refuted(
+                {"n0": m, "reason": "set provably misses every multiple"}, bounds)
+        w = next((e for e in A.iter_members(after=H) if e % m == 0), None)
         if w is None:
             if A.finite:
                 return Verdict.refuted(
                     {"n0": m, "reason": "finite set has no multiple"}, bounds)
-            if analysis.empty_meet_mult(A.expr, m) is True:
-                return Verdict.refuted(
-                    {"n0": m, "reason": "set provably misses every multiple"}, bounds)
             return Verdict.bounded(
                 "against", bounds, {"n0": m, "witnessed_up_to": m - 1})
         witnesses[m] = w

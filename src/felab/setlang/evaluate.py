@@ -6,19 +6,19 @@ subtracts, dilation multiplies, unions and intersections take the weakest
 child bound, and divisor closures of unbounded sets promise nothing.
 
 Each kind of set has one rule. A set {n : omega(n) in S} (see
-analysis.level_set_of) is listed from the shared Omega table, complete to the
+analysis.level_set_of) is read from the shared Omega table, complete to the
 horizon, without evaluating its children, so "quotient divides the bound"
 holds for the other sets only; with no positive level in S it is {1} or empty,
 so finite. A set made from one child (dilate, quot, shift, down) is finite
-when the child is, and exact only when the child is. Every finite set comes
-from LazySet.of_finite, and every table of marks (up, complements, Omega-levels,
-unpinned closures) is counted and listed by LazySet.of_marks.
+when the child is, and exact only when the child is. Every set but a listed
+fixture or divisor closure is built as a table of marks by bytes operations on
+its children's tables, no longer than the horizon, and counted, not listed.
 """
 
 from __future__ import annotations
 
-import bisect
-from itertools import islice
+import math
+from itertools import compress
 
 from .. import arith
 from ..errors import InputError, ResourceError
@@ -40,58 +40,74 @@ def evaluate(expr: nodes.SetExpr, horizon: int = DEFAULT_HORIZON) -> LazySet:
 
 
 def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
-    if isinstance(expr, nodes.AllNat):
-        return LazySet(expr, range(1, h + 1), h, pred=lambda n: True)
+    if isinstance(expr, (nodes.AllNat, nodes.Mult, nodes.Ap)):
+        # N is ap(1,1) and mult(k) is ap(k,k): one strided write
+        a, d = ((1, 1) if isinstance(expr, nodes.AllNat) else (expr.k, expr.k)
+                if isinstance(expr, nodes.Mult) else (expr.a, expr.d))
+        count = len(range(a, h + 1, d))
+        if count > MAX_ELEMENTS:
+            raise over_cap(count)  # before the table exists
+        marks = bytearray(h + 1)
+        marks[a::d] = b"\x01" * count
+        pred = ((lambda n: True) if a == d == 1 else (lambda n: n % d == 0) if a == d
+                else lambda n: n >= a and (n - a) % d == 0)
+        return LazySet(expr, marks, h, pred=pred)
     if isinstance(expr, nodes.Primes):
-        return LazySet(expr, arith.primes_upto(h), h, pred=arith.is_prime)
+        return LazySet(expr, arith.ensure_sieve(h).prime_marks[:h + 1], h, pred=arith.is_prime)
     if isinstance(expr, (nodes.Level, nodes.Union, nodes.Inter, nodes.Quot)):
         levels = analysis.level_set_of(expr)
         if levels is not None:
             return _eval_levels(expr, levels, h)
-    if isinstance(expr, nodes.Mult):
-        k = expr.k
-        return LazySet(expr, range(k, h + 1, k), h, pred=lambda n: n % k == 0)
-    if isinstance(expr, nodes.Ap):
-        a, d = expr.a, expr.d
-        members = range(a, h + 1, d)
-        return LazySet(expr, members, h, pred=lambda n: n >= a and (n - a) % d == 0)
     if isinstance(expr, nodes.Explicit):
-        return LazySet.of_finite(expr, expr.elems)
-    if isinstance(expr, nodes.Union):
-        return _eval_union(expr, h)
-    if isinstance(expr, nodes.Inter):
-        return _eval_inter(expr, h)
+        return LazySet.of_finite(expr, expr.elems, h)
+    if isinstance(expr, (nodes.Union, nodes.Inter)):
+        return _eval_boolean(expr, h)
     if isinstance(expr, nodes.Compl):
         return complement(_eval(expr.arg, h), expr, h)
     if isinstance(expr, nodes.Dilate):
         kid, k = _eval(expr.arg, h), expr.k
-        return _of_child(expr, kid, [k * m for m in kid.elements()],
+        top = min(h, k * kid.top + k - 1)
+        marks = bytearray(top + 1)
+        marks[k::k] = kid.marks[1:top // k + 1]
+        # an EXACT kid whose table reaches its bound has no member past the table up to
+        # it, so the dilation's members past its own table up to its bound are the
+        # multiples of k its predicate accepts, no more of them than the kid's table holds
+        walk = kid.pred is not None and not kid.finite and kid.top == kid.complete_below
+        return _of_child(expr, kid, marks, top // k, lambda m: k * m,
                          k * kid.complete_below + k - 1,
-                         lambda n, p=kid.pred: n % k == 0 and p(n // k))
+                         lambda n, p=kid.pred: n % k == 0 and p(n // k), k if walk else 0)
     if isinstance(expr, nodes.Quot):
+        # n·m past the kid's table lies past its walk too, if it has one
         kid, n = _eval(expr.arg, h), expr.n
-        return _of_child(expr, kid, [m // n for m in kid.elements() if m % n == 0],
-                         kid.complete_below // n, lambda m, p=kid.pred: p(n * m))
+        return _of_child(expr, kid, kid.marks[::n], kid.top, lambda m: 0 if m % n else m // n,
+                         kid.complete_below // n, lambda m, p=kid.pred: p(n * m),
+                         kid.stride // math.gcd(kid.stride, n))
     if isinstance(expr, nodes.Shift):
         kid, t = _eval(expr.arg, h), expr.t
-        return _of_child(expr, kid, [m - t for m in kid.elements() if m > t],
-                         max(kid.complete_below - t, 0), lambda m, p=kid.pred: p(m + t))
+        marks = kid.marks[t:] or bytearray(1)
+        marks[0] = 0
+        # a shift off the kid's stride lists what the kid walks
+        return _of_child(expr, kid, marks, kid.top, lambda m: m - t,
+                         max(kid.complete_below - t, 0), lambda m, p=kid.pred: p(m + t),
+                         0 if kid.stride and t % kid.stride else kid.stride)
     if isinstance(expr, nodes.Up):
         return _eval_up(expr, h)
     if isinstance(expr, nodes.Down):
         kid = _eval(expr.arg, h)
         divs = set()
-        for m in kid.elements():
+        for m in kid.iter_members():
             divs.update(arith.divisors(m))
         # a divisor closure promises nothing past what it lists
-        return _of_child(expr, kid, sorted(divs), 0, None)
+        if kid.finite:
+            return LazySet.of_finite(expr, divs, h)
+        return LazySet(expr, sorted(divs), 0)
     if isinstance(expr, (nodes.Fs, nodes.Fp)):
         return _eval_fsfp(expr, h)
     if isinstance(expr, nodes.Pseudo):
         from .. import constructions
 
         kids = [_eval(c, h) for c in expr.chain]
-        return LazySet.of_finite(expr, constructions.pseudointersection(kids, expr.count, h))
+        return LazySet.of_finite(expr, constructions.pseudointersection(kids, expr.count, h), h)
     if isinstance(expr, nodes.Construct):
         from .. import constructions
 
@@ -99,13 +115,19 @@ def _eval(expr: nodes.SetExpr, h: int) -> LazySet:
     raise InputError(f"cannot evaluate node {type(expr).__name__}")
 
 
-def _of_child(expr: nodes.SetExpr, kid: LazySet, members: list[int], bound: int,
-              pred) -> LazySet:
-    """A set made from one child: finite when the child is; otherwise complete to
-    bound, and exact (with pred) only when the child is exact."""
+def _of_child(expr: nodes.SetExpr, kid: LazySet, marks: bytearray, cut: int, image,
+              bound: int, pred, stride: int) -> LazySet:
+    """A set made from one child: the table marks, and past it the images (those
+    above 0) of the child's members past cut, or with a stride only of those the
+    child lists past its own walk. Finite when the child is; otherwise complete to
+    bound, and exact, with pred answering at the multiples of stride up to bound,
+    only when the child is."""
+    past = [y for y in map(image, kid.past if stride else kid.iter_members(after=cut)) if y > 0]
     if kid.finite:
-        return LazySet.of_finite(expr, members)
-    return LazySet(expr, members, bound, pred=pred if kid.pred is not None else None)
+        return LazySet(expr, marks, 0, past=past).as_finite()
+    if kid.pred is None:
+        return LazySet(expr, marks, bound, past=past)
+    return LazySet(expr, marks, bound, pred, past, stride)
 
 
 def _eval_levels(expr: nodes.SetExpr, levels: frozenset[int], h: int) -> LazySet:
@@ -117,55 +139,49 @@ def _eval_levels(expr: nodes.SetExpr, levels: frozenset[int], h: int) -> LazySet
         if h > arith.DEFAULT_SIEVE_CAP:
             arith.ensure_sieve(h)
         return LazySet.of_finite(expr, (1,) if levels else ())
-    table = memoryview(arith.omega_upto(h))[1:h + 1].tobytes()
-    marks = table.translate(bytes(i in levels for i in range(256)))
-    return LazySet.of_marks(expr, marks, h, pred=lambda m: arith.omega(m) in levels)
+    marks = bytearray(memoryview(arith.omega_upto(h))[:h + 1])
+    marks = marks.translate(bytes(i in levels for i in range(256)))
+    marks[0] = 0
+    return LazySet(expr, marks, h, pred=lambda m: arith.omega(m) in levels)
 
 
-def _eval_union(expr: nodes.Union, h: int) -> LazySet:
+def _eval_boolean(expr: nodes.Union | nodes.Inter, h: int) -> LazySet:
+    """A union (OR) or intersection (AND) of its kids' tables up to its bound or h
+    (when all kids are finite, up to the greatest table), listing what lies past."""
+    union = isinstance(expr, nodes.Union)
     kids = [_eval(a, h) for a in expr.args]
-    members = set()
-    for kid in kids:
-        members.update(kid.elements())
-    if all(kid.finite for kid in kids):
-        return LazySet.of_finite(expr, members)
-    pred = None
-    if all(kid.pred is not None for kid in kids):
-        preds = tuple(kid.pred for kid in kids)
-        pred = lambda n: any(p(n) for p in preds)
-    # a finite kid knows all its members, so it limits nothing below h
-    bound = min(h if kid.finite else kid.complete_below for kid in kids)
-    return LazySet(expr, sorted(members), bound, pred=pred)
-
-
-def _eval_inter(expr: nodes.Inter, h: int) -> LazySet:
-    kids = [_eval(a, h) for a in expr.args]
-    # the smallest finite kid if there is one, else the smallest kid
-    base = min(kids, key=lambda k: (not k.finite, k.count_known()))
-    others = [k for k in kids if k is not base]
-    # a kid with a predicate decides membership everywhere, one without only to its bound
-    bound = min((k.complete_below for k in kids if k.pred is None), default=h)
-    base.extend_to(bound)
-    elems = base.elements()
-    # up to every other kid's bound, each decides by its list: one set intersection
-    cut = bisect.bisect_right(elems, min(o.complete_below for o in others))
-    members = sorted(set(islice(elems, cut)).intersection(*(o.elements() for o in others)))
-    undecided = False
-    for x in islice(elems, cut, None):
-        verdicts = [o.contains(x) for o in others]
-        if any(v is False for v in verdicts):
-            continue
-        if all(v is True for v in verdicts):
-            members.append(x)
-        else:
-            undecided = True
-    if base.finite and not undecided:
-        return LazySet.of_finite(expr, members)
-    pred = None
-    if all(kid.pred is not None for kid in kids):
-        preds = tuple(kid.pred for kid in kids)
-        pred = lambda n: all(p(n) for p in preds)
-    return LazySet(expr, members, bound, pred=pred)
+    if union:
+        # a finite kid knows all its members, so it limits nothing below h
+        bound = min(h if kid.finite else kid.complete_below for kid in kids)
+    else:
+        # a kid with a predicate decides membership everywhere, one without only to its bound
+        bound = min((k.complete_below for k in kids if k.pred is None), default=h)
+    finite = all(kid.finite for kid in kids)
+    top = max(kid.top for kid in kids) if finite else min(bound, h)
+    merged = int.from_bytes(kids[0].member_marks(top), "little")
+    for kid in kids[1:]:
+        table = int.from_bytes(kid.member_marks(top), "little")
+        merged = merged | table if union else merged & table
+    marks = bytearray(merged.to_bytes(top + 1, "little"))
+    preds = tuple(kid.pred for kid in kids)
+    pred = None if None in preds else (
+        (lambda n: any(p(n) for p in preds)) if union else (lambda n: all(p(n) for p in preds)))
+    if union:
+        past = sorted(set().union(*(kid.iter_members(after=top) for kid in kids)))
+    else:
+        # past the table every member lies in one kid: a finite one if there is one,
+        # else one without a predicate, which lists its members up to its bound
+        base = min(kids, key=lambda k: (not k.finite, k.pred is not None, k.count_known()))
+        past, undecided = [], False
+        for x in base.iter_members(after=top):
+            verdicts = [k.contains(x) for k in kids if k is not base]
+            if all(v is True for v in verdicts):
+                past.append(x)
+            undecided = undecided or False not in verdicts and None in verdicts
+        finite = base.finite and not undecided
+    if finite:
+        return LazySet(expr, marks, 0, past=past).as_finite()
+    return LazySet(expr, marks, bound, pred=pred, past=past)
 
 
 def complement(kid: LazySet, expr, h: int) -> LazySet:
@@ -175,8 +191,9 @@ def complement(kid: LazySet, expr, h: int) -> LazySet:
     """
     p = kid.pred
     bound = h if p is not None else min(kid.complete_below, h)
-    marks = kid.member_marks(bound)[1:].translate(_FLIP)
-    return LazySet.of_marks(expr, marks, bound, pred=None if p is None else lambda n: not p(n))
+    marks = kid.member_marks(bound).translate(_FLIP)
+    marks[0] = 0
+    return LazySet(expr, marks, bound, pred=None if p is None else lambda n: not p(n))
 
 
 def _eval_up(expr: nodes.Up, h: int) -> LazySet:
@@ -185,11 +202,11 @@ def _eval_up(expr: nodes.Up, h: int) -> LazySet:
     # every multiple of the least element is a member: refuse before the marks exist
     if elems and h // elems[0] > MAX_ELEMENTS:
         raise over_cap()
-    marks = bytearray(h)  # marks[n - 1] for n
+    marks = bytearray(h + 1)
     minimal = []  # the members no smaller member divides; their multiples are the set
     for a in elems:
-        if not marks[a - 1]:
-            marks[a - 1::a] = b"\x01" * (h // a)
+        if not marks[a]:
+            marks[a::a] = b"\x01" * (h // a)
             minimal.append(a)
     pred = None
     if kid.finite:
@@ -201,7 +218,12 @@ def _eval_up(expr: nodes.Up, h: int) -> LazySet:
     elif kid.pred is not None:
         p = kid.pred
         pred = lambda n: any(p(d) for d in arith.divisors(n))
-    return LazySet.of_marks(expr, marks, min(kid.complete_below, h), pred=pred)
+    bound, past = min(kid.complete_below, h), []
+    if pred is None:
+        # past its bound a set without a predicate lists its members, not its non-members
+        past = list(compress(range(bound + 1, h + 1), marks[bound + 1:]))
+        del marks[bound + 1:]
+    return LazySet(expr, marks, bound, pred=pred, past=past)
 
 
 def _eval_fsfp(expr, h: int) -> LazySet:
@@ -215,13 +237,13 @@ def _eval_fsfp(expr, h: int) -> LazySet:
     else:
         terms, pinned = constructions.sequence_terms(seq.rule, seq.params, h, _check_pinned)
     if pinned:
-        return LazySet.of_finite(expr, _closure_all(terms, additive))
+        return LazySet.of_finite(expr, _closure_all(terms, additive), h)
     # over the cap within the window, a larger h is refused before its table exists;
     # the window's table is dropped once its marks are counted
     if h > _CLOSURE_WINDOW and (
             _closure_upto(terms, _CLOSURE_WINDOW, additive).count(1) > MAX_ELEMENTS):
         raise over_cap()
-    return LazySet.of_marks(expr, _closure_upto(terms, h, additive), h)
+    return LazySet(expr, _closure_upto(terms, h, additive), h)
 
 
 def _check_pinned(count: int) -> None:
@@ -240,8 +262,8 @@ def _closure_all(terms, additive: bool) -> set[int]:
 
 
 def _closure_upto(terms, h: int, additive: bool) -> bytearray:
-    """Marks of the sums (or products) <= h of distinct ascending terms: marks[n - 1]
-    is 1 when n is one, as LazySet.of_marks reads them.
+    """Marks of the sums (or products) <= h of distinct ascending terms: marks[n]
+    is 1 when n is one, as a LazySet reads them.
 
     reach[v] marks the v reached so far, starting from the empty sum 0 (or the
     empty product 1). Each term ORs the old table into itself shifted (or
@@ -265,5 +287,5 @@ def _closure_upto(terms, h: int, additive: bool) -> bytearray:
             raise ResourceError(
                 f"product closure exceeds the subset cap {SUBSET_CAP}; lower the horizon")
         reach[1] = 1 in terms
-    del reach[0]
+    reach[0] = 0
     return reach

@@ -1,21 +1,24 @@
 """Bounded view of a set of naturals with three-valued membership.
 
-A LazySet knows a sorted list of members and the bound `complete_below` up to
-which that list is exhaustive, so membership at or below the bound is a lookup
-in a set of the members, built on the first lookup. EXACT sets additionally
-carry a total membership predicate, which answers every query above the bound;
-PREFIX sets answer True for listed members there and unknown (None) otherwise.
-Reading the members up to a bound completes an EXACT set to that bound first,
-so no reader has to grow a set before it reads. Known members may legitimately
-sit above the bound: generated fixtures keep all their elements even past the
-evaluation horizon, because discarding them would only discard sound witnesses.
+A LazySet holds a table of marks, marks[n] for n up to the table's top, which no
+evaluation grows past its horizon, and the sorted tuple `past` of the members it
+lists past the top; membership up to the bound `complete_below` is decided.
+EXACT sets carry a total membership predicate, which answers past the top;
+PREFIX sets answer True for listed members above the bound and unknown (None)
+otherwise. Every member a set knows past its table is listed, but for one kind:
+a set with a `stride` lists none up to its bound, where its members are the
+multiples of the stride that its predicate accepts (see evaluate's dilation).
+Members are listed only when a reader asks, and reading them up to a bound
+completes an EXACT set to it first. Generated fixtures keep their members past
+the horizon: they are sound witnesses.
 """
 
 from __future__ import annotations
 
 import bisect
-from itertools import compress
-from typing import Callable, Collection, Sequence
+import math
+from itertools import compress, islice, takewhile
+from typing import Callable, Collection, Iterator, Sequence
 
 from ..errors import ResourceError
 
@@ -34,37 +37,45 @@ def over_cap(count: int | None = None) -> ResourceError:
 
 
 class LazySet:
-    __slots__ = ("expr", "_members", "_member_set", "complete_below", "pred", "finite")
+    __slots__ = ("expr", "marks", "top", "past", "stride", "_members", "complete_below", "pred",
+                 "finite")
 
-    def __init__(self, expr, members: Sequence[int], complete_below: int,
-                 pred: Callable[[int], bool] | None = None):
-        """members are ascending and distinct; a list is kept as it is, not copied."""
-        if len(members) > MAX_ELEMENTS:
-            raise over_cap(len(members))
-        self.expr = expr
-        self._members = members if isinstance(members, list) else list(members)
-        self._member_set: set[int] | None = None
-        self.complete_below = complete_below
-        self.pred = pred
-        self.finite = False
-
-    @classmethod
-    def of_finite(cls, expr, members: Collection[int]) -> LazySet:
-        """The finite EXACT set of exactly these members, complete up to the largest."""
-        ls = cls(expr, sorted(set(members)), 0)
-        ls.finite = True
-        ls.complete_below = ls.max_known()
-        ls.pred = ls.member_set().__contains__
-        return ls
-
-    @classmethod
-    def of_marks(cls, expr, marks: bytes, complete_below: int,
-                 pred: Callable[[int], bool] | None = None) -> LazySet:
-        """The set of the n with marks[n - 1] == 1; the cap is met before any member is listed."""
-        count = marks.count(1)
+    def __init__(self, expr, marks: bytearray | Sequence[int], complete_below: int,
+                 pred: Callable[[int], bool] | None = None, past: Sequence[int] = (),
+                 stride: int = 0):
+        """The set of the n with marks[n] == 1 (marks[0] is 0) and of the ascending
+        members past, all past the table. Given ascending distinct members for marks
+        instead, those up to complete_below make the table and the rest are listed.
+        The cap is met by counting: nothing is listed until a reader asks."""
+        if not isinstance(marks, bytearray):
+            cut = bisect.bisect_right(marks, complete_below)
+            table = bytearray(complete_below + 1)
+            for n in islice(marks, cut):
+                table[n] = 1
+            marks, past = table, marks[cut:]
+        count = marks.count(1) + len(past)
         if count > MAX_ELEMENTS:
             raise over_cap(count)
-        return cls(expr, list(compress(range(1, len(marks) + 1), marks)), complete_below, pred)
+        self.expr, self.marks, self.top, self.past = expr, marks, len(marks) - 1, tuple(past)
+        self.complete_below, self.pred, self.stride = complete_below, pred, stride
+        self.finite, self._members = False, ()  # a tuple until listed
+
+    @classmethod
+    def of_finite(cls, expr, members: Collection[int], top: float = math.inf) -> LazySet:
+        """The finite EXACT set of exactly these members, complete up to the largest;
+        its table stops at top, past which the members are listed."""
+        listed = sorted(set(members))
+        cut = bisect.bisect_right(listed, top)
+        return cls(expr, listed, listed[cut - 1] if cut else 0).as_finite()
+
+    def as_finite(self) -> LazySet:
+        """Mark this set finite, its table cut at its last member: complete up to the
+        largest member, and its predicate a lookup among them."""
+        self.top = max(self.marks.rfind(1), 0)
+        del self.marks[self.top + 1:]
+        self.finite, self.complete_below = True, self.max_known()
+        self.pred = frozenset(self.elements()).__contains__
+        return self
 
     @property
     def is_exact(self) -> bool:
@@ -74,76 +85,95 @@ class LazySet:
         """True/False when decidable, None when unknown."""
         if n < 1:
             return False
-        if n <= self.complete_below:
-            # inline, not through member_set: this is the hot path
-            members = self._member_set
-            if members is None:
-                members = self.member_set()
-            return n in members
+        if n <= self.top:
+            return self.marks[n] == 1
         if self.pred is not None:
             return bool(self.pred(n))
-        return True if n in self.member_set() else None
-
-    def member_set(self) -> set[int]:
-        """The listed members as a set, built on the first lookup: many sets are only
-        ever listed. Callers do not write to it."""
-        if self._member_set is None:
-            self._member_set = set(self._members)
-        return self._member_set
+        i = bisect.bisect_left(self.past, n)
+        if i < len(self.past) and self.past[i] == n:
+            return True
+        return False if n <= self.complete_below else None
 
     def elements(self, bound: int | None = None) -> list[int]:
-        """The members up to bound: every one for an EXACT set, whose list first grows
-        to bound, and the listed ones for a PREFIX set. With no bound, every listed
-        member, also those past complete_below. The list may be the set's own, so
-        callers do not write to it."""
+        """The members up to bound: every one for an EXACT set, which first grows to
+        bound, and the known ones for a PREFIX set; with no bound, every member the set
+        knows. The list is kept, so callers do not write to it."""
+        if bound is not None:
+            self.extend_to(bound)
+        if not isinstance(self._members, list):
+            self._members = list(self.iter_members())
         if bound is None:
             return self._members
-        self.extend_to(bound)
-        idx = bisect.bisect_right(self._members, bound)
-        return self._members if idx == len(self._members) else self._members[:idx]
+        return self._members[:bisect.bisect_right(self._members, bound)]
+
+    def iter_members(self, bound: float = math.inf, after: int = 0) -> Iterator[int]:
+        """The members the set knows in (after, bound], read lazily with the set left as
+        it is: the table's, those at the multiples of the stride up to complete_below,
+        then the listed ones."""
+        yield from compress(range(after + 1, min(bound, self.top) + 1), self.marks[after + 1:])
+        if self.stride:
+            s = self.stride
+            yield from filter(self.pred, range(max(after, self.top) // s * s + s,
+                                               min(bound, self.complete_below) + 1, s))
+        yield from takewhile(bound.__ge__, self.past[bisect.bisect_right(self.past, after):])
 
     def member_marks(self, top: int) -> bytearray:
         """One byte per n in [0, top], index n for n: marks[n] is 1 exactly when
-        contains(n) is True. The member list is read, never grown: an infinite EXACT
-        set asks its predicate above its bound, in one pass."""
-        exact = self.pred is not None and not self.finite
-        lim = min(top, self.complete_below) if exact else top
-        marks = bytearray(top + 1)
-        for n in self.elements(lim):
-            marks[n] = 1
-        if exact:
-            marks[lim + 1:] = bytes(map(self.pred, range(lim + 1, top + 1)))
+        contains(n) is True. A copy of the table, grown to top as contains answers;
+        a set with a stride first tables what it walks up to top, once for every reader."""
+        if self.stride:
+            self._grow(min(top, self.complete_below))
+        marks = self.marks[:top + 1]
+        if top > self.top:
+            if self.pred is not None and not self.finite:
+                marks += bytes(map(self.pred, range(self.top + 1, top + 1)))
+            else:
+                marks.extend(bytes(top - self.top))
+                for n in takewhile(top.__ge__, self.past):
+                    marks[n] = 1
         return marks
 
+    def _grow(self, top: int) -> None:
+        # table an infinite EXACT set up to top by its predicate, asked only at the
+        # multiples of its stride, where all its members past the table lie
+        if top > self.top:
+            s = self.stride or 1
+            first = (self.top // s + 1) * s
+            self.marks.extend(bytes(top - self.top))
+            self.marks[first::s] = bytes(map(self.pred, range(first, top + 1, s)))
+            self.top, self.past = top, self.past[bisect.bisect_right(self.past, top):]
+
     def extend_to(self, bound: int) -> None:
-        """Grow the enumeration of an EXACT set so completeness reaches `bound`."""
+        """Grow an EXACT set so completeness reaches bound: its table, when that reaches
+        the old bound, else its listed members. A finite set knows all its members."""
         if bound <= self.complete_below or self.pred is None:
             return
-        if self.finite:
-            # the member list already is the whole set
-            self.complete_below = bound
-            return
-        pred = self.pred
-        fresh = [n for n in range(self.complete_below + 1, bound + 1) if pred(n)]
-        if len(self._members) + len(fresh) > MAX_ELEMENTS:
-            raise ResourceError(
-                f"enumerating {self.describe_short()} to {bound} exceeds the "
-                f"element cap {MAX_ELEMENTS}")
-        self.member_set().update(fresh)
-        self._members = sorted(self._member_set)
+        if not self.finite:
+            if self.top >= self.complete_below:
+                self._grow(bound)
+            else:
+                fresh = filter(self.pred, range(self.complete_below + 1, bound + 1))
+                self.past = tuple(sorted({*self.iter_members(after=self.top), *fresh}))
+                self.stride = 0
+            if isinstance(self._members, list):
+                self._members = list(self.iter_members())
+        if self.count_known() > MAX_ELEMENTS:
+            raise ResourceError(f"enumerating {self.describe_short()} to {bound} exceeds the "
+                                f"element cap {MAX_ELEMENTS}")
         self.complete_below = bound
 
     def max_known(self) -> int:
-        return self._members[-1] if self._members else 0
+        return self.past[-1] if self.past else max(self.marks.rfind(1), 0)
 
     def count_known(self) -> int:
-        return len(self._members)
+        return self.marks.count(1) + sum(1 for _ in self.iter_members(after=self.top))
 
     def describe_short(self) -> str:
         from .nodes import unparse
         return unparse(self.expr)
 
     def __repr__(self) -> str:
-        head = ",".join(str(m) for m in self._members[:8])
-        more = ",..." if len(self._members) > 8 else ""
+        members = self.elements()
+        head = ",".join(str(m) for m in members[:8])
+        more = ",..." if len(members) > 8 else ""
         return f"LazySet({self.describe_short()}: {{{head}{more}}} {'EXACT' if self.is_exact else 'PREFIX'})"

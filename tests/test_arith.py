@@ -51,7 +51,10 @@ def test_sieve_spf_matches_trial_division():
     # 1 << 16 is the size ensure_sieve builds first;
     # 270000 fills the slices of 2 and 3 in several pieces
     for limit in [*range(2, 601), 1 << 16, 131072, 270_000]:
-        assert arith.Sieve(limit).table.tolist() == ref[:limit + 1]
+        sieve = arith.Sieve(limit)
+        assert sieve.table.tolist() == ref[:limit + 1]
+        # the prime marks are written in the same slices: 1 exactly where spf(n) = n
+        assert sieve.prime_marks == bytes(n >= 2 and ref[n] == n for n in range(limit + 1))
 
 
 def test_primes_upto_cuts_at_limit():

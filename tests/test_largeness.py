@@ -1,6 +1,7 @@
 """Largeness-property deciders, the implication diagram, and the poset atlas."""
 
 import gc
+import math
 import types
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from felab import arith, largeness
 from felab.constructions import gen_mj_funcs
 from felab.embed import (FeWitness, _least_dilation, _one_by_one, decreasing_chain,
-                         fe_refute_level)
+                         fe_refute_level, prefix_of)
 from felab.errors import InapplicableError, InputError, ResourceError
 from felab.largeness import (CHECKERS, AtlasReport, PropertyParams, _add_funcs, a_pcws_check,
                              a_thick_check, crt_thickness_demo, diagram_report,
@@ -228,6 +229,18 @@ def test_max_check(N, odds):
     v = max_check(ev("union(fp(fastgrowth()),{500})", 100), 6, 1000)
     assert v.is_proved
     assert v.certificate["witnesses"] == {1: 1, 2: 4, 3: 9, 4: 4, 5: 500, 6: 36}
+
+
+@pytest.mark.parametrize("k, H", [(7, 60), (1000, 5000), (10**6, 100_000)])
+def test_dilations_answer_past_their_table_by_stride(k, H):
+    """dilate(k,N) keeps a table to H and answers up to its bound k·H + k - 1 by its
+    predicate, stepping over the non-multiples of k: the least multiple of m in it
+    is lcm(m, k), past H or not, and its first members are k, 2k and 3k."""
+    A = ev(f"dilate({k},N)", H)
+    assert A.top == H and A.complete_below == k * H + k - 1
+    witnesses = max_check(A, 20, H).certificate["witnesses"]
+    assert witnesses == {m: math.lcm(m, k) for m in range(1, 21)}
+    assert prefix_of(A, 3, H) == (k, 2 * k, 3 * k)
 
 
 def test_max_witnesses_verify():

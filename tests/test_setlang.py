@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import inspect
 import json
+import tracemalloc
 from itertools import filterfalse
 from pathlib import Path
 
@@ -420,7 +421,7 @@ def _plain_complement(kid, expr, h):
     """The complement as a filterfalse scan: kid's member set up to its bound, then
     kid's predicate up to h."""
     bound = min(kid.complete_below, h)
-    members = list(filterfalse(kid.member_set().__contains__, range(1, bound + 1)))
+    members = list(filterfalse(set(kid.elements(bound)).__contains__, range(1, bound + 1)))
     pred = None
     if kid.pred is not None:
         p = kid.pred
@@ -662,6 +663,84 @@ def test_evaluator_agrees_with_the_reference(tree, h):
         assert answer is None or answer == member(n), n
     bound = A.complete_below
     assert A.elements(bound) == [n for n in range(1, bound + 1) if member(n)]
+
+
+# sets without a predicate (an unpinned closure is listed only to the horizon)
+# and explicit sets with members past it, under the one-child nodes, complements
+# and dilations by up to 10^6, whose bounds lie far past any table
+_table_tree = st.recursive(
+    st.one_of(st.sampled_from([("fs", ("sidon",)), ("fp", ("primeseq", "odd"))]),
+              st.lists(st.integers(min_value=1, max_value=3000), min_size=1, max_size=4,
+                       unique=True).map(lambda v: ("set", tuple(sorted(v)))),
+              _tuple_leaf),
+    lambda kids: st.one_of(
+        kids.map(lambda a: ("compl", a)),
+        st.builds(lambda k, a: ("dilate", k, a),
+                  st.one_of(_small, st.integers(min_value=7, max_value=10**6)), kids),
+        st.builds(lambda a, n: ("quot", a, n), kids, _small),
+        st.builds(lambda a, t: ("shift", a, t), kids, st.integers(min_value=0, max_value=40)),
+        st.lists(kids, min_size=2, max_size=2).map(lambda a: ("union", *a)),
+        st.lists(kids, min_size=2, max_size=2).map(lambda a: ("inter", *a))),
+    max_leaves=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_tree, st.sampled_from([20, 60]))
+@example(("dilate", 10**6, ("N",)), 20)
+@example(("quot", ("fs", ("sidon",)), 3), 60)
+@example(("shift", ("fp", ("primeseq", "odd")), 7), 60)
+@example(("compl", ("fs", ("sidon",))), 20)
+@example(("dilate", 3, ("set", (5, 2999))), 20)
+@example(("union", ("set", (4, 2500)), ("dilate", 999999, ("odd",))), 60)
+# members past the table that are not multiples of the dilation's k
+@example(("shift", ("dilate", 3, ("N",)), 2), 20)
+@example(("quot", ("dilate", 6, ("N",)), 4), 20)
+# dilations by 10^6 off their stride, united, and dilated again: listed, not walked
+@example(("union", ("shift", ("dilate", 10**6, ("N",)), 1), ("mult", 3)), 60)
+@example(("quot", ("shift", ("dilate", 10**6, ("N",)), 1), 7), 60)
+@example(("union", ("dilate", 10**6, ("N",)), ("dilate", 10**6, ("N",))), 20)
+@example(("dilate", 3, ("dilate", 10**6, ("N",))), 20)
+@example(("inter", ("N",), ("dilate", 10**6, ("N",))), 20)
+def test_tables_agree_with_the_reference(tree, h):
+    """Every definite contains answer on [1, 3h], and the members up to the bound or
+    3h, match the reference membership, also where a set's table stops short of its
+    bound or its members lie past the horizon, and so does member_marks. A set that
+    walks its predicate past its table at the multiples of a stride walks no more
+    points than the horizon."""
+    A = evaluate(parse(workloads.text(tree)), h)
+    assert not A.stride or A.complete_below // A.stride - A.top // A.stride <= h
+    member = functools.lru_cache(maxsize=None)(lambda n: reference.member(tree, n))
+    # member_marks may table what a stride walks, but changes nothing the set knows
+    known = list(A.iter_members())
+    marks = A.member_marks(3 * h)
+    assert list(A.iter_members()) == known
+    for n in range(1, 3 * h + 1):
+        answer = A.contains(n)
+        assert answer is None or answer == member(n), n
+        assert marks[n] == (answer is True), n
+    bound = min(A.complete_below, 3 * h)
+    listed = [n for n in range(1, bound + 1) if member(n)]
+    # read lazily, and listed once the set has grown to the bound
+    assert list(A.iter_members(bound)) == listed
+    assert A.elements(bound) == listed
+    assert all(member(n) for n in A.elements())
+
+
+def test_a_table_never_grows_past_the_horizon():
+    """A dilation by 10^6 and a member at 10^15 cost a table of the horizon, not of
+    their bound: evaluation stays within a few MiB, and contains still answers past it."""
+    h = 100_000
+    for text, big in (("dilate(1000000,N)", 7 * 10**6), ("union({1000000000000000},mult(7))",
+                                                          10**15)):
+        tracemalloc.start()
+        try:
+            A = evaluate(parse(text), h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (text, peak)
+        assert len(A.marks) <= h + 1
+        assert A.contains(big) is True and A.contains(big + 2) is False
 
 
 # children complete to different bounds: h // d, h - t, a finite set's largest

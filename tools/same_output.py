@@ -142,7 +142,20 @@ The battery, read from this checkout:
   where OLD answered bounded, ``check a-thick`` on a complement over the element
   cap at the largest horizon, whose message NEW gives with the count (both
   documented differences), and ``check a-thick level(0)`` at the largest
-  horizon.
+  horizon,
+- the sets read as tables of marks: the ``eval_batch`` lines of seed 1, round 0
+  as ``check a-thick --batch`` at horizons 1, 2, 3 and 97; ``check a-thick``
+  where the first run crosses the bound of a set complete below the horizon or
+  lies in a periodic window past the horizon; ``dilate``, ``quot`` and ``shift``
+  of sets without a predicate and of finite sets with members past the horizon,
+  complements of sets without a predicate, and divisor closures, unions and
+  intersections of dilations, whose members past the table their predicate
+  answers, under ``check a-thick`` and ``diagram``; ``pseudo`` chains that are
+  not decreasing; ``construct`` listings at horizon 100000 as JSON; ``check
+  a-thick odd`` at the largest horizon, over the element cap; and ``check max``
+  and ``fe`` on dilations whose witnesses lie past the horizon, also by 10^6
+  under a shift off the dilation's stride, a union, an intersection and a
+  second dilation, at horizon 100000.
 
 Standard library only.
 """
@@ -237,6 +250,23 @@ MARKS_EXPRS = ("quot(mult(10),2)", "quot(mult(10),10)", "shift(quot(level(2),2),
                "construct(thick_nonmaxstar,8)", "{1}")
 MARKS_PROPS = ("a-pcws", "max", "max*", "nmax*", "nmax")
 COMPL_EXPRS = ("compl(fp(primeseq(odd)))", "compl({5,9})", "compl(quot(mult(7),3))")
+# runs that cross a bound below the horizon, or lie in a periodic window past it
+CROSS_RUNS = (("shift(union(mult(3),ap(47,1)),2)", "50", "5"),
+              ("quot(union(mult(5),ap(80,1)),2)", "60", "4"),
+              ("ap(30,1)", "20", "3"), ("inter(ap(25,1),compl(mult(7)))", "20", "3"))
+# sets without a predicate and finite sets with members past the horizon, made
+# into others by one child
+TABLE_EXPRS = ("dilate(3,fs(sidon()))", "quot(fp(primeseq(odd)),3)", "shift(fs(sidon()),4)",
+               "dilate(7,{3,20,500})", "quot({6,60,600,6000},3)", "shift({5,90,91,92,200},3)",
+               "compl(fs(sidon()))", "compl(quot(fp(primeseq(odd)),2))",
+               "union(dilate(5,{2,40}),shift(fp(primeseq(odd)),1))",
+               "inter(dilate(2,fs(sidon())),compl({4,6}))",
+               # dilations, whose members past the table the predicate answers
+               "down(dilate(3,N))", "down(quot(dilate(6,N),4))", "union(fs(sidon()),dilate(2,N))",
+               "inter(dilate(2,N),dilate(3,N))", "union(dilate(1000,N),fs(sidon()))")
+WIDE_DILATIONS = ("union(shift(dilate(1000000,N),1),mult(3))", "shift(dilate(1000000,N),1)",
+                  "union(dilate(1000000,N),dilate(1000000,N))", "dilate(3,dilate(1000000,N))",
+                  "inter(N,dilate(1000000,N))", "quot(shift(dilate(1000000,N),1),7)")
 NMAX_EXPRS = ("fp(primeseq(odd))", "down({234,320})", "fs(fastgrowth())", "{1}", "{2,3,5,7}",
               "N", "level(2)", "dilate(2,odd)", "up({6,10,15})")
 
@@ -451,6 +481,29 @@ def battery(new: Path, scratch: Path) -> list[list[str]]:
               "--json"],
              ["check", "a-thick", "compl(mult(100))", "--horizon", "20000000"],
              ["check", "a-thick", "level(0)", "--n", "1", "--horizon", "20000000"]]
+    lines = batch_file("eval_lines.txt", map(wl.text, wl.round_inputs("eval_batch", 1, 0)))
+    cmds += [["check", "a-thick", "--batch", lines, "--horizon", h, "--n", n, "--json"]
+             for h in ("1", "2", "3", "97") for n in ("1", "2", "3") if int(n) <= int(h)]
+    cmds += [["check", "a-thick", expr, "--horizon", h, "--n", n, "--json"]
+             for expr, h, n in CROSS_RUNS]
+    for expr in TABLE_EXPRS:
+        cmds += [["check", "a-thick", expr, "--horizon", "60", "--n", "3", "--json"],
+                 ["diagram", expr, "--horizon", "60", "--json"]]
+    cmds += [["check", "a-thick", chain, "--horizon", "50"]
+             for chain in ("pseudo(2,mult(4),mult(2))", "pseudo(3,N,fs(sidon()),mult(3))",
+                           "pseudo(2,quot(fp(primeseq(odd)),3),N)")]
+    cmds += [["construct", *args, "--horizon", "100000", "--json"]
+             for args in (("exgamma",), ("sidon",), ("sidon_levels", "6", "0"))]
+    cmds += [["check", "a-thick", "odd", "--horizon", "20000000"],
+             ["check", "max", "union(dilate(2,N),mult(3))", "--horizon", "100", "--N", "97",
+              "--json"],
+             ["check", "max", "dilate(1000000,N)", "--horizon", "100000", "--json"],
+             ["fe", "dilate(1000000,N)", "mult(3)", "--horizon", "100000", "--json"]]
+    # dilations by 10^6 under a shift off their stride, a union, an intersection and
+    # another dilation, whose members past the table are listed, not walked
+    cmds += [[*cmd, expr, *args, "--horizon", "100000", "--json"] for expr in WIDE_DILATIONS
+             for cmd, args in ((("check", "max"), ("--N", "97")), (("check", "max"), ("--N", "2")),
+                               (("check", "a-thick"), ("--n", "3")), (("fe",), ("mult(3)",)))]
     return cmds
 
 
